@@ -81,7 +81,7 @@ class ConventionalMmu(MmuBase):
         else:
             walk = self.walkers[core].walk(asid, va)
             front = self.config.l2_tlb.latency + walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> 12, True,
                              translation.permissions)
             tlb.fill(entry)

@@ -83,7 +83,7 @@ class DelayedTlbEngine:
         if entry is None:
             walk = self.walker.walk(asid, va)
             cycles += walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
                              translation.permissions)
             self.tlb.fill(entry)
@@ -141,7 +141,7 @@ class ManySegmentEngine:
         except SegmentFault:
             self.stats.add("paging_fallbacks")
             walk = self.fallback_walker.walk(asid, va)
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             if self.mmu.tracer.recording:
                 self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=walk.cycles,
                                       fallback=True)
@@ -264,7 +264,7 @@ class HybridMmu(MmuBase):
         if entry is None:
             walk = self.synonym_walker.walk(asid, va)
             front += walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT,
                              translation.shared, translation.permissions)
             self.synonym_tlb.fill(entry)

@@ -121,9 +121,7 @@ class ThpBaselineMmu(MmuBase):
                     self.l1_huge[core].fill(entry)
 
         if pa is None:
-            walk = self.walkers[core].walk(asid, va)
-            front += walk.cycles
-            self.kernel.translate(asid, va)  # resolve faults
+            front += self.walkers[core].walk(asid, va).cycles
             leaf = self.kernel.process(asid).page_table.entry(va)
             if leaf.is_huge:
                 entry = TlbEntry(huge_key, leaf.pfn, True, leaf.permissions)

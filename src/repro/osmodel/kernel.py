@@ -33,7 +33,7 @@ from repro.osmodel.address_space import (
 )
 from repro.osmodel.frames import FrameAllocator
 from repro.osmodel.index_tree import IndexTree
-from repro.osmodel.pagetable import PERM_READ, PERM_RW, PageFault
+from repro.osmodel.pagetable import PERM_READ, PERM_RW, PageFault, PageTableEntry
 from repro.osmodel.segments import OsSegmentTable
 
 #: Listener signature for shootdowns: (asid, page_va) of the dead mapping.
@@ -58,6 +58,12 @@ class Translation:
     pa: int
     permissions: int
     shared: bool       # ground-truth synonym status of the page
+
+
+def _translation(entry: PageTableEntry, va: int) -> Translation:
+    """The translation a leaf PTE (4 KB or 2 MB) gives ``va``."""
+    pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << entry.page_shift) - 1))
+    return Translation(pa, entry.permissions, entry.shared)
 
 
 class Kernel:
@@ -435,14 +441,13 @@ class Kernel:
         process = self._processes[asid]
         table = process.page_table
         try:
-            entry = table.entry(page_base(va))
+            entry = table.entry(va)
         except PageFault:
-            entry = self._handle_fault(process, va)
-        offset_mask = (1 << entry.page_shift) - 1
-        pa = (entry.pfn << PAGE_SHIFT) | (va & offset_mask)
-        return Translation(pa, entry.permissions, entry.shared)
+            self._handle_fault(process, va)
+            entry = table.entry(va)
+        return _translation(entry, va)
 
-    def _handle_fault(self, process: Process, va: int):
+    def _handle_fault(self, process: Process, va: int) -> None:
         vma = process.find_vma(va)
         if vma is None:
             raise SegmentationViolation(process.asid, va)
@@ -469,7 +474,6 @@ class Kernel:
             process.page_table.map(page_va, pa >> PAGE_SHIFT, vma.permissions,
                                    shared=True)
             self.stats.add("shared_first_touches")
-        return process.page_table.entry(page_va)
 
     def _try_map_huge(self, process: Process, segment, va: int) -> bool:
         """Install a 2 MB leaf when alignment and coverage permit."""
@@ -489,14 +493,20 @@ class Kernel:
             segment.touch(huge_base + offset)
         return True
 
-    def pte_path(self, asid: int, va: int) -> List[int]:
-        """Physical addresses a hardware page walk reads (root→leaf).
+    def pte_path(self, asid: int, va: int) -> Tuple[List[int], Translation]:
+        """One hardware page walk: the physical addresses of the PTEs it
+        reads (root→leaf) and the translation its leaf yields.
 
-        Faults are resolved first so the walker always sees a full path —
-        the fault cost itself is accounted by the caller via kernel stats.
+        A first touch is faulted in before the walk completes, so the
+        walker always sees a full path — the fault cost itself is
+        accounted by the caller via kernel stats.
         """
-        self.translate(asid, va)
-        return self._processes[asid].page_table.walk_path(va)
+        process = self._processes[asid]
+        path, entry = process.page_table.walk(va)
+        if entry is None:
+            self._handle_fault(process, va)
+            path, entry = process.page_table.walk(va)
+        return path, _translation(entry, va)
 
     def is_synonym_page(self, asid: int, va: int) -> bool:
         """Ground truth for filter false-positive accounting."""

@@ -16,12 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.address import PAGE_SHIFT, VA_BITS
+from repro.common.address import PAGE_SHIFT, VA_MASK
 from repro.osmodel.frames import FrameAllocator
 
 LEVELS = 4
 BITS_PER_LEVEL = 9
 PTE_SIZE = 8
+
+#: Right shifts that extract the slot index of each level above the 4 KB
+#: leaves from a VPN, root first; a leaf's index is the VPN's low bits.
+_UPPER_SHIFTS = tuple(BITS_PER_LEVEL * level for level in range(LEVELS - 1, 0, -1))
+_INDEX_MASK = (1 << BITS_PER_LEVEL) - 1
 
 PERM_READ = 0x1
 PERM_WRITE = 0x2
@@ -100,11 +105,18 @@ class PageTable:
         self._released = True
         return released
 
-    @staticmethod
-    def _indices(va: int) -> List[int]:
-        vpn = (va & ((1 << VA_BITS) - 1)) >> PAGE_SHIFT
-        return [(vpn >> (BITS_PER_LEVEL * level)) & ((1 << BITS_PER_LEVEL) - 1)
-                for level in reversed(range(LEVELS))]
+    def _descend(self, vpn: int, shifts: Tuple[int, ...]) -> _Node:
+        """The node reached through the levels of ``shifts``, creating
+        missing nodes on the way."""
+        node = self._root
+        for shift in shifts:
+            index = (vpn >> shift) & _INDEX_MASK
+            child = node.slots.get(index)
+            if child is None:
+                child = self._new_node()
+                node.slots[index] = child
+            node = child  # type: ignore[assignment]
+        return node
 
     # ------------------------------------------------------------------ #
     # Mapping
@@ -113,17 +125,12 @@ class PageTable:
     def map(self, va: int, pfn: int, permissions: int = PERM_RW,
             shared: bool = False) -> None:
         """Install a leaf mapping for the page containing ``va``."""
-        node = self._root
-        idx = self._indices(va)
-        for level_index in idx[:-1]:
-            child = node.slots.get(level_index)
-            if child is None:
-                child = self._new_node()
-                node.slots[level_index] = child
-            node = child  # type: ignore[assignment]
-        if idx[-1] not in node.slots:
+        vpn = (va & VA_MASK) >> PAGE_SHIFT
+        node = self._descend(vpn, _UPPER_SHIFTS)
+        index = vpn & _INDEX_MASK
+        if index not in node.slots:
             self._mapped_pages += 1
-        node.slots[idx[-1]] = PageTableEntry(pfn, permissions, shared)
+        node.slots[index] = PageTableEntry(pfn, permissions, shared)
 
     def map_huge(self, va: int, pfn: int, permissions: int = PERM_RW,
                  shared: bool = False) -> None:
@@ -136,38 +143,34 @@ class PageTable:
             raise ValueError(f"huge mapping at unaligned VA {va:#x}")
         if (pfn << PAGE_SHIFT) & (HUGE_PAGE_SIZE - 1):
             raise ValueError("huge mapping needs a 2 MB-aligned frame")
-        node = self._root
-        idx = self._indices(va)
-        for level_index in idx[:-2]:
-            child = node.slots.get(level_index)
-            if child is None:
-                child = self._new_node()
-                node.slots[level_index] = child
-            node = child  # type: ignore[assignment]
-        existing = node.slots.get(idx[-2])
+        vpn = (va & VA_MASK) >> PAGE_SHIFT
+        node = self._descend(vpn, _UPPER_SHIFTS[:-1])
+        index = (vpn >> BITS_PER_LEVEL) & _INDEX_MASK
+        existing = node.slots.get(index)
         if isinstance(existing, _Node) and existing.slots:
             raise ValueError(f"huge mapping at {va:#x} would shadow "
                              f"existing 4 KB mappings")
         if not isinstance(existing, PageTableEntry):
             self._mapped_pages += HUGE_PAGE_SIZE // (1 << PAGE_SHIFT)
-        node.slots[idx[-2]] = PageTableEntry(pfn, permissions, shared,
-                                             page_shift=HUGE_PAGE_SHIFT)
+        node.slots[index] = PageTableEntry(pfn, permissions, shared,
+                                           page_shift=HUGE_PAGE_SHIFT)
 
     def unmap(self, va: int) -> Optional[PageTableEntry]:
         """Remove the leaf mapping (4 KB or 2 MB); returns it or None."""
+        vpn = (va & VA_MASK) >> PAGE_SHIFT
         node = self._root
-        idx = self._indices(va)
-        for depth, level_index in enumerate(idx[:-1]):
-            child = node.slots.get(level_index)
+        for shift in _UPPER_SHIFTS:
+            index = (vpn >> shift) & _INDEX_MASK
+            child = node.slots.get(index)
             if child is None:
                 return None
             if isinstance(child, PageTableEntry):
                 # Huge leaf encountered one level up.
-                del node.slots[level_index]
+                del node.slots[index]
                 self._mapped_pages -= HUGE_PAGE_SIZE >> PAGE_SHIFT
                 return child
             node = child  # type: ignore[assignment]
-        entry = node.slots.pop(idx[-1], None)
+        entry = node.slots.pop(vpn & _INDEX_MASK, None)
         if entry is not None:
             self._mapped_pages -= 1
         return entry  # type: ignore[return-value]
@@ -186,16 +189,16 @@ class PageTable:
 
     def entry(self, va: int) -> PageTableEntry:
         """Return the leaf PTE (4 KB or 2 MB) or raise :class:`PageFault`."""
+        vpn = (va & VA_MASK) >> PAGE_SHIFT
         node = self._root
-        idx = self._indices(va)
-        for level_index in idx[:-1]:
-            child = node.slots.get(level_index)
+        for shift in _UPPER_SHIFTS:
+            child = node.slots.get((vpn >> shift) & _INDEX_MASK)
             if child is None:
                 raise PageFault(va)
             if isinstance(child, PageTableEntry):
                 return child  # huge leaf
             node = child  # type: ignore[assignment]
-        entry = node.slots.get(idx[-1])
+        entry = node.slots.get(vpn & _INDEX_MASK)
         if entry is None:
             raise PageFault(va)
         return entry  # type: ignore[return-value]
@@ -212,22 +215,31 @@ class PageTable:
         except PageFault:
             return False
 
-    def walk_path(self, va: int) -> List[int]:
-        """Physical addresses of the PTEs a hardware walk reads, root→leaf.
+    def walk(self, va: int) -> Tuple[List[int], Optional[PageTableEntry]]:
+        """One hardware walk: the PTE addresses it reads, root→leaf, and
+        the leaf it ends at (None when the walk faults).
 
         Unmapped upper levels still contribute the address that *would* be
         read (the walk discovers the fault by reading it).
         """
+        vpn = (va & VA_MASK) >> PAGE_SHIFT
         path: List[int] = []
-        node: Optional[_Node] = self._root
-        for level_index in self._indices(va):
-            assert node is not None
-            path.append(node.pa + level_index * PTE_SIZE)
-            nxt = node.slots.get(level_index)
-            node = nxt if isinstance(nxt, _Node) else None
-            if node is None:
-                break
-        return path
+        node = self._root
+        for shift in _UPPER_SHIFTS:
+            index = (vpn >> shift) & _INDEX_MASK
+            path.append(node.pa + index * PTE_SIZE)
+            slot = node.slots.get(index)
+            if not isinstance(slot, _Node):
+                # A fault (None) or a 2 MB leaf ends the walk early.
+                return path, slot  # type: ignore[return-value]
+            node = slot
+        index = vpn & _INDEX_MASK
+        path.append(node.pa + index * PTE_SIZE)
+        return path, node.slots.get(index)  # type: ignore[return-value]
+
+    def walk_path(self, va: int) -> List[int]:
+        """Physical addresses of the PTEs a hardware walk reads, root→leaf."""
+        return self.walk(va)[0]
 
     # ------------------------------------------------------------------ #
     # Introspection

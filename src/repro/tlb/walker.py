@@ -7,36 +7,41 @@ L3-level (2 MB-region) entry, which collapses a hit walk to a single leaf
 PTE read.
 
 The walker is decoupled from both the page table (a ``resolve`` callable
-that returns the PTE physical addresses touched by a walk) and the memory
-system (a ``charge`` callable that returns the cycles for one PTE read,
-letting the simulator route PTE reads through the cache hierarchy — this
-is what lets large on-chip caches absorb walk traffic, a first-order
-effect in the paper's Figure 9).
+that performs the radix walk once, returning the PTE physical addresses
+it touches and the translation its leaf yields) and the memory system (a
+``charge`` callable that returns the cycles for one PTE read, letting the
+simulator route PTE reads through the cache hierarchy — this is what lets
+large on-chip caches absorb walk traffic, a first-order effect in the
+paper's Figure 9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from repro.common.params import WalkerConfig
 from repro.common.stats import StatGroup
 from repro.obs.histogram import Histogram
 
-# Resolve callback: (asid, va) -> sequence of PTE physical addresses,
-# ordered root -> leaf.  Raises KeyError for unmapped addresses.
-ResolveFn = Callable[[int, int], Sequence[int]]
+if TYPE_CHECKING:
+    from repro.osmodel.kernel import Translation
+
+# Resolve callback: (asid, va) -> (PTE physical addresses ordered root ->
+# leaf, the leaf's translation); see ``Kernel.pte_path``.
+ResolveFn = Callable[[int, int], Tuple[Sequence[int], "Translation"]]
 # Charge callback: (pte_physical_address) -> cycles for the read.
 ChargeFn = Callable[[int], int]
 
 
 @dataclass(slots=True)
 class WalkResult:
-    """Cost summary of one page walk."""
+    """Cost summary of one page walk and the translation it found."""
 
     cycles: int
     memory_accesses: int
     walk_cache_hit: bool
+    translation: "Translation"
 
 
 class PageWalker:
@@ -78,13 +83,13 @@ class PageWalker:
         and refills the walk cache.
         """
         self.stats.add("walks")
-        pte_addresses = self.resolve(asid, va)
+        pte_addresses, translation = self.resolve(asid, va)
         hit = self._walk_cache_lookup(asid, va)
         if hit:
             self.stats.add("walk_cache_hits")
             touched = pte_addresses[-1:]
         else:
-            touched = list(pte_addresses)
+            touched = pte_addresses
             self._walk_cache_fill(asid, va)
         cycles = self.config.per_level_overhead * len(touched)
         for pte_pa in touched:
@@ -93,7 +98,7 @@ class PageWalker:
         self.stats.add("walk_cycles", cycles)
         self.cycles_hist.record(cycles)
         return WalkResult(cycles=cycles, memory_accesses=len(touched),
-                          walk_cache_hit=hit)
+                          walk_cache_hit=hit, translation=translation)
 
     def flush(self) -> None:
         """Drop walk-cache contents (address-space teardown / remap storms)."""

@@ -97,22 +97,30 @@ class VirtualMachine:
             raise PageFault(gpa)
         return self.host_segments[index]
 
+    def _host_fault(self, gpa: int) -> None:
+        """Back a first-touched guest-physical page from its host segment."""
+        page = page_base(gpa)
+        ma_page = self.host_segment_for(page).offset + page
+        self.host_page_table.map(page, ma_page >> PAGE_SHIFT, PERM_RW)
+        self.stats.add("host_first_touches")
+
     def host_translate(self, gpa: int) -> int:
         """gPA → MA, populating the host page table on first touch."""
-        page = page_base(gpa)
         try:
-            entry = self.host_page_table.entry(page)
+            entry = self.host_page_table.entry(gpa)
         except PageFault:
-            ma_page = self.host_segment_for(page).offset + page
-            self.host_page_table.map(page, ma_page >> PAGE_SHIFT, PERM_RW)
-            entry = self.host_page_table.entry(page)
-            self.stats.add("host_first_touches")
+            self._host_fault(gpa)
+            entry = self.host_page_table.entry(gpa)
         return (entry.pfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1))
 
-    def host_walk_path(self, gpa: int) -> List[int]:
-        """Machine addresses of the host PTEs a nested walk reads."""
-        self.host_translate(gpa)  # ensure mapped
-        return self.host_page_table.walk_path(gpa)
+    def host_walk_path(self, gpa: int) -> Tuple[List[int], int]:
+        """One host walk: the machine addresses of the host PTEs a nested
+        walk reads and the MA it yields (populating on first touch)."""
+        path, entry = self.host_page_table.walk(gpa)
+        if entry is None:
+            self._host_fault(gpa)
+            path, entry = self.host_page_table.walk(gpa)
+        return path, (entry.pfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1))
 
     # ------------------------------------------------------------------ #
     # Full 2-D translation

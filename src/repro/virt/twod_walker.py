@@ -95,14 +95,12 @@ class TwoDWalker:
         ma_page = self.nested_tlb.lookup(page >> PAGE_SHIFT)
         if ma_page is not None:
             return (ma_page << PAGE_SHIFT) | (gpa & 0xFFF), 1, 0
+        path, ma = self.vm.host_walk_path(gpa)
         cycles = 0
-        reads = 0
-        for pte_ma in self.vm.host_walk_path(gpa):
+        for pte_ma in path:
             cycles += self.charge(pte_ma) + self.config.per_level_overhead
-            reads += 1
-        ma = self.vm.host_translate(gpa)
         self.nested_tlb.fill(page >> PAGE_SHIFT, ma >> PAGE_SHIFT)
-        return ma, cycles, reads
+        return ma, cycles, len(path)
 
     # ------------------------------------------------------------------ #
     # Guest walk cache
@@ -134,7 +132,7 @@ class TwoDWalker:
         cycles = 0
         reads = 0
 
-        guest_pte_gpas = self.vm.guest_kernel.pte_path(guest_asid, gva)
+        guest_pte_gpas, guest = self.vm.guest_kernel.pte_path(guest_asid, gva)
         if self._guest_cache_lookup(guest_asid, gva):
             guest_pte_gpas = guest_pte_gpas[-1:]
             self.stats.add("walk_cache_hits")
@@ -150,7 +148,6 @@ class TwoDWalker:
             reads += 1
 
         # Finally translate the leaf gPA.
-        guest = self.vm.guest_kernel.translate(guest_asid, gva)
         ma, host_cycles, host_reads = self._host_resolve(guest.pa)
         cycles += host_cycles
         reads += host_reads

@@ -178,7 +178,7 @@ class TestPageWalker:
         resolved = {}
 
         def resolve(asid, va):
-            return [0x1000, 0x2000, 0x3000, 0x4000 + (va >> 12) * 8]
+            return [0x1000, 0x2000, 0x3000, 0x4000 + (va >> 12) * 8], None
 
         return PageWalker(WalkerConfig(walk_cache_entries=2), resolve,
                           lambda pa: per_read)

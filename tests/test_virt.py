@@ -57,7 +57,8 @@ class TestVirtualMachine:
         assert ma == vm.host_translate(gpa)
 
     def test_host_walk_path_four_levels(self, vm):
-        assert len(vm.host_walk_path(0x1000)) == 4
+        path, _ma = vm.host_walk_path(0x1000)
+        assert len(path) == 4
 
     def test_vmid_extended_asids_unique(self, hv):
         vm1, vm2 = hv.create_vm("a"), hv.create_vm("b")
