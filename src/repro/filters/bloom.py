@@ -8,17 +8,23 @@ Bloom filters admit false positives but never false negatives — exactly
 the property the synonym filter requires: every true synonym must be
 detected; a false positive merely routes one access through the TLB where
 the marker entry corrects it (Section III-A).
+
+The hash functions must be pure and read the key only through
+``key >> grain_shift`` (the paper's hashes trim the address by the
+filter's granularity first), so the bit positions of a key are computed
+once per grain and remembered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
 
 class BloomFilter:
     """Fixed-size Bloom filter with caller-supplied hash functions."""
 
-    def __init__(self, bits: int, hash_functions: Sequence[Callable[[int], int]]) -> None:
+    def __init__(self, bits: int, hash_functions: Sequence[Callable[[int], int]],
+                 grain_shift: int = 0) -> None:
         if bits <= 0 or bits & (bits - 1):
             raise ValueError("bits must be a positive power of two")
         if not hash_functions:
@@ -26,6 +32,9 @@ class BloomFilter:
         self.bits = bits
         self._mask = bits - 1
         self._hashes = tuple(hash_functions)
+        self._grain_shift = grain_shift
+        # Grain -> the key's hash positions as one bit mask.
+        self._positions: Dict[int, int] = {}
         self._vector = 0  # Python int as a bit vector
         self._inserted = 0
 
@@ -38,18 +47,28 @@ class BloomFilter:
         """Number of ``insert`` calls since the last clear (OS bookkeeping)."""
         return self._inserted
 
+    def _hash_positions(self, key: int) -> int:
+        """Compute and remember the bit mask of ``key``'s hash positions."""
+        positions = 0
+        for h in self._hashes:
+            positions |= 1 << (h(key) & self._mask)
+        self._positions[key >> self._grain_shift] = positions
+        return positions
+
     def insert(self, key: int) -> None:
         """Set every hash position for ``key``."""
-        for h in self._hashes:
-            self._vector |= 1 << (h(key) & self._mask)
+        positions = self._positions.get(key >> self._grain_shift)
+        if positions is None:
+            positions = self._hash_positions(key)
+        self._vector |= positions
         self._inserted += 1
 
     def query(self, key: int) -> bool:
         """Return True when every hash position for ``key`` is set."""
-        for h in self._hashes:
-            if not (self._vector >> (h(key) & self._mask)) & 1:
-                return False
-        return True
+        positions = self._positions.get(key >> self._grain_shift)
+        if positions is None:
+            positions = self._hash_positions(key)
+        return self._vector & positions == positions
 
     def clear(self) -> None:
         """Reset the filter to empty (address-space creation / OS rebuild)."""

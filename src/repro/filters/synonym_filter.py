@@ -38,9 +38,11 @@ class SynonymFilter:
         self.config = config or SynonymFilterConfig()
         self.stats = stats or StatGroup("synonym_filter")
         self.fine = BloomFilter(self.config.bits,
-                                make_hash_pair(self.config.fine_grain_shift))
+                                make_hash_pair(self.config.fine_grain_shift),
+                                self.config.fine_grain_shift)
         self.coarse = BloomFilter(self.config.bits,
-                                  make_hash_pair(self.config.coarse_grain_shift))
+                                  make_hash_pair(self.config.coarse_grain_shift),
+                                  self.config.coarse_grain_shift)
         # Occupancy (set-bit count of the fuller filter) sampled at every
         # OS-side insert — the saturation trajectory the rebuild policy
         # watches.  Inserts are rare (sharing transitions), so this is
