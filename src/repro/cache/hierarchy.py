@@ -88,7 +88,11 @@ class CacheHierarchy:
             self.stats.add("coherence_invalidations", len(remote))
 
     def _note_copy(self, key: int, core: int) -> None:
-        self._copies.setdefault(key, set()).add(core)
+        holders = self._copies.get(key)
+        if holders is None:
+            self._copies[key] = {core}
+        else:
+            holders.add(core)
 
     # ------------------------------------------------------------------ #
     # The access path

@@ -32,10 +32,7 @@ class SetAssociativeCache:
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
         self._eviction_callback: Optional[EvictionCallback] = None
-
-    @property
-    def latency(self) -> int:
-        return self.config.latency
+        self.latency = config.latency
 
     def on_eviction(self, callback: EvictionCallback) -> None:
         """Register a callback invoked with every evicted line.
@@ -45,13 +42,10 @@ class SetAssociativeCache:
         """
         self._eviction_callback = callback
 
-    def _set_for(self, key: int) -> Dict[int, CacheLine]:
-        return self._sets[key & self._set_mask]
-
     def lookup(self, key: int, is_write: bool = False) -> Optional[CacheLine]:
         """Probe for a block; on hit, refresh LRU and set dirty for writes."""
         self.stats.add("lookups")
-        cache_set = self._set_for(key)
+        cache_set = self._sets[key & self._set_mask]
         line = cache_set.get(key)
         if line is None:
             self.stats.add("misses")
@@ -65,14 +59,14 @@ class SetAssociativeCache:
 
     def probe(self, key: int) -> Optional[CacheLine]:
         """Residence check without LRU or counter side effects."""
-        return self._set_for(key).get(key)
+        return self._sets[key & self._set_mask].get(key)
 
     def fill(self, line: CacheLine) -> Optional[CacheLine]:
         """Install a line, evicting LRU if the set is full.
 
         Returns the victim (after the eviction callback has seen it).
         """
-        cache_set = self._set_for(line.key)
+        cache_set = self._sets[line.key & self._set_mask]
         victim = None
         if line.key in cache_set:
             del cache_set[line.key]
@@ -96,8 +90,7 @@ class SetAssociativeCache:
 
     def invalidate(self, key: int) -> Optional[CacheLine]:
         """Remove one block (coherence invalidation / page flush)."""
-        cache_set = self._set_for(key)
-        line = cache_set.pop(key, None)
+        line = self._sets[key & self._set_mask].pop(key, None)
         if line is not None:
             self.stats.add("invalidations")
         return line

@@ -53,18 +53,12 @@ class SetAssociativeTlb:
         self._set_mask = config.sets - 1
         if config.sets & self._set_mask:
             raise ValueError("TLB set count must be a power of two")
-
-    @property
-    def latency(self) -> int:
-        return self.config.latency
-
-    def _set_for(self, page_key: int) -> Dict[int, TlbEntry]:
-        return self._sets[page_key & self._set_mask]
+        self.latency = config.latency
 
     def lookup(self, page_key: int) -> Optional[TlbEntry]:
         """Probe the TLB; returns the entry on hit (refreshing LRU) or None."""
         self.stats.add("lookups")
-        tlb_set = self._set_for(page_key)
+        tlb_set = self._sets[page_key & self._set_mask]
         entry = tlb_set.get(page_key)
         if entry is None:
             self.stats.add("misses")
@@ -77,11 +71,11 @@ class SetAssociativeTlb:
 
     def probe(self, page_key: int) -> Optional[TlbEntry]:
         """Check residence without touching LRU state or counters."""
-        return self._set_for(page_key).get(page_key)
+        return self._sets[page_key & self._set_mask].get(page_key)
 
     def fill(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Insert an entry, returning the victim it evicted (if any)."""
-        tlb_set = self._set_for(entry.page_key)
+        tlb_set = self._sets[entry.page_key & self._set_mask]
         victim = None
         if entry.page_key in tlb_set:
             del tlb_set[entry.page_key]
@@ -95,7 +89,7 @@ class SetAssociativeTlb:
 
     def invalidate(self, page_key: int) -> bool:
         """Drop one translation (TLB-shootdown target); True if present."""
-        tlb_set = self._set_for(page_key)
+        tlb_set = self._sets[page_key & self._set_mask]
         if page_key in tlb_set:
             del tlb_set[page_key]
             self.stats.add("invalidations")
