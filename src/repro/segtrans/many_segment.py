@@ -7,8 +7,11 @@ On an LLC miss, the incoming ASID+VA:
 2. on a miss, the HW walker traverses the OS's **index tree** through the
    **index cache** (≤ 4 node reads, 3 cycles each when they hit);
 3. the resulting segment-ID indexes the **HW segment table** (7 cycles);
-4. the address is checked against base/limit and translated with the
-   offset; the segment cache is refilled.
+4. the address is checked against the segment's ASID, base and limit and
+   translated with the offset; the segment cache is refilled.  The tree
+   returns the predecessor key, which can be another address space's
+   segment, so the ASID check is what keeps one process from using
+   another's translation.
 
 The paper budgets ~20 cycles for the full walk (4 index-cache hits + the
 segment table); that emerges here from the component latencies rather
@@ -97,7 +100,7 @@ class ManySegmentTranslator:
         if lookup.seg_id is not None:
             segment, table_cycles = self.hw_table.read(lookup.seg_id)
             cycles += table_cycles
-        if segment is None or not segment.contains(va):
+        if segment is None or segment.asid != asid or not segment.contains(va):
             # Not covered: raise to the OS (cold allocation, stale tree).
             self.stats.add("segment_faults")
             raise SegmentFault(asid, va)

@@ -58,14 +58,15 @@ GOLDEN = {
     "ferret/baseline": "722f2c313163599cb4c782843d5f670ed4285b02e543cb46b69f9e3281cc3d8c",
     "ferret/ideal": "05de0013816e9a3a856529187b4bfb39a4a4b51d06bde62164f02b0bf34f245a",
     "ferret/hybrid_tlb": "8a0bd085330041076eee8026ce00f20eaac3558a640e4925a334ec87704249b8",
-    "ferret/hybrid_segments": "86ae4c0d9a7ef33c604af4566ae896a21aeeba1fc2ea71d3199cfc110151c218",
-    "ferret/hybrid_segments_nosc": "c7e52af346cc07422b8df85c481781a6e1523ef4a8f875279ab883979e0b8ea5",
+    "ferret/hybrid_segments": "4c5472cd905694a0440bb12fe79cfc2da115f8af158b41a551ae1f38ddfd7de7",
+    "ferret/hybrid_segments_nosc": "edee35e0c6bee88a68004ed998aedb8c171b387bed103a550399b0c5b9507325",
     "ferret/direct_segment": "81fe82077af3fefadce40ad5648796b5cee7da2341c589da6fd9663ee2aa68fe",
     "ferret/rmm": "6c97210e4e6386098f5fbc491c53e443bdb4fdb799572275dec48d1d1148ec11",
     "ferret/enigma": "98fe3bb7ed7b817681882b1772bffacccc67751d84573ec7f75311d71dd7f2d1",
     "ferret/baseline_thp": "98fd852ff7ce5590c82da96cf16edcba8b769c84be6aa98d8b014623295bf7ab",
     "ferret/virt_baseline": "6ac02410d292132d9d1fd35f44afaa837bd718b789cc8ca29ec04c49f3a319bd",
     "ferret/virt_hybrid_tlb": "e576cdb8d3ca3925c43de2969eef71b7c181cb2efda4b2c49013e9374f75ae03",
+    "ferret/virt_hybrid_segments": "70a2ffe3dfe9d1e0b54f5aa1bbd798eca29898e845563de3e4bfbf4f869426d1",
     "mcf/baseline": "c3521b16f11f839468c9b361ad6da92548ff5d7954121dff60f2e38dfca36472",
     "mcf/ideal": "39ce9a11d5e4d24e21f9af3fa224f9725199669225ba0f051d85d18c436a2a00",
     "mcf/hybrid_tlb": "fd8166672a7105ec7332a8d70e0109e3b8682f16f584d65b1dd785cb0842946b",
@@ -93,11 +94,8 @@ GOLDEN = {
 }
 
 
-def simulate(workload: str, mmu: str):
-    """One grid point on a fresh system (a fresh VM for ``virt_*``)."""
-    if mmu not in VIRT_MMUS:
-        return Job(workload=workload, mmu=mmu, accesses=ACCESSES,
-                   warmup=WARMUP, seed=SEED).run()
+def virt_system(workload: str, mmu: str):
+    """``(laid_out, vm, system)``: a ``virt_*`` MMU on a fresh VM."""
     hypervisor = Hypervisor()
     vm = hypervisor.create_vm(f"vm-{workload}")
     laid_out = lay_out(workload, vm.guest_kernel, seed=SEED)
@@ -106,6 +104,15 @@ def simulate(workload: str, mmu: str):
     else:
         system = VirtHybridMmu(hypervisor, vm,
                                delayed=mmu[len("virt_hybrid_"):])
+    return laid_out, vm, system
+
+
+def simulate(workload: str, mmu: str):
+    """One grid point on a fresh system (a fresh VM for ``virt_*``)."""
+    if mmu not in VIRT_MMUS:
+        return Job(workload=workload, mmu=mmu, accesses=ACCESSES,
+                   warmup=WARMUP, seed=SEED).run()
+    laid_out, _vm, system = virt_system(workload, mmu)
     return Simulator(system).run(laid_out, ACCESSES, warmup=WARMUP,
                                  seed=SEED)
 

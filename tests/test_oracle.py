@@ -1,0 +1,46 @@
+"""Functional oracle: every MMU translates exactly as the kernel does.
+
+For every access, the ``translated_pa`` an MMU reports must equal the
+kernel's functional translation — ``Kernel.translate`` natively,
+``VirtualMachine.translate_2d`` under virtualization.  The workloads run
+several processes with synonym regions, so their address spaces sit side
+by side in the segment index tree: the case where a translation
+structure that ignores the ASID hands one process another's segment.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.common.params import SystemConfig
+from repro.osmodel.kernel import Kernel
+from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
+from tests.test_golden import SEED, VIRT_MMUS, virt_system
+
+WORKLOADS = ("ferret", "specjbb", "firefox", "apache")
+ACCESSES = 600
+
+
+def _system(workload: str, mmu: str):
+    """``(laid_out, system, oracle)`` with ``oracle(asid, va) -> pa``."""
+    if mmu in VIRT_MMUS:
+        laid_out, vm, system = virt_system(workload, mmu)
+        return laid_out, system, lambda asid, va: vm.translate_2d(asid, va)[0]
+    kernel = Kernel(SystemConfig(),
+                    transparent_huge_pages=mmu == "baseline_thp")
+    laid_out = lay_out(workload, kernel, seed=SEED)
+    return (laid_out, build_mmu(mmu, kernel),
+            lambda asid, va: kernel.translate(asid, va).pa)
+
+
+@pytest.mark.parametrize("mmu", MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_translated_pa_matches_kernel(workload, mmu):
+    laid_out, system, oracle = _system(workload, mmu)
+    wrong = []
+    for record in laid_out.trace(ACCESSES, seed=SEED):
+        outcome = system.access(record.core, record.asid, record.va,
+                                record.is_write)
+        if outcome.translated_pa != oracle(record.asid, record.va):
+            wrong.append((record.asid, hex(record.va)))
+    assert not wrong, f"{len(wrong)} wrong translations, first {wrong[:3]}"
