@@ -190,12 +190,15 @@ class Kernel:
         if policy not in (POLICY_DEMAND, POLICY_EAGER):
             raise ValueError(f"unknown mmap policy {policy!r}")
         if policy == POLICY_EAGER:
-            segments = process.segment_allocator.allocate(size_bytes)
-            vbase = segments[0].vbase
-            length = sum(s.length for s in segments)
+            allocator = process.segment_allocator
+            segments = allocator.allocate(size_bytes)
+            # The request ends at the allocator's cursor.  A segment grown
+            # by adjacency merging also covers earlier requests, so the
+            # VMA takes only this request's range.
+            length = allocator.request_bytes(size_bytes)
+            vbase = allocator._va_cursor - length
             # Keep the plain-VA cursor in sync with the segment cursor.
-            process._va_cursor = max(process._va_cursor,
-                                     process.segment_allocator._va_cursor)
+            process._va_cursor = max(process._va_cursor, allocator._va_cursor)
             vma = Vma(vbase, length, POLICY_EAGER, permissions,
                       segments=segments)
         else:

@@ -226,14 +226,22 @@ class SegmentAllocator:
     #: pages can back them (transparent-huge-page kernels).
     align_frames: int = 1
 
+    def request_bytes(self, size_bytes: int) -> int:
+        """The bytes :meth:`allocate` backs for a ``size_bytes`` request:
+        whole pages, or whole 2 MB pages when allocations are aligned."""
+        return align_up(size_bytes,
+                        max(PAGE_SIZE, self.align_frames << PAGE_SHIFT))
+
     def allocate(self, size_bytes: int) -> List[Segment]:
         """Eagerly back ``size_bytes`` of fresh virtual memory.
 
-        Returns the segments that now cover the request (new, or the grown
-        existing one when adjacency merging applied).
+        The request is placed just below the cursor the call leaves
+        behind.  Returns the segments that now cover it (new, or the grown
+        existing one when adjacency merging applied — that one also covers
+        earlier requests).
         """
         align_bytes = self.align_frames << PAGE_SHIFT
-        size_bytes = align_up(size_bytes, max(PAGE_SIZE, align_bytes))
+        size_bytes = self.request_bytes(size_bytes)
         frames_needed = size_bytes >> PAGE_SHIFT
         if self.align_frames > 1:
             self._va_cursor = align_up(self._va_cursor, align_bytes)

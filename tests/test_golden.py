@@ -75,7 +75,7 @@ GOLDEN = {
     "mcf/direct_segment": "c17dccd2b734c0d46a147ce2d7cc77f306eace9f72d12712998db89be51c0932",
     "mcf/rmm": "63fdb9a88a9cc32f299df817ba55a21a4a72ee7d0fcc287f3f2006dbf2075dbc",
     "mcf/enigma": "d6b2608cb2229fc063363359d21f34e3e33176fdb678c8f7367fe600ce3f98c0",
-    "mcf/baseline_thp": "fdacbd9b64b92f76fde1aa0f3aa657b0b4da5626dd764d978f82e4cd05417617",
+    "mcf/baseline_thp": "f62dc9166d129e09c6b9e3fc9dddf447e79d141f71d9bbc83a4a36bb5339d321",
     "mcf/virt_baseline": "231b2a5e5895bdad0fe9ae06ad2c61782ad8672498d9d9a3a23adb9ee8f52a06",
     "mcf/virt_hybrid_tlb": "8efc998d9a69d33aeb957689158c5fcd7fcb1e51214099ae382ece5a0fa42237",
     "mcf/virt_hybrid_segments": "d1553eaaca515fe3992cadb4dafae859343b26b376b497c03f52b330ca79061e",

@@ -4,10 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.common.address import align_up
 from repro.common.params import SystemConfig
 from repro.core import ThpBaselineMmu
 from repro.osmodel import FrameAllocator, Kernel, PageTable
 from repro.osmodel.pagetable import HUGE_PAGE_SIZE, PageFault
+from repro.sim import lay_out
+from repro.workloads import catalog
 
 MB = 1024 * 1024
 
@@ -105,6 +108,36 @@ class TestThpKernel:
         seg = vma.segments[0]
         assert seg.pbase % HUGE_PAGE_SIZE == 0
         assert seg.vbase % HUGE_PAGE_SIZE == 0
+
+    def test_merged_eager_requests_get_disjoint_vmas(self):
+        """Adjacency merging grows one segment across several requests;
+        each VMA still covers only its own aligned request."""
+        kernel = Kernel(SystemConfig(), transparent_huge_pages=True)
+        p = kernel.create_process("p")
+        requests = (MB // 2, 3 * MB, 2 * MB)
+        vmas = [kernel.mmap(p, size, policy="eager") for size in requests]
+        assert len({id(seg) for vma in vmas for seg in vma.segments}) == 1
+        assert [vma.length for vma in vmas] == [2 * MB, 4 * MB, 2 * MB]
+        for before, after in zip(vmas, vmas[1:]):
+            assert before.vlimit == after.vbase
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_layouts_have_disjoint_vmas(self, name):
+        spec = catalog.spec(name)
+        laid_out = lay_out(name, Kernel(SystemConfig(),
+                                        transparent_huge_pages=True))
+        private = spec.footprint_bytes - (
+            int(spec.footprint_bytes * spec.sharing.area_fraction)
+            if spec.sharing else 0)
+        chunk = spec.alloc_chunk_bytes or private
+        aligned = sum(align_up(min(chunk, private - start), HUGE_PAGE_SIZE)
+                      for start in range(0, private, chunk))
+        for process in laid_out.processes:
+            vmas = process.vmas()
+            for before, after in zip(vmas, vmas[1:]):
+                assert before.vlimit <= after.vbase
+            assert sum(vma.length for vma in
+                       laid_out.private_vmas[process.asid]) == aligned
 
 
 class TestThpBaselineMmu:
