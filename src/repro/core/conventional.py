@@ -55,11 +55,7 @@ class ConventionalMmu(MmuBase):
 
     def _flush_page(self, asid: int, page_va: int, was_shared: bool) -> None:
         # Physical caches: flush the page's physical blocks.
-        try:
-            pa = self.kernel.translate(asid, page_va).pa
-        except Exception:
-            return
-        base_key = physical_block_key(pa)
+        base_key = physical_block_key(self.kernel.translate(asid, page_va).pa)
         self.caches.flush_blocks(base_key + i for i in range(64))
 
     # ------------------------------------------------------------------ #

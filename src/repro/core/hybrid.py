@@ -208,11 +208,8 @@ class HybridMmu(MmuBase):
 
     def _flush_page(self, asid: int, page_va: int, was_shared: bool) -> None:
         if was_shared:
-            try:
-                pa = self.kernel.translate(asid, page_va).pa
-            except Exception:
-                return
-            base_key = physical_block_key(pa)
+            base_key = physical_block_key(
+                self.kernel.translate(asid, page_va).pa)
         else:
             base_key = virtual_block_key(asid, page_va)
         self.caches.flush_blocks(base_key + i for i in range(64))

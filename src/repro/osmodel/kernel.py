@@ -235,16 +235,22 @@ class Kernel:
         return result
 
     def munmap(self, process: Process, vma: Vma) -> None:
-        """Tear down a mapping: flush caches, shoot down TLBs, free memory."""
+        """Tear down a mapping: flush caches, shoot down TLBs, free memory.
+
+        Each page is flushed while it is still mapped: physically
+        addressed listeners translate the page to find its blocks.
+        """
+        table = process.page_table
         for offset in range(0, vma.length, PAGE_SIZE):
             va = vma.vbase + offset
-            entry = process.page_table.unmap(va)
-            if entry is not None:
-                self._flush_page(process.asid, va, vma.shared)
-                self._shootdown(process.asid, va)
-                if (vma.policy == POLICY_DEMAND
-                        and entry.pfn not in self._cow_frames):
-                    self.frames.free(entry.pfn, 1)
+            if not table.is_mapped(va):
+                continue
+            self._flush_page(process.asid, va, vma.shared)
+            entry = table.unmap(va)
+            self._shootdown(process.asid, va)
+            if (vma.policy == POLICY_DEMAND
+                    and entry.pfn not in self._cow_frames):
+                self.frames.free(entry.pfn, 1)
         if vma.policy == POLICY_EAGER:
             for seg in vma.segments:
                 # Adjacency merging can grow one segment across several

@@ -218,11 +218,8 @@ class VirtHybridMmu(_VirtMmuBase):
     def _guest_flush_page(self, guest_asid: int, page_va: int,
                           was_shared: bool) -> None:
         if was_shared:
-            try:
-                ma = self.vm.translate_2d(guest_asid, page_va)[0]
-            except Exception:
-                return
-            base_key = physical_block_key(ma)
+            base_key = physical_block_key(
+                self.vm.translate_2d(guest_asid, page_va)[0])
         else:
             base_key = virtual_block_key(self.asid_of(guest_asid), page_va)
         self.caches.flush_blocks(base_key + i for i in range(64))

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.common.address import PAGE_SIZE
+from repro.common.address import (
+    PAGE_SIZE,
+    physical_block_key,
+    virtual_block_key,
+)
 from repro.common.params import SystemConfig
-from repro.core import HybridMmu
+from repro.core import ConventionalMmu, HybridMmu
 from repro.osmodel import Kernel
 
 MB = 1024 * 1024
@@ -61,6 +65,40 @@ class TestDestroyProcess:
         line = mmu.caches.probe_line(0, stale_key)
         if vma.vbase != vma_q.vbase:
             assert line is None
+
+
+class TestMunmap:
+    @pytest.mark.parametrize("shared", [False, True],
+                             ids=["private", "shared"])
+    @pytest.mark.parametrize("mmu_class", [ConventionalMmu, HybridMmu])
+    def test_flushes_without_faulting_back_in(self, mmu_class, shared):
+        """Flush listeners translate the dying pages; munmap must let
+        them do so before the mappings go, not fault fresh frames in."""
+        config = SystemConfig()
+        kernel = Kernel(config)
+        mmu = mmu_class(kernel, config)
+        a, b = kernel.create_process("a"), kernel.create_process("b")
+        if shared:
+            vma = kernel.mmap_shared([a, b], 4 * PAGE_SIZE)[a.asid]
+        else:
+            vma = kernel.mmap(a, 4 * PAGE_SIZE, policy="demand")
+        pages = range(vma.vbase, vma.vlimit, PAGE_SIZE)
+        frames = [mmu.access(0, a.asid, va, True).translated_pa
+                  for va in pages]
+        faults = ("demand_faults", "shared_first_touches")
+        faults_before = [kernel.stats[name] for name in faults]
+
+        kernel.munmap(a, vma)
+
+        assert [kernel.stats[name] for name in faults] == faults_before
+        assert not any(a.page_table.is_mapped(va) for va in pages)
+        resident = set(mmu.caches.llc.resident_keys())
+        for level in mmu.caches.l1 + mmu.caches.l2:
+            resident.update(level.resident_keys())
+        for va, pa in zip(pages, frames):
+            names = {physical_block_key(pa) + i for i in range(64)}
+            names |= {virtual_block_key(a.asid, va) + i for i in range(64)}
+            assert not names & resident
 
 
 class TestAsidAllocation:
