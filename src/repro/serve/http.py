@@ -44,6 +44,10 @@ def _make_handler(service: JobService) -> type:
 
     class Handler(http.server.BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in two writes; with Nagle's algorithm
+        # on, the body of every kept-alive response waits for the
+        # client's delayed ACK (~40 ms).
+        disable_nagle_algorithm = True
 
         # -------------------------------------------------------------- #
         # Plumbing

@@ -23,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,27 @@ class TestSubmissionApi:
                 assert json.loads(body)["status"] == "draining"
             finally:
                 service.close()
+
+    def test_keep_alive_requests_do_not_stall(self):
+        """Headers and body go out in two writes; without TCP_NODELAY
+        the second waits on the client's delayed ACK (~40 ms each)."""
+        service = JobService(start=False)
+        with ServeServer(service) as server:
+            conn = HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                conn.request("GET", "/healthz")
+                conn.getresponse().read()
+                started = time.perf_counter()
+                for _ in range(10):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - started
+            finally:
+                conn.close()
+                service.close()
+        assert elapsed < 0.15, f"10 keep-alive requests took {elapsed:.3f}s"
 
     def test_jobs_listing(self):
         service = JobService(start=False)
