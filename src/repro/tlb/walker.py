@@ -41,7 +41,7 @@ class WalkResult:
     cycles: int
     memory_accesses: int
     walk_cache_hit: bool
-    translation: "Translation"
+    translation: Translation
 
 
 class PageWalker:
