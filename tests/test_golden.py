@@ -9,8 +9,13 @@ is pinned, so any change to a counter (its value or its position), a
 histogram, a cycle count or an interval fails here.
 
 The grid covers a uniformly random walk-heavy workload (gups), two
-multi-process synonym workloads (ferret, postgres) and a multi-request
-eager-segment layout (mcf, which transparent huge pages change).
+multi-process synonym workloads (ferret, postgres), a multi-request
+eager-segment layout (mcf, which transparent huge pages change) and two
+cache-friendly workloads where hits dominate and the synonym filters
+never fire (stream, speccpu_private).  Three more points run postgres on
+four cores that share a 64 KB LLC, under the baseline and both hybrid
+engines: only there do writes invalidate remote private copies and LLC
+evictions back-invalidate blocks held by several cores.
 
 A change that moves the model on purpose re-records only the entries it
 names and states the model reason in its commit.  Print the current
@@ -25,6 +30,7 @@ import hashlib
 
 import pytest
 
+from repro.common.params import SystemConfig
 from repro.exec import Job, encode_document
 from repro.sim import Simulator
 from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, lay_out
@@ -38,9 +44,15 @@ SEED = 42
 VOLATILE_MANIFEST_FIELDS = ("host", "started_at", "duration_s",
                             "python_version")
 
-WORKLOADS = ("gups", "ferret", "mcf", "postgres")
+WORKLOADS = ("gups", "ferret", "mcf", "postgres", "stream",
+             "speccpu_private")
 VIRT_MMUS = ("virt_baseline", "virt_hybrid_tlb", "virt_hybrid_segments")
 MMUS = MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS
+
+#: The multi-core points: postgres on four cores sharing a 64 KB LLC.
+MULTICORE_WORKLOAD = "postgres"
+MULTICORE_MMUS = ("baseline", "hybrid_tlb", "hybrid_segments")
+MULTICORE_CONFIG = SystemConfig(cores=4).with_llc_size(64 * 1024)
 
 GOLDEN = {
     "gups/baseline": "623f7aa95959eec6d851a582bebfa22c3c94c5113818a56651b26a26b100b48f",
@@ -91,6 +103,36 @@ GOLDEN = {
     "postgres/virt_baseline": "7dadd9fb30b33a4d7b7f152f4bef4f157f0287dac39e76a6f969a6cf6bdf4baf",
     "postgres/virt_hybrid_tlb": "d0d67fbb7194ee3f7e64b0a5a7b8a2bbfdb0270c6f50797c70a997bcc18b7999",
     "postgres/virt_hybrid_segments": "2240ce86060fbeb73d405ca1fd9065da36ed6c8538e2b0028b2cdc59cf82a91c",
+    "stream/baseline": "df291f75d8fadc9a0509e8949e4a13a8f6dbd8559befa80c31ee261f7cd6bf87",
+    "stream/ideal": "09ff152fb9398c783c0b453bcc50acf1345dcf99555cd8e3fe51a1d0ffc2935a",
+    "stream/hybrid_tlb": "a291f4dd6d6c8026c7c9ac751330b0128f71821fc6487f157b2eaddc0c84e0e8",
+    "stream/hybrid_segments": "99511dedead0feff285dca8c99c91c53b1e38a1346da53a1ad688b7979e87af3",
+    "stream/hybrid_segments_nosc": "f98b92b5be2349f7c3fb250418db36a7293c235fed23cbedc0d0072570e01930",
+    "stream/direct_segment": "d95e5f5196decd595b142de4af5900cfbec99b93bbac64465669df640772f4b8",
+    "stream/rmm": "4c1bc775dc57011c0924e2424b6e15050a2058ff04e520fd91f03d4bf5c9d88f",
+    "stream/enigma": "6544a200096d2568787910ad8ab3674ac3987c06b19273961d9f18aaa38cc903",
+    "stream/baseline_thp": "774b91c81297d5ef79c3a105622e81728952796ed2076c45f10dfd4136db5743",
+    "stream/virt_baseline": "1e1456c7f3a39c65cac63f88c807f9ef71e2b0ecb3a400fc88bfa166b5d8003c",
+    "stream/virt_hybrid_tlb": "8f42e581a67658cd497b7ab1ff21b5e11ff1cfcabc5b97ec0626c9ba6c8db892",
+    "stream/virt_hybrid_segments": "a5cc7937689b4bf2f9f4543bf6e4828b11484dc696b3ff4eaaf11bc341a56518",
+    "speccpu_private/baseline": "5d1837e1a599b9e14ad3665a6f44d3a495266e8c069b1cf5bd01f3abf435525c",
+    "speccpu_private/ideal": "c01143e503e7622fab6c5a8ed7e1373d5abe6bc48bfd88285a032541f0234954",
+    "speccpu_private/hybrid_tlb": "05e6c9713dc1b6335c2dc089c6fb781ed3a5ade952fb7f32e4d07905ff18c632",
+    "speccpu_private/hybrid_segments": "cad4ae75a1634479fb9d294de9d838445e9e4e4f03a728daae9a676387e8ae5d",
+    "speccpu_private/hybrid_segments_nosc": "b8ffc193b7d58d2ba4093abd7d409a2d1ff7043cb018d5b89dd45b8080caa2b8",
+    "speccpu_private/direct_segment": "e121ba361d8090a9e69c90914a6a0bdf576541886de79caf174a05b914851958",
+    "speccpu_private/rmm": "0d452c0cdf003d66e3808d2c584c93783c208bc4b6896bd94fb10536e40efaff",
+    "speccpu_private/enigma": "2289e145e39d1f17249989f24bd1ed0c554108d59e53d6a3d3c6795f882bffec",
+    "speccpu_private/baseline_thp": "0a73cd2f3eab1553475c3b4ff7eef13497017f0d99c5a33fa39c2dcd4dd7725c",
+    "speccpu_private/virt_baseline": "1d7e7e4595714d184e18853d73de4bf2cce2d6a3ac61c944bb05508a6103c871",
+    "speccpu_private/virt_hybrid_tlb": "02e0a806c178067c1d0a84f018754c56980ccff932941bcb6a7d7cb3196972c6",
+    "speccpu_private/virt_hybrid_segments": "1ac6438a5a998511c8ba5b93e1932f1d147ca91822f19b5937af9d5b30d9c170",
+}
+
+GOLDEN_MULTICORE = {
+    "baseline": "fcfc5ad017658258a89b45c31e63223613e242e8dc4813bc1b8043190b77821e",
+    "hybrid_tlb": "d077b714e287a171ef76786f9b906024ab1bbaf8ecb8340ec5675a577447b38b",
+    "hybrid_segments": "49f641d4faaca0c18d14652abc1d68c4384c90533c1d282f1e9a3dff5e35fd6c",
 }
 
 
@@ -107,11 +149,11 @@ def virt_system(workload: str, mmu: str):
     return laid_out, vm, system
 
 
-def simulate(workload: str, mmu: str):
+def simulate(workload: str, mmu: str, config: SystemConfig | None = None):
     """One grid point on a fresh system (a fresh VM for ``virt_*``)."""
     if mmu not in VIRT_MMUS:
-        return Job(workload=workload, mmu=mmu, accesses=ACCESSES,
-                   warmup=WARMUP, seed=SEED).run()
+        return Job(workload=workload, mmu=mmu, config=config,
+                   accesses=ACCESSES, warmup=WARMUP, seed=SEED).run()
     laid_out, _vm, system = virt_system(workload, mmu)
     return Simulator(system).run(laid_out, ACCESSES, warmup=WARMUP,
                                  seed=SEED)
@@ -131,8 +173,15 @@ def test_document_bytes_unchanged(point):
     assert document_digest(simulate(workload, mmu)) == GOLDEN[point]
 
 
+@pytest.mark.parametrize("mmu", sorted(GOLDEN_MULTICORE))
+def test_multicore_document_bytes_unchanged(mmu):
+    result = simulate(MULTICORE_WORKLOAD, mmu, MULTICORE_CONFIG)
+    assert document_digest(result) == GOLDEN_MULTICORE[mmu]
+
+
 def test_grid_covers_every_mmu():
     assert {point.split("/")[1] for point in GOLDEN} == set(MMUS)
+    assert set(GOLDEN_MULTICORE) == set(MULTICORE_MMUS)
 
 
 if __name__ == "__main__":
@@ -140,3 +189,8 @@ if __name__ == "__main__":
         for mmu in MMUS:
             digest = document_digest(simulate(workload, mmu))
             print(f'    "{workload}/{mmu}": "{digest}",')
+    print()
+    for mmu in MULTICORE_MMUS:
+        digest = document_digest(
+            simulate(MULTICORE_WORKLOAD, mmu, MULTICORE_CONFIG))
+        print(f'    "{mmu}": "{digest}",')
