@@ -299,14 +299,13 @@ class HybridMmu(MmuBase):
                 # exceeding the LLC latency is exposed.
                 hidden = self.config.llc.latency
                 delayed_cycles = max(0, delayed_cycles - hidden)
-            # Install the delayed translation's permissions in the lines
+            # Install the delayed translation's permissions in every copy
             # just filled (the paper's fill-time permission delivery).
-            line = self.caches.probe_line(core, key)
-            if line is not None:
-                line.permissions = perms
-                llc_line = self.caches.llc.probe(key)
-                if llc_line is not None:
-                    llc_line.permissions = perms
+            caches = self.caches
+            for level in (caches.l1[core], caches.l2[core], caches.llc):
+                line = level.probe(key)
+                if line is not None:
+                    line.permissions = perms
             permissions = perms
         elif is_virtual_key:
             line = self.caches.probe_line(core, key)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.address import PAGE_SIZE, page_base
+from repro.common.address import PAGE_SIZE, page_base, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.core import HybridMmu
 from repro.osmodel import Kernel
@@ -109,3 +109,35 @@ class TestForkThroughHybridMmu:
         pa_child = mmu.access(1, child.asid, vma.vbase, True).translated_pa
         pa_parent = mmu.access(0, parent.asid, vma.vbase, True).translated_pa
         assert page_base(pa_child) != page_base(pa_parent)
+
+    @pytest.mark.parametrize("delayed", ["tlb", "segments"])
+    def test_write_hitting_l2_after_l1_eviction_still_faults(self, delayed):
+        """Fill-time permission delivery reaches the L2 copy as well: a
+        child write that misses L1 but hits L2 must still raise the CoW
+        permission fault (Section III-D), not write the shared frame."""
+        config = SystemConfig()
+        kernel = Kernel(config)
+        parent = kernel.create_process("parent")
+        vma = kernel.mmap(parent, 64 * PAGE_SIZE, policy="demand")
+        for i in range(64):
+            kernel.translate(parent.asid, vma.vbase + i * PAGE_SIZE)
+        mmu = HybridMmu(kernel, config, delayed=delayed)
+        child = kernel.fork(parent)
+        va = vma.vbase
+        shared = page_base(kernel.translate(parent.asid, va).pa)
+        mmu.access(0, child.asid, va, False)
+        # Four more blocks of the same (4-way) L1 set evict the copy.
+        l1_stride = config.l1.sets * config.l1.block_size
+        for k in range(1, 5):
+            mmu.access(0, child.asid, va + k * l1_stride, False)
+        key = virtual_block_key(child.asid, va)
+        assert mmu.caches.l1[0].probe(key) is None
+        assert mmu.caches.l2[0].probe(key) is not None
+
+        write = mmu.access(0, child.asid, va, True)
+        assert mmu.hybrid_stats["permission_faults"] == 1
+        assert kernel.stats["cow_faults"] == 1
+        translation = kernel.translate(child.asid, va)
+        assert page_base(translation.pa) != shared
+        assert translation.permissions & 0x2
+        assert page_base(write.translated_pa) == page_base(translation.pa)
