@@ -5,13 +5,12 @@ from repro.cache.coherence import (
     CoherenceViolation,
     DirectoryEntry,
 )
-from repro.cache.hierarchy import CacheAccessResult, CacheHierarchy, page_block_keys
+from repro.cache.hierarchy import CacheAccessResult, CacheHierarchy
 from repro.cache.line import (
     CacheLine,
     PERM_READ,
     PERM_RW,
     PERM_WRITE,
-    PermissionFault,
     STATE_EXCLUSIVE,
     STATE_INVALID,
     STATE_MODIFIED,
@@ -25,12 +24,10 @@ __all__ = [
     "DirectoryEntry",
     "CacheAccessResult",
     "CacheHierarchy",
-    "page_block_keys",
     "CacheLine",
     "PERM_READ",
     "PERM_RW",
     "PERM_WRITE",
-    "PermissionFault",
     "STATE_EXCLUSIVE",
     "STATE_INVALID",
     "STATE_MODIFIED",

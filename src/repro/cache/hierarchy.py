@@ -24,7 +24,6 @@ from repro.cache.line import (
     STATE_SHARED,
 )
 from repro.cache.setassoc import SetAssociativeCache
-from repro.common.address import BLOCK_SIZE, PAGE_SIZE
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
 from repro.obs.events import STAGE_CACHE
@@ -202,13 +201,3 @@ class CacheHierarchy:
         """L1+L2+LLC probe latency — the cycles an LLC miss has already paid."""
         return self.l1[0].latency + self.l2[0].latency + self.llc.latency
 
-
-def page_block_keys(block_key_of_base: int, page_size: int = PAGE_SIZE,
-                    block_size: int = BLOCK_SIZE) -> List[int]:
-    """Enumerate the packed keys of every block in a page.
-
-    ``block_key_of_base`` must be the packed key of the page's first block;
-    consecutive blocks in a page differ by 1 in the packed representation
-    (both namespaces place block-address bits in the low bits).
-    """
-    return [block_key_of_base + i for i in range(page_size // block_size)]

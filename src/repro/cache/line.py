@@ -6,8 +6,8 @@ Each tag entry carries, beyond the block name:
   from ASID+VA (non-synonym) lines.  In this model the bit is implied by
   the block key's namespace flag, and exposed as a property;
 * **permission bits** (2) — checked on every access to a non-synonym line,
-  since no TLB stands between the core and the data.  Writes to r/o lines
-  raise a permission fault that the OS handles (e.g. copy-on-write for
+  since no TLB stands between the core and the data.  A write to a r/o
+  line is a permission fault that the OS handles (e.g. copy-on-write for
   content-shared pages, Section III-D);
 * a **coherence state** (MESI) — the paper's single-name-per-block rule
   makes ordinary coherence sufficient; no reverse maps are needed.
@@ -29,16 +29,6 @@ PERM_WRITE = 0x2
 PERM_RW = PERM_READ | PERM_WRITE
 
 
-class PermissionFault(Exception):
-    """Raised when an access violates a cached line's permission bits."""
-
-    def __init__(self, block_key: int, is_write: bool) -> None:
-        super().__init__(f"permission fault on block {block_key:#x} "
-                         f"({'write' if is_write else 'read'})")
-        self.block_key = block_key
-        self.is_write = is_write
-
-
 @dataclass(slots=True)
 class CacheLine:
     """One resident block: name, dirtiness, permissions, coherence state."""
@@ -52,9 +42,3 @@ class CacheLine:
     def is_synonym(self) -> bool:
         """The synonym tag bit: True for physically addressed lines."""
         return is_physical_key(self.key)
-
-    def check_permission(self, is_write: bool) -> None:
-        """Raise :class:`PermissionFault` when the access is not allowed."""
-        needed = PERM_WRITE if is_write else PERM_READ
-        if not (self.permissions & needed):
-            raise PermissionFault(self.key, is_write)

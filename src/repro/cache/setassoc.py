@@ -9,7 +9,7 @@ tag extensions, matching the paper's Figure 2 layout.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cache.line import CacheLine, PERM_RW, STATE_EXCLUSIVE
 from repro.common.params import CacheConfig
@@ -94,10 +94,6 @@ class SetAssociativeCache:
         if line is not None:
             self.stats.add("invalidations")
         return line
-
-    def invalidate_many(self, keys: Iterable[int]) -> int:
-        """Remove several blocks; returns how many were resident."""
-        return sum(1 for key in keys if self.invalidate(key) is not None)
 
     def update_permissions(self, key: int, permissions: int) -> bool:
         """Rewrite a resident line's permission bits (Section III-D downgrades)."""

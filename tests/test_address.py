@@ -55,7 +55,7 @@ class TestBlockKeys:
         assert k1 != k2
 
     def test_adjacent_blocks_adjacent_keys(self):
-        """page_block_keys relies on +1 stepping within a page."""
+        """Page flushes name a page's blocks by +1 steps from its first."""
         k = addr.virtual_block_key(7, 0x10000)
         assert addr.virtual_block_key(7, 0x10040) == k + 1
         p = addr.physical_block_key(0x10000)

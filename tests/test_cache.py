@@ -7,11 +7,8 @@ from repro.cache import (
     CacheHierarchy,
     CacheLine,
     PERM_READ,
-    PERM_RW,
-    PermissionFault,
     SetAssociativeCache,
     STATE_MODIFIED,
-    page_block_keys,
 )
 from repro.common.address import physical_block_key, virtual_block_key
 from repro.common.params import CacheConfig, SystemConfig
@@ -21,21 +18,6 @@ class TestCacheLine:
     def test_synonym_bit_follows_namespace(self):
         assert CacheLine(physical_block_key(0x1000)).is_synonym
         assert not CacheLine(virtual_block_key(1, 0x1000)).is_synonym
-
-    def test_permission_check_read_ok(self):
-        CacheLine(0, permissions=PERM_READ).check_permission(is_write=False)
-
-    def test_permission_fault_on_ro_write(self):
-        line = CacheLine(0x42, permissions=PERM_READ)
-        with pytest.raises(PermissionFault) as excinfo:
-            line.check_permission(is_write=True)
-        assert excinfo.value.block_key == 0x42
-        assert excinfo.value.is_write
-
-    def test_rw_allows_both(self):
-        line = CacheLine(0, permissions=PERM_RW)
-        line.check_permission(False)
-        line.check_permission(True)
 
 
 class TestSetAssociativeCache:
@@ -82,13 +64,6 @@ class TestSetAssociativeCache:
         c.insert(9)
         assert c.invalidate(9).key == 9
         assert c.invalidate(9) is None
-
-    def test_invalidate_many(self):
-        c = self._cache()
-        for k in range(6):
-            c.insert(k)
-        assert c.invalidate_many(range(4)) == 4
-        assert c.occupancy() == 2
 
     def test_update_permissions(self):
         c = self._cache()
@@ -223,11 +198,3 @@ class TestCacheHierarchy:
         assert h.probe_line(0, pkey).is_synonym
         assert not h.probe_line(0, vkey).is_synonym
 
-
-class TestPageBlockKeys:
-    def test_sixty_four_blocks_per_page(self):
-        base = virtual_block_key(1, 0x4000)
-        keys = page_block_keys(base)
-        assert len(keys) == 64
-        assert keys[0] == base
-        assert keys[-1] == base + 63
