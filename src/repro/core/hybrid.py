@@ -164,6 +164,7 @@ class HybridMmu(MmuBase):
                  parallel_delayed: bool = False) -> None:
         super().__init__(kernel, config)
         self.hybrid_stats = self.stats.group("hybrid")
+        self._hybrid_counts = self.hybrid_stats.counts
         # Section IV-C: delayed translation can run in parallel with the
         # LLC access (hiding its latency under the LLC's 27 cycles at the
         # cost of translating on every L2 miss, i.e. extra energy) or
@@ -221,7 +222,8 @@ class HybridMmu(MmuBase):
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         """One memory access through the hybrid virtual-caching datapath."""
         self._accesses += 1
-        self.hybrid_stats.add("accesses")
+        counts = self._hybrid_counts
+        counts["accesses"] += 1
         process = self.kernel.process(asid)
         front = self.config.synonym_filter.latency  # overlapped: 0 by default
 
@@ -229,7 +231,7 @@ class HybridMmu(MmuBase):
         if self.tracer.recording:
             self.tracer.stage(STAGE_FILTER, cycles=front, candidate=candidate)
         if candidate:
-            self.hybrid_stats.add("synonym_candidates")
+            counts["synonym_candidates"] += 1
             key, extra_front, permissions, pa = self._resolve_candidate(asid, va)
             front += extra_front
             # Synonym path: the TLB checks permissions *before* the cache
@@ -244,7 +246,7 @@ class HybridMmu(MmuBase):
                     retry.dram_cycles, retry.hit_level,
                     translated_pa=retry.translated_pa)
         else:
-            self.hybrid_stats.add("tlb_bypasses")
+            counts["tlb_bypasses"] += 1
             key = virtual_block_key(asid, va)
             permissions = None
             pa = None

@@ -23,6 +23,7 @@ class DramModel:
                  stats: StatGroup | None = None) -> None:
         self.config = config or DramConfig()
         self.stats = stats or StatGroup("dram")
+        self._counts = self.stats.counts
         total_banks = self.config.channels * self.config.banks
         self._open_rows: List[Optional[int]] = [None] * total_banks
         self._total_banks = total_banks
@@ -36,14 +37,15 @@ class DramModel:
     def access(self, pa: int, is_write: bool) -> int:
         """Access one block; returns cycles and updates the open row."""
         bank, row = self._locate(pa)
-        self.stats.add("accesses")
+        counts = self._counts
+        counts["accesses"] += 1
         if is_write:
-            self.stats.add("writes")
+            counts["writes"] += 1
         if self._open_rows[bank] == row:
-            self.stats.add("row_hits")
+            counts["row_hits"] += 1
             cycles = self.config.row_hit_cycles
         else:
-            self.stats.add("row_misses")
+            counts["row_misses"] += 1
             cycles = self.config.row_miss_cycles
             self._open_rows[bank] = row
         return cycles + self.config.queue_penalty_cycles

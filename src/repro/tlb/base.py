@@ -49,6 +49,7 @@ class SetAssociativeTlb:
         self.config = config
         self.name = name
         self.stats = stats or StatGroup(name)
+        self._counts = self.stats.counts
         self._sets: list[Dict[int, TlbEntry]] = [{} for _ in range(config.sets)]
         self._set_mask = config.sets - 1
         if config.sets & self._set_mask:
@@ -57,16 +58,16 @@ class SetAssociativeTlb:
 
     def lookup(self, page_key: int) -> Optional[TlbEntry]:
         """Probe the TLB; returns the entry on hit (refreshing LRU) or None."""
-        self.stats.add("lookups")
+        counts = self._counts
+        counts["lookups"] += 1
         tlb_set = self._sets[page_key & self._set_mask]
-        entry = tlb_set.get(page_key)
+        entry = tlb_set.pop(page_key, None)
         if entry is None:
-            self.stats.add("misses")
+            counts["misses"] += 1
             return None
         # Refresh LRU position: re-insert at the back.
-        del tlb_set[page_key]
         tlb_set[page_key] = entry
-        self.stats.add("hits")
+        counts["hits"] += 1
         return entry
 
     def probe(self, page_key: int) -> Optional[TlbEntry]:
@@ -82,9 +83,9 @@ class SetAssociativeTlb:
         elif len(tlb_set) >= self.config.ways:
             oldest_key = next(iter(tlb_set))
             victim = tlb_set.pop(oldest_key)
-            self.stats.add("evictions")
+            self._counts["evictions"] += 1
         tlb_set[entry.page_key] = entry
-        self.stats.add("fills")
+        self._counts["fills"] += 1
         return victim
 
     def invalidate(self, page_key: int) -> bool:

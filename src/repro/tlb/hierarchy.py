@@ -31,22 +31,24 @@ class TlbHierarchy:
     def __init__(self, l1_config: TlbConfig, l2_config: TlbConfig,
                  name: str = "tlb", stats: StatGroup | None = None) -> None:
         self.stats = stats or StatGroup(name)
+        self._counts = self.stats.counts
         self.l1 = SetAssociativeTlb(l1_config, f"{name}_l1")
         self.l2 = SetAssociativeTlb(l2_config, f"{name}_l2")
 
     def lookup(self, page_key: int) -> TlbLookupResult:
         """Probe L1 then L2; a miss costs both probe latencies."""
-        self.stats.add("lookups")
+        counts = self._counts
+        counts["lookups"] += 1
         entry = self.l1.lookup(page_key)
         if entry is not None:
-            self.stats.add("l1_hits")
+            counts["l1_hits"] += 1
             return TlbLookupResult(entry, self.l1.latency, "l1")
         entry = self.l2.lookup(page_key)
         if entry is not None:
-            self.stats.add("l2_hits")
+            counts["l2_hits"] += 1
             self.l1.fill(entry)
             return TlbLookupResult(entry, self.l1.latency + self.l2.latency, "l2")
-        self.stats.add("misses")
+        counts["misses"] += 1
         return TlbLookupResult(None, self.l1.latency + self.l2.latency, "miss")
 
     def fill(self, entry: TlbEntry) -> None:

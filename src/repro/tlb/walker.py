@@ -53,6 +53,7 @@ class PageWalker:
         self.resolve = resolve
         self.charge = charge
         self.stats = stats or StatGroup("page_walker")
+        self._counts = self.stats.counts
         # Per-walk latency distribution (named after the stat group so a
         # hybrid MMU's several walkers stay distinguishable).
         self.cycles_hist = Histogram(f"{self.stats.name}_cycles")
@@ -82,11 +83,12 @@ class PageWalker:
         A walk-cache hit reads only the leaf PTE; a miss reads every level
         and refills the walk cache.
         """
-        self.stats.add("walks")
+        counts = self._counts
+        counts["walks"] += 1
         pte_addresses, translation = self.resolve(asid, va)
         hit = self._walk_cache_lookup(asid, va)
         if hit:
-            self.stats.add("walk_cache_hits")
+            counts["walk_cache_hits"] += 1
             touched = pte_addresses[-1:]
         else:
             touched = pte_addresses
@@ -94,8 +96,8 @@ class PageWalker:
         cycles = self.config.per_level_overhead * len(touched)
         for pte_pa in touched:
             cycles += self.charge(pte_pa)
-        self.stats.add("pte_reads", len(touched))
-        self.stats.add("walk_cycles", cycles)
+        counts["pte_reads"] += len(touched)
+        counts["walk_cycles"] += cycles
         self.cycles_hist.record(cycles)
         return WalkResult(cycles=cycles, memory_accesses=len(touched),
                           walk_cache_hit=hit, translation=translation)
