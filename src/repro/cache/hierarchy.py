@@ -9,19 +9,26 @@ Coherence follows from the single-name property: a directory of private
 copies keyed by block name invalidates remote copies on writes.  The LLC
 is inclusive; its evictions back-invalidate inner copies so the OS's
 per-page flushes only have to visit the hierarchy once.
+
+The access path allocates nothing: lines are packed ints (see
+:mod:`repro.cache.line`), the directory maps a block to an int bitmask of
+holder cores, and every access returns one of five shared results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.cache.line import (
     CacheLine,
+    DIRTY,
+    EXCLUSIVE,
+    MODIFIED,
+    PERM_MASK,
     PERM_RW,
-    STATE_EXCLUSIVE,
-    STATE_MODIFIED,
-    STATE_SHARED,
+    PERM_SHIFT,
+    SHARED,
 )
 from repro.cache.setassoc import SetAssociativeCache
 from repro.common.params import SystemConfig
@@ -30,9 +37,9 @@ from repro.obs.events import STAGE_CACHE
 from repro.obs.tracer import NULL_TRACER
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CacheAccessResult:
-    """Outcome of one hierarchy access."""
+    """Outcome of one hierarchy access (shared: never mutate one)."""
 
     hit_level: str          # "l1" | "l2" | "llc" | "memory"
     latency: int            # cycles spent in the cache levels probed
@@ -46,6 +53,7 @@ class CacheHierarchy:
     def __init__(self, config: SystemConfig, stats: StatGroup | None = None) -> None:
         self.config = config
         self.stats = stats or StatGroup("cache_hierarchy")
+        self._counts = self.stats.counts
         self.l1: List[SetAssociativeCache] = [
             SetAssociativeCache(config.l1, f"l1_core{c}") for c in range(config.cores)
         ]
@@ -54,8 +62,21 @@ class CacheHierarchy:
         ]
         self.llc = SetAssociativeCache(config.llc, "llc")
         self.llc.on_eviction(self._back_invalidate)
-        # Directory of private-cache copies: block key -> cores holding it.
-        self._copies: Dict[int, Set[int]] = {}
+        # Directory of private-cache copies: block key -> bitmask of the
+        # cores holding it (bit c for core c).
+        self._copies: Dict[int, int] = {}
+        self._cores = range(config.cores)
+        # Every access ends in one of these; latencies depend only on
+        # the geometry.
+        l1 = config.l1.latency
+        l2 = l1 + config.l2.latency
+        llc = l2 + config.llc.latency
+        self._l1_hit = CacheAccessResult("l1", l1, llc_miss=False)
+        self._l2_hit = CacheAccessResult("l2", l2, llc_miss=False)
+        self._llc_hit = CacheAccessResult("llc", llc, llc_miss=False)
+        self._memory_fill = CacheAccessResult("memory", llc, llc_miss=True)
+        self._memory_writeback = CacheAccessResult("memory", llc, llc_miss=True,
+                                                   writeback=True)
         # Installed by MmuBase.attach_tracer; the null tracer never records.
         self.tracer = NULL_TRACER
 
@@ -63,35 +84,31 @@ class CacheHierarchy:
     # Coherence plumbing
     # ------------------------------------------------------------------ #
 
-    def _back_invalidate(self, victim: CacheLine) -> None:
+    def _back_invalidate(self, key: int, _meta: int) -> None:
         """Inclusive LLC eviction: purge every inner copy of the victim."""
-        holders = self._copies.pop(victim.key, None)
+        holders = self._copies.pop(key, 0)
         if not holders:
             return
-        for core in holders:
-            self.l1[core].invalidate(victim.key)
-            self.l2[core].invalidate(victim.key)
-        self.stats.add("back_invalidations", len(holders))
+        for core in self._cores:
+            if holders >> core & 1:
+                self.l1[core].invalidate(key)
+                self.l2[core].invalidate(key)
+        self._counts["back_invalidations"] += holders.bit_count()
 
     def _invalidate_remote_copies(self, key: int, writer: int) -> None:
         """Write by ``writer``: invalidate all other cores' private copies."""
         holders = self._copies.get(key)
         if not holders:
             return
-        remote = [core for core in holders if core != writer]
-        for core in remote:
-            self.l1[core].invalidate(key)
-            self.l2[core].invalidate(key)
-            holders.discard(core)
-        if remote:
-            self.stats.add("coherence_invalidations", len(remote))
-
-    def _note_copy(self, key: int, core: int) -> None:
-        holders = self._copies.get(key)
-        if holders is None:
-            self._copies[key] = {core}
-        else:
-            holders.add(core)
+        remote = holders & ~(1 << writer)
+        if not remote:
+            return
+        for core in self._cores:
+            if remote >> core & 1:
+                self.l1[core].invalidate(key)
+                self.l2[core].invalidate(key)
+        self._copies[key] = holders ^ remote
+        self._counts["coherence_invalidations"] += remote.bit_count()
 
     # ------------------------------------------------------------------ #
     # The access path
@@ -102,9 +119,11 @@ class CacheHierarchy:
         """Look up a block through L1 → L2 → LLC, filling on the way back.
 
         ``permissions`` are the page permissions installed on a memory
-        fill (the delayed translation supplies them for non-synonym lines,
-        Section III-A).  Permission *checking* is the caller's job via the
-        returned/probed line, because the fault semantics differ per MMU.
+        fill.  For non-synonym lines the delayed translation supplies the
+        real ones afterwards (:meth:`install_permissions`, Section III-A).
+        Permission *checking* is the caller's job via
+        :meth:`closest_permissions`, because the fault semantics differ
+        per MMU.
         """
         result = self._access(core, key, is_write, permissions)
         if self.tracer.recording:
@@ -114,57 +133,75 @@ class CacheHierarchy:
 
     def _access(self, core: int, key: int, is_write: bool,
                 permissions: int) -> CacheAccessResult:
-        self.stats.add("accesses")
-        latency = 0
-        shared_state = STATE_MODIFIED if is_write else STATE_SHARED
+        counts = self._counts
+        counts["accesses"] += 1
 
         l1 = self.l1[core]
-        latency += l1.latency
-        line = l1.lookup(key, is_write)
-        if line is not None:
+        meta = l1.lookup(key, is_write)
+        if meta is not None:
             if is_write:
-                line.state = STATE_MODIFIED
+                if meta < MODIFIED:
+                    l1.mark_modified(key)
                 self._invalidate_remote_copies(key, core)
-            return CacheAccessResult("l1", latency, llc_miss=False)
+            return self._l1_hit
 
+        # The private copies a miss installs: Modified for a write.
+        state = MODIFIED if is_write else SHARED
         l2 = self.l2[core]
-        latency += l2.latency
-        line = l2.lookup(key, is_write)
-        if line is not None:
-            l1.fill(CacheLine(key, line.dirty, line.permissions, shared_state))
-            if is_write:
-                self._invalidate_remote_copies(key, core)
-            self._note_copy(key, core)
-            return CacheAccessResult("l2", latency, llc_miss=False)
-
-        latency += self.llc.latency
-        line = self.llc.lookup(key, is_write)
-        if line is not None:
-            perms = line.permissions
-            l2.fill(CacheLine(key, False, perms, shared_state))
-            l1.fill(CacheLine(key, is_write, perms, shared_state))
-            if is_write:
-                self._invalidate_remote_copies(key, core)
-            self._note_copy(key, core)
-            return CacheAccessResult("llc", latency, llc_miss=False)
-
-        # Memory fill: install in all levels (inclusive).
-        self.stats.add("llc_misses")
-        victim = self.llc.fill(CacheLine(key, is_write, permissions, STATE_EXCLUSIVE))
-        writeback = victim is not None and victim.dirty
-        if writeback:
-            self.stats.add("memory_writebacks")
-        l2.fill(CacheLine(key, False, permissions, shared_state))
-        l1.fill(CacheLine(key, is_write, permissions, shared_state))
+        meta = l2.lookup(key, is_write)
+        if meta is not None:
+            l1.fill(key, meta & (DIRTY | PERM_MASK) | state)
+            result = self._l2_hit
+        else:
+            meta = self.llc.lookup(key, is_write)
+            if meta is not None:
+                perms = meta & PERM_MASK
+                result = self._llc_hit
+            else:
+                # Memory fill: install in all levels (inclusive).
+                counts["llc_misses"] += 1
+                perms = permissions << PERM_SHIFT
+                victim = self.llc.fill(key, EXCLUSIVE | perms | is_write)
+                if victim is not None and victim & DIRTY:
+                    counts["memory_writebacks"] += 1
+                    result = self._memory_writeback
+                else:
+                    result = self._memory_fill
+            l2.fill(key, perms | state)
+            l1.fill(key, perms | state | is_write)
         if is_write:
             self._invalidate_remote_copies(key, core)
-        self._note_copy(key, core)
-        return CacheAccessResult("memory", latency, llc_miss=True, writeback=writeback)
+        copies = self._copies
+        copies[key] = copies.get(key, 0) | 1 << core
+        return result
+
+    def _closest(self, core: int, key: int) -> Optional[int]:
+        """Packed metadata of the closest resident copy of a block."""
+        meta = self.l1[core].peek(key)
+        if meta is None:
+            meta = self.l2[core].peek(key)
+            if meta is None:
+                meta = self.llc.peek(key)
+        return meta
 
     def probe_line(self, core: int, key: int) -> Optional[CacheLine]:
-        """Return the closest resident copy of a block without side effects."""
-        return (self.l1[core].probe(key) or self.l2[core].probe(key)
-                or self.llc.probe(key))
+        """Snapshot of the closest resident copy of a block, without side
+        effects."""
+        meta = self._closest(core, key)
+        return None if meta is None else CacheLine.unpack(key, meta)
+
+    def closest_permissions(self, core: int, key: int) -> Optional[int]:
+        """Permission bits of the closest resident copy of a block."""
+        meta = self._closest(core, key)
+        return None if meta is None else (meta & PERM_MASK) >> PERM_SHIFT
+
+    def install_permissions(self, core: int, key: int, permissions: int) -> None:
+        """Fill-time permission delivery (Section III-A): give every
+        resident copy on ``core``'s path — L1, L2 and LLC — the delayed
+        translation's permissions."""
+        self.l1[core].set_permissions(key, permissions)
+        self.l2[core].set_permissions(key, permissions)
+        self.llc.set_permissions(key, permissions)
 
     # ------------------------------------------------------------------ #
     # OS-directed maintenance
@@ -175,24 +212,27 @@ class CacheHierarchy:
         synonym-status change, Section III-A).  Returns lines dropped."""
         dropped = 0
         for key in keys:
-            holders = self._copies.pop(key, set())
-            for core in holders:
-                if self.l1[core].invalidate(key) is not None:
-                    dropped += 1
-                if self.l2[core].invalidate(key) is not None:
-                    dropped += 1
+            holders = self._copies.pop(key, 0)
+            for core in self._cores:
+                if holders >> core & 1:
+                    if self.l1[core].invalidate(key) is not None:
+                        dropped += 1
+                    if self.l2[core].invalidate(key) is not None:
+                        dropped += 1
             if self.llc.invalidate(key) is not None:
                 dropped += 1
-        self.stats.add("page_flush_lines", dropped)
+        self._counts["page_flush_lines"] += dropped
         return dropped
 
     def downgrade_blocks(self, keys: Iterable[int], permissions: int) -> int:
         """Rewrite permissions on resident copies (r/o sharing, Section III-D)."""
         changed = 0
         for key in keys:
-            for core in self._copies.get(key, set()):
-                self.l1[core].update_permissions(key, permissions)
-                self.l2[core].update_permissions(key, permissions)
+            holders = self._copies.get(key, 0)
+            for core in self._cores:
+                if holders >> core & 1:
+                    self.l1[core].update_permissions(key, permissions)
+                    self.l2[core].update_permissions(key, permissions)
             if self.llc.update_permissions(key, permissions):
                 changed += 1
         return changed

@@ -5,17 +5,30 @@ bits of either namespace — so non-synonym lines are indexed by virtual
 address and synonym lines by physical address, as the hybrid design
 requires.  The ASID/namespace bits live in the upper key bits and act as
 tag extensions, matching the paper's Figure 2 layout.
+
+Each set maps a block key to the line's packed metadata (see
+:mod:`repro.cache.line`), so the access path works on small ints only.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.line import CacheLine, PERM_RW, STATE_EXCLUSIVE
+from repro.cache.line import (
+    CacheLine,
+    DIRTY,
+    MODIFIED,
+    PERM_MASK,
+    PERM_RW,
+    PERM_SHIFT,
+    STATE_EXCLUSIVE,
+    pack_line,
+)
 from repro.common.params import CacheConfig
 from repro.common.stats import StatGroup
 
-EvictionCallback = Callable[[CacheLine], None]
+#: Called with the ``(key, packed metadata)`` of every evicted line.
+EvictionCallback = Callable[[int, int], None]
 
 
 class SetAssociativeCache:
@@ -26,11 +39,13 @@ class SetAssociativeCache:
         self.config = config
         self.name = name
         self.stats = stats or StatGroup(name)
+        self._counts = self.stats.counts
         sets = config.sets
         if sets & (sets - 1):
             raise ValueError(f"{name}: set count {sets} must be a power of two")
-        self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(sets)]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
+        self._ways = config.ways
         self._eviction_callback: Optional[EvictionCallback] = None
         self.latency = config.latency
 
@@ -42,67 +57,95 @@ class SetAssociativeCache:
         """
         self._eviction_callback = callback
 
-    def lookup(self, key: int, is_write: bool = False) -> Optional[CacheLine]:
-        """Probe for a block; on hit, refresh LRU and set dirty for writes."""
-        self.stats.add("lookups")
-        cache_set = self._sets[key & self._set_mask]
-        line = cache_set.get(key)
-        if line is None:
-            self.stats.add("misses")
-            return None
-        del cache_set[key]
-        cache_set[key] = line
-        if is_write:
-            line.dirty = True
-        self.stats.add("hits")
-        return line
+    def lookup(self, key: int, is_write: bool = False) -> Optional[int]:
+        """Probe for a block; on hit, refresh LRU and set dirty for writes.
 
-    def probe(self, key: int) -> Optional[CacheLine]:
-        """Residence check without LRU or counter side effects."""
+        Returns the line's packed metadata after the access, or None.
+        """
+        counts = self._counts
+        counts["lookups"] += 1
+        cache_set = self._sets[key & self._set_mask]
+        meta = cache_set.pop(key, None)
+        if meta is None:
+            counts["misses"] += 1
+            return None
+        if is_write:
+            meta |= DIRTY
+        cache_set[key] = meta
+        counts["hits"] += 1
+        return meta
+
+    def peek(self, key: int) -> Optional[int]:
+        """A resident block's packed metadata, without side effects."""
         return self._sets[key & self._set_mask].get(key)
 
-    def fill(self, line: CacheLine) -> Optional[CacheLine]:
+    def probe(self, key: int) -> Optional[CacheLine]:
+        """Snapshot of a resident block, without LRU or counter effects."""
+        meta = self.peek(key)
+        return None if meta is None else CacheLine.unpack(key, meta)
+
+    def fill(self, key: int, meta: int) -> Optional[int]:
         """Install a line, evicting LRU if the set is full.
 
-        Returns the victim (after the eviction callback has seen it).
+        Returns the victim's packed metadata (after the eviction callback
+        has seen it), or None.
         """
-        cache_set = self._sets[line.key & self._set_mask]
+        cache_set = self._sets[key & self._set_mask]
         victim = None
-        if line.key in cache_set:
-            del cache_set[line.key]
-        elif len(cache_set) >= self.config.ways:
-            oldest_key = next(iter(cache_set))
-            victim = cache_set.pop(oldest_key)
-            self.stats.add("evictions")
-            if victim.dirty:
-                self.stats.add("writebacks")
+        if key in cache_set:
+            del cache_set[key]
+        elif len(cache_set) >= self._ways:
+            counts = self._counts
+            victim_key = next(iter(cache_set))
+            victim = cache_set.pop(victim_key)
+            counts["evictions"] += 1
+            if victim & DIRTY:
+                counts["writebacks"] += 1
             if self._eviction_callback is not None:
-                self._eviction_callback(victim)
-        cache_set[line.key] = line
-        self.stats.add("fills")
+                self._eviction_callback(victim_key, victim)
+        cache_set[key] = meta
+        self._counts["fills"] += 1
         return victim
 
     def insert(self, key: int, dirty: bool = False, permissions: int = PERM_RW,
-               state: str = STATE_EXCLUSIVE) -> Optional[CacheLine]:
-        """Convenience fill from raw fields."""
-        return self.fill(CacheLine(key=key, dirty=dirty, permissions=permissions,
-                                   state=state))
+               state: int = STATE_EXCLUSIVE) -> Optional[CacheLine]:
+        """Convenience fill from raw fields; returns the victim's snapshot."""
+        oldest = next(iter(self._sets[key & self._set_mask]), None)
+        victim = self.fill(key, pack_line(dirty, permissions, state))
+        return None if victim is None else CacheLine.unpack(oldest, victim)
 
-    def invalidate(self, key: int) -> Optional[CacheLine]:
-        """Remove one block (coherence invalidation / page flush)."""
-        line = self._sets[key & self._set_mask].pop(key, None)
-        if line is not None:
-            self.stats.add("invalidations")
-        return line
+    def invalidate(self, key: int) -> Optional[int]:
+        """Remove one block (coherence invalidation / page flush).
+
+        Returns the removed line's packed metadata, or None.
+        """
+        meta = self._sets[key & self._set_mask].pop(key, None)
+        if meta is not None:
+            self._counts["invalidations"] += 1
+        return meta
+
+    def set_permissions(self, key: int, permissions: int) -> bool:
+        """Rewrite a resident line's permission bits, keeping its LRU
+        position; True if the block was resident."""
+        cache_set = self._sets[key & self._set_mask]
+        meta = cache_set.get(key)
+        if meta is None:
+            return False
+        cache_set[key] = meta & ~PERM_MASK | permissions << PERM_SHIFT
+        return True
 
     def update_permissions(self, key: int, permissions: int) -> bool:
-        """Rewrite a resident line's permission bits (Section III-D downgrades)."""
-        line = self.probe(key)
-        if line is None:
+        """OS-directed permission change (Section III-D downgrades):
+        :meth:`set_permissions`, counted."""
+        if not self.set_permissions(key, permissions):
             return False
-        line.permissions = permissions
-        self.stats.add("permission_updates")
+        self._counts["permission_updates"] += 1
         return True
+
+    def mark_modified(self, key: int) -> None:
+        """Move a resident line to the Modified state (a write upgrade)."""
+        cache_set = self._sets[key & self._set_mask]
+        cache_set[key] |= MODIFIED
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
@@ -112,4 +155,4 @@ class SetAssociativeCache:
         return [key for cache_set in self._sets for key in cache_set]
 
     def __contains__(self, key: int) -> bool:
-        return self.probe(key) is not None
+        return self.peek(key) is not None

@@ -303,16 +303,10 @@ class HybridMmu(MmuBase):
                 delayed_cycles = max(0, delayed_cycles - hidden)
             # Install the delayed translation's permissions in every copy
             # just filled (the paper's fill-time permission delivery).
-            caches = self.caches
-            for level in (caches.l1[core], caches.l2[core], caches.llc):
-                line = level.probe(key)
-                if line is not None:
-                    line.permissions = perms
+            self.caches.install_permissions(core, key, perms)
             permissions = perms
         elif is_virtual_key:
-            line = self.caches.probe_line(core, key)
-            if line is not None:
-                permissions = line.permissions
+            permissions = self.caches.closest_permissions(core, key)
 
         if pa is None:
             # Virtual-key hit without any cached permission metadata can

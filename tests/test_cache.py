@@ -1,5 +1,8 @@
 """Tests for cache lines, the set-associative cache, and the hierarchy."""
 
+import dataclasses
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +36,7 @@ class TestSetAssociativeCache:
     def test_write_sets_dirty(self):
         c = self._cache()
         c.insert(5)
-        line = c.lookup(5, is_write=True)
+        line = CacheLine.unpack(5, c.lookup(5, is_write=True))
         assert line.dirty
 
     def test_lru_eviction(self):
@@ -47,7 +50,7 @@ class TestSetAssociativeCache:
     def test_eviction_callback_sees_victim(self):
         c = self._cache(size=128, ways=2)
         seen = []
-        c.on_eviction(seen.append)
+        c.on_eviction(lambda key, meta: seen.append(CacheLine.unpack(key, meta)))
         c.insert(0)
         c.insert(1)
         c.insert(2)
@@ -62,7 +65,7 @@ class TestSetAssociativeCache:
     def test_invalidate(self):
         c = self._cache()
         c.insert(9)
-        assert c.invalidate(9).key == 9
+        assert CacheLine.unpack(9, c.invalidate(9)) == CacheLine(9)
         assert c.invalidate(9) is None
 
     def test_update_permissions(self):
@@ -95,7 +98,6 @@ class TestSetAssociativeCache:
 
 
 def small_config(cores=2):
-    import dataclasses
     return dataclasses.replace(
         SystemConfig(),
         cores=cores,
@@ -198,3 +200,24 @@ class TestCacheHierarchy:
         assert h.probe_line(0, pkey).is_synonym
         assert not h.probe_line(0, vkey).is_synonym
 
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_fills_create_no_tracked_objects(self, cores):
+        """Lines and the copy directory are small ints: filling 4,000
+        blocks (each read by every core) leaves the garbage collector
+        nothing new to track."""
+        h = CacheHierarchy(dataclasses.replace(SystemConfig(), cores=cores))
+        keys = [virtual_block_key(1, i << 6) for i in range(4001)]
+        for core in range(cores):  # first touch of every counter
+            h.access(core, keys[-1], False)
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for key in keys[:-1]:
+                for core in range(cores):
+                    h.access(core, key, False)
+            after = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert h.stats["llc_misses"] == 4001
+        assert after <= before, f"{after - before} new tracked objects"
