@@ -10,6 +10,7 @@ whose ``trace()`` lazily generates the reference stream.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -177,7 +178,9 @@ class LaidOutWorkload:
             cursor += vma.length
         private_length = cursor
 
-        weights = [mix.weight for mix in spec.patterns]
+        # Accumulated once: choices() then draws exactly as with weights=.
+        cum_weights = list(itertools.accumulate(mix.weight
+                                                for mix in spec.patterns))
         pattern_fns = [
             build_pattern(mix.kind, make_rng(self.seed, f"{spec.name}-{process.asid}-{i}"),
                           private_length, touch_fraction=spec.touch_fraction,
@@ -226,7 +229,7 @@ class LaidOutWorkload:
             if spec.hot_fraction and rng.random() < spec.hot_fraction:
                 return resolve_private(hot_start
                                        + (rng.randrange(0, hot_bytes) & ~0x7))
-            pattern = rng.choices(pattern_fns, weights=weights)[0]
+            pattern = rng.choices(pattern_fns, cum_weights=cum_weights)[0]
             return resolve_private(pattern())
 
         return next_va
