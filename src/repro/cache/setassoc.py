@@ -90,12 +90,12 @@ class SetAssociativeCache:
         Returns the victim's packed metadata (after the eviction callback
         has seen it), or None.
         """
+        counts = self._counts
         cache_set = self._sets[key & self._set_mask]
         victim = None
         if key in cache_set:
             del cache_set[key]
         elif len(cache_set) >= self._ways:
-            counts = self._counts
             victim_key = next(iter(cache_set))
             victim = cache_set.pop(victim_key)
             counts["evictions"] += 1
@@ -104,7 +104,7 @@ class SetAssociativeCache:
             if self._eviction_callback is not None:
                 self._eviction_callback(victim_key, victim)
         cache_set[key] = meta
-        self._counts["fills"] += 1
+        counts["fills"] += 1
         return victim
 
     def insert(self, key: int, dirty: bool = False, permissions: int = PERM_RW,

@@ -76,6 +76,7 @@ class SetAssociativeTlb:
 
     def fill(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Insert an entry, returning the victim it evicted (if any)."""
+        counts = self._counts
         tlb_set = self._sets[entry.page_key & self._set_mask]
         victim = None
         if entry.page_key in tlb_set:
@@ -83,9 +84,9 @@ class SetAssociativeTlb:
         elif len(tlb_set) >= self.config.ways:
             oldest_key = next(iter(tlb_set))
             victim = tlb_set.pop(oldest_key)
-            self._counts["evictions"] += 1
+            counts["evictions"] += 1
         tlb_set[entry.page_key] = entry
-        self._counts["fills"] += 1
+        counts["fills"] += 1
         return victim
 
     def invalidate(self, page_key: int) -> bool:
