@@ -15,21 +15,31 @@ Two formats:
 
 Both loaders are streaming (constant memory) and validate headers and
 record integrity, so a truncated or foreign file fails loudly instead of
-yielding garbage addresses.
+yielding garbage addresses.  Both formats hold only what the binary record
+can: an asid below 2^16, a core below 2^8, a gap below 2^32 and a va below
+2^64, none negative.  A binary save that meets any other record raises and
+leaves no file behind.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import os
 import struct
+import threading
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.workloads.trace import TraceRecord
 
 MAGIC = b"RPTRC\x01\x00\x00"
 _RECORD = struct.Struct("<HBBIQ")  # asid, core, flags, gap, va
 _FLAG_WRITE = 0x1
+#: The largest value each field of a binary record holds.
+_FIELD_LIMITS = (("asid", 0xFFFF), ("core", 0xFF), ("va", (1 << 64) - 1),
+                 ("gap", (1 << 32) - 1))
+_TMP_COUNTER = itertools.count()
 
 PathLike = Union[str, Path]
 
@@ -38,25 +48,53 @@ class TraceFormatError(Exception):
     """The file is not a valid trace in the expected format."""
 
 
+def _range_error(record: TraceRecord) -> Optional[str]:
+    """Why ``record`` does not fit the binary format, or None if it does."""
+    for field, limit in _FIELD_LIMITS:
+        value = getattr(record, field)
+        if not 0 <= value <= limit:
+            return f"{field} {value} outside [0, {limit:#x}]"
+    return None
+
+
 # ---------------------------------------------------------------------- #
 # Binary format
 # ---------------------------------------------------------------------- #
 
 def save_binary(path: PathLike, trace: Iterable[TraceRecord]) -> int:
-    """Write a trace to the binary format; returns records written."""
+    """Write a trace to the binary format; returns records written.
+
+    The records go to a temp file that replaces ``path`` only once all of
+    them are written, so a record the format cannot hold raises
+    :class:`TraceFormatError` and leaves ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}."
+                         f"{threading.get_ident()}.{next(_TMP_COUNTER)}.tmp")
     count = 0
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        buffer = io.BytesIO()
-        for record in trace:
-            flags = _FLAG_WRITE if record.is_write else 0
-            buffer.write(_RECORD.pack(record.asid, record.core, flags,
-                                      record.gap, record.va))
-            count += 1
-            if buffer.tell() >= 1 << 20:
-                handle.write(buffer.getvalue())
-                buffer = io.BytesIO()
-        handle.write(buffer.getvalue())
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(MAGIC)
+            buffer = io.BytesIO()
+            for record in trace:
+                flags = _FLAG_WRITE if record.is_write else 0
+                try:
+                    packed = _RECORD.pack(record.asid, record.core, flags,
+                                          record.gap, record.va)
+                except struct.error as exc:
+                    raise TraceFormatError(
+                        f"{path}: record {count}: "
+                        f"{_range_error(record) or exc}") from exc
+                buffer.write(packed)
+                count += 1
+                if buffer.tell() >= 1 << 20:
+                    handle.write(buffer.getvalue())
+                    buffer = io.BytesIO()
+            handle.write(buffer.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)   # never leave temp litter behind
+        raise
     return count
 
 
@@ -109,13 +147,17 @@ def load_text(path: PathLike) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"{path}:{line_number}: malformed record {line!r}")
             try:
-                yield TraceRecord(asid=int(parts[0]), core=int(parts[1]),
-                                  va=int(parts[2], 16),
-                                  is_write=parts[3] == "w",
-                                  gap=int(parts[4]))
+                record = TraceRecord(asid=int(parts[0]), core=int(parts[1]),
+                                     va=int(parts[2], 16),
+                                     is_write=parts[3] == "w",
+                                     gap=int(parts[4]))
             except ValueError as exc:
                 raise TraceFormatError(
                     f"{path}:{line_number}: {exc}") from exc
+            problem = _range_error(record)
+            if problem is not None:
+                raise TraceFormatError(f"{path}:{line_number}: {problem}")
+            yield record
 
 
 # ---------------------------------------------------------------------- #
