@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_left
 
 
 def make_rng(seed: int, stream: str = "") -> random.Random:
@@ -44,15 +45,12 @@ def zipf_sampler(rng: random.Random, n: int, theta: float = 0.8):
         acc += w / total
         cumulative.append(acc)
 
+    draw = rng.random
+    last = n - 1
+
     def sample() -> int:
-        u = rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # The first rank whose cumulative weight reaches the draw, clamped
+        # to n - 1.
+        return bisect_left(cumulative, draw(), 0, last)
 
     return sample

@@ -36,11 +36,12 @@ def sequential_offsets(rng: random.Random, length: int, stride: int = 8,
     cache line, as a real array sweep produces.
     """
     limit = max(stride, int(length * touch_fraction))
-    state = {"cursor": rng.randrange(0, limit) // stride * stride}
+    cursor = rng.randrange(0, limit) // stride * stride
 
     def nxt() -> int:
-        offset = state["cursor"]
-        state["cursor"] = (offset + stride) % limit
+        nonlocal cursor
+        offset = cursor
+        cursor = (offset + stride) % limit
         return offset
 
     return nxt
@@ -56,9 +57,14 @@ def random_offsets(rng: random.Random, length: int,
                    touch_fraction: float = 1.0) -> OffsetGenerator:
     """Uniform random word-aligned offsets."""
     limit = max(64, int(length * touch_fraction))
+    getrandbits = rng.getrandbits
+    bits = limit.bit_length()
 
     def nxt() -> int:
-        return rng.randrange(0, limit) & ~0x7
+        r = getrandbits(bits)  # rng.randrange(0, limit), draw for draw
+        while r >= limit:
+            r = getrandbits(bits)
+        return r & ~0x7
 
     return nxt
 
@@ -88,14 +94,18 @@ def zipf_page_offsets(rng: random.Random, length: int, theta: float = 0.8,
     sample_line = zipf_sampler(rng, line_pool, line_theta)
     permutation = list(range(pages))
     rng.shuffle(permutation)
+    getrandbits = rng.getrandbits
+    word_bits = (64).bit_length()
 
     def nxt() -> int:
         page = permutation[sample()]
         # Rotate the hot-line ranking per page so hot lines differ
         # between pages (no artificial set-conflict alignment).
         line = (sample_line() + page) % total_lines
-        return (page * page_size + line * 64
-                + (rng.randrange(0, 64) & ~0x7))
+        r = getrandbits(word_bits)  # rng.randrange(0, 64), draw for draw
+        while r >= 64:
+            r = getrandbits(word_bits)
+        return page * page_size + line * 64 + (r & ~0x7)
 
     return nxt
 
@@ -109,13 +119,14 @@ def chase_offsets(rng: random.Random, length: int,
     permutation for very large regions.
     """
     slots = max(1, int(length * touch_fraction) // 64)
-    state = {"position": rng.randrange(0, slots)}
+    position = rng.randrange(0, slots)
     multiplier = 6364136223846793005
     increment = rng.randrange(1, 2 ** 31) | 1
 
     def nxt() -> int:
-        state["position"] = (state["position"] * multiplier + increment) % slots
-        return state["position"] * 64
+        nonlocal position
+        position = (position * multiplier + increment) % slots
+        return position * 64
 
     return nxt
 

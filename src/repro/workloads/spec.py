@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -153,20 +154,15 @@ class LaidOutWorkload:
         spec = self.spec
         rng = make_rng(seed if seed is not None else self.seed,
                        f"{spec.name}-access")
-        generators = [self._process_generator(p, rng) for p in self.processes]
+        slots = [(self._process_generator(p, rng), p.asid, self.cores[i])
+                 for i, p in enumerate(self.processes)]
+        draw = rng.random
+        write_fraction = spec.write_fraction
         gap = spec.gap
-        n_processes = len(self.processes)
-        for i in range(accesses):
-            slot = i % n_processes
-            process = self.processes[slot]
-            va = generators[slot]()
-            yield TraceRecord(
-                asid=process.asid,
-                core=self.cores[slot],
-                va=va,
-                is_write=rng.random() < spec.write_fraction,
-                gap=gap,
-            )
+        for next_va, asid, core in itertools.islice(itertools.cycle(slots),
+                                                    accesses):
+            va = next_va()  # the address draws come before the write draw
+            yield TraceRecord(asid, core, va, draw() < write_fraction, gap)
 
     def _process_generator(self, process: Process, rng: random.Random):
         spec = self.spec
@@ -178,7 +174,6 @@ class LaidOutWorkload:
             cursor += vma.length
         private_length = cursor
 
-        # Accumulated once: choices() then draws exactly as with weights=.
         cum_weights = list(itertools.accumulate(mix.weight
                                                 for mix in spec.patterns))
         pattern_fns = [
@@ -190,12 +185,16 @@ class LaidOutWorkload:
         shared_vma = self.shared_vmas.get(process.asid)
         shared_fraction = spec.sharing.access_fraction if spec.sharing else 0.0
         shared_pattern = None
+        shared_base = 0
         if shared_vma is not None:
             shared_pattern = build_pattern(
                 "zipf", make_rng(self.seed, f"{spec.name}-shared"),
                 shared_vma.length, theta=spec.sharing.theta)
+            shared_base = shared_vma.vbase
         stack_vma = self.stack_vmas[process.asid]
-        stack_state = {"cursor": 0}
+        stack_base = stack_vma.vbase
+        stack_length = stack_vma.length
+        stack_cursor = 0
         hot_bytes = min(spec.hot_bytes,
                         max(4096, int(private_length * spec.touch_fraction)))
         hot_start = 0
@@ -207,11 +206,14 @@ class LaidOutWorkload:
                 hot_rng = make_rng(self.seed, f"{spec.name}-hot-{process.asid}")
                 hot_start = (hot_rng.randrange(0, span) >> 12) << 12
 
-        def next_stack_va() -> int:
-            # Word-stride cycling through the hot region: high line reuse.
-            offset = stack_state["cursor"]
-            stack_state["cursor"] = (offset + 8) % stack_vma.length
-            return stack_vma.vbase + offset
+        draw = rng.random
+        getrandbits = rng.getrandbits
+        local_fraction = spec.local_fraction
+        hot_fraction = spec.hot_fraction
+        hot_bits = hot_bytes.bit_length()
+        # choices(cum_weights=) bisects random() * total over [0, last].
+        total = cum_weights[-1] + 0.0
+        last = len(pattern_fns) - 1
 
         def resolve_private(offset: int) -> int:
             # Binary search is overkill for the handful of VMAs most specs
@@ -222,15 +224,22 @@ class LaidOutWorkload:
             return spans[0][1].vbase
 
         def next_va() -> int:
-            if shared_pattern is not None and rng.random() < shared_fraction:
-                return shared_vma.vbase + shared_pattern()
-            if rng.random() < spec.local_fraction:
-                return next_stack_va()
-            if spec.hot_fraction and rng.random() < spec.hot_fraction:
-                return resolve_private(hot_start
-                                       + (rng.randrange(0, hot_bytes) & ~0x7))
-            pattern = rng.choices(pattern_fns, cum_weights=cum_weights)[0]
-            return resolve_private(pattern())
+            nonlocal stack_cursor
+            if shared_pattern is not None and draw() < shared_fraction:
+                return shared_base + shared_pattern()
+            if draw() < local_fraction:
+                # Word-stride cycling through the hot region: high line reuse.
+                offset = stack_cursor
+                stack_cursor = (offset + 8) % stack_length
+                return stack_base + offset
+            if hot_fraction and draw() < hot_fraction:
+                r = getrandbits(hot_bits)  # rng.randrange(0, hot_bytes)
+                while r >= hot_bytes:
+                    r = getrandbits(hot_bits)
+                return resolve_private(hot_start + (r & ~0x7))
+            # rng.choices(pattern_fns, cum_weights=cum_weights)[0]
+            return resolve_private(
+                pattern_fns[bisect(cum_weights, draw() * total, 0, last)]())
 
         return next_va
 
