@@ -67,12 +67,24 @@ class SynonymFilter:
                                        self.coarse.popcount()))
 
     def mark_shared_range(self, va_start: int, length: int, page_size: int = 4096) -> None:
-        """Mark every page of ``[va_start, va_start + length)`` as shared."""
+        """Mark every page of ``[va_start, va_start + length)`` as shared.
+
+        Leaves the same bits, insert counts and occupancy samples as
+        :meth:`mark_shared` on each page, but adds ``pages_marked`` once.
+        """
+        fine, coarse = self.fine, self.coarse
+        record = self.occupancy_hist.record
         va = page_base(va_start)
         end = va_start + length
+        pages = 0
         while va < end:
-            self.mark_shared(va)
+            fine.insert(va)
+            coarse.insert(va)
+            record(max(fine.popcount(), coarse.popcount()))
+            pages += 1
             va += page_size
+        if pages:
+            self.stats.add("pages_marked", pages)
 
     def rebuild(self, shared_pages: Iterable[int]) -> None:
         """Reconstruct both filters from the OS's list of shared pages.

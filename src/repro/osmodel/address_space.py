@@ -138,6 +138,12 @@ class Process:
         self.shared_page_list.append(page)
         self.synonym_filter.mark_shared(page)
 
+    def record_shared_range(self, vbase: int, length: int) -> None:
+        """:meth:`record_shared_page` for every page of a range, in order."""
+        self.shared_page_list.extend(
+            range(vbase & ~(PAGE_SIZE - 1), vbase + length, PAGE_SIZE))
+        self.synonym_filter.mark_shared_range(vbase, length, PAGE_SIZE)
+
     def rebuild_filter(self) -> None:
         """OS rebuild of a saturated filter from the authoritative list."""
         self.synonym_filter.rebuild(self.shared_page_list)

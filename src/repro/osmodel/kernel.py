@@ -214,8 +214,8 @@ class Kernel:
 
         One contiguous physical extent backs the region; every participant
         maps it at its own virtual address, creating true synonyms.  Each
-        participant's Bloom filters are updated page by page — the paper's
-        OS responsibility on the private→shared transition.
+        participant's Bloom filters get every page of the region — the
+        paper's OS responsibility on the private→shared transition.
         """
         size_bytes = ((size_bytes + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         frames_needed = size_bytes >> PAGE_SHIFT
@@ -227,8 +227,7 @@ class Kernel:
             vma = Vma(vbase, size_bytes, POLICY_SHARED, permissions,
                       shared=True, shared_pbase=pbase)
             process.add_vma(vma)
-            for offset in range(0, size_bytes, PAGE_SIZE):
-                process.record_shared_page(vbase + offset)
+            process.record_shared_range(vbase, size_bytes)
             self._maybe_rebuild_filter(process)
             result[process.asid] = vma
         self.stats.add("mmap_shared")
@@ -336,8 +335,7 @@ class Kernel:
                                 vma.length, POLICY_SHARED, vma.permissions,
                                 shared=True, shared_pbase=vma.shared_pbase)
                 child.add_vma(child_vma)
-                for offset in range(0, vma.length, PAGE_SIZE):
-                    child.record_shared_page(child_vma.vbase + offset)
+                child.record_shared_range(child_vma.vbase, vma.length)
                 continue
             # Private mapping: same VAs in the child, CoW-shared frames.
             child_vma = Vma(vma.vbase, vma.length, POLICY_DEMAND,

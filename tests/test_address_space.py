@@ -96,6 +96,15 @@ class TestSharedBookkeeping:
         for va in pages:
             assert process.synonym_filter.is_synonym_candidate(va)
 
+    def test_range_matches_page_by_page(self, process):
+        start, length = 0x7F00_0000_0100, 3 * PAGE_SIZE
+        process.record_shared_range(start, length)
+        pages = [0x7F00_0000_0000 + i * PAGE_SIZE for i in range(4)]
+        assert process.shared_page_list == pages
+        for va in pages:
+            assert process.synonym_filter.is_synonym_candidate(va)
+        assert process.synonym_filter.stats["pages_marked"] == 4
+
     def test_mapped_bytes(self, process):
         assert process.mapped_bytes() == 0
         process.page_table.map(0x1000, 5)

@@ -22,6 +22,13 @@ from repro.filters import (
 vas = st.integers(min_value=0, max_value=VA_MASK)
 
 
+def filter_state(f: SynonymFilter):
+    """Everything the OS-side maintenance of a synonym filter changes."""
+    hist = f.occupancy_hist
+    return (f.state_bits(), f.fine.inserted, f.coarse.inserted,
+            dict(f.stats.counts), hist.counts, hist.count, hist.total)
+
+
 class TestXorFold:
     def test_small_value_unchanged(self):
         assert xor_fold(0b10110) == 0b10110
@@ -165,6 +172,21 @@ class TestSynonymFilter:
         f.mark_shared_range(0x5000_0000, 5 * PAGE_SIZE)
         for i in range(5):
             assert f.is_synonym_candidate(0x5000_0000 + i * PAGE_SIZE)
+
+    @pytest.mark.parametrize("start,length", [
+        (0x7F00_0000_0000, 64 * PAGE_SIZE),        # aligned
+        (0x7F00_0000_0123, 5 * PAGE_SIZE),         # unaligned start
+        (0x7F00_0000_0000, 5 * PAGE_SIZE + 100),   # unaligned end
+        (0x5000_0FF8, 16),                         # straddles two pages
+        (0x5000_0000, 0),                          # empty
+    ])
+    def test_range_matches_page_by_page(self, start, length):
+        """One range call leaves what marking each page leaves."""
+        bulk, single = SynonymFilter(), SynonymFilter()
+        bulk.mark_shared_range(start, length)
+        for va in range(page_base(start), start + length, PAGE_SIZE):
+            single.mark_shared(va)
+        assert filter_state(bulk) == filter_state(single)
 
     def test_distant_private_region_not_flagged(self):
         """The Linux-like VA split keeps heap and mmap hash-distinct."""

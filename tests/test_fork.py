@@ -7,7 +7,9 @@ import pytest
 from repro.common.address import PAGE_SIZE, page_base, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.core import HybridMmu
+from repro.filters import SynonymFilter
 from repro.osmodel import Kernel
+from tests.test_filters import filter_state
 
 MB = 1024 * 1024
 
@@ -22,6 +24,22 @@ def system():
     for i in range(16):
         kernel.translate(parent.asid, vma.vbase + i * PAGE_SIZE)
     return config, kernel, parent, vma
+
+
+class TestSharedVmaFork:
+    def test_child_marks_shared_pages_as_page_by_page(self, system):
+        """The child's filter and page list match marking each page."""
+        _config, kernel, parent, _vma = system
+        peer = kernel.create_process("peer")
+        kernel.mmap_shared([parent, peer], 6 * PAGE_SIZE + 1)
+        child = kernel.fork(parent)
+        (shared,) = [v for v in child.vmas() if v.shared]
+        pages = list(range(shared.vbase, shared.vlimit, PAGE_SIZE))
+        reference = SynonymFilter()
+        for va in pages:
+            reference.mark_shared(va)
+        assert child.shared_page_list == pages
+        assert filter_state(child.synonym_filter) == filter_state(reference)
 
 
 class TestForkSemantics:
