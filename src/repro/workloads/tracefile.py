@@ -27,7 +27,6 @@ import io
 import itertools
 import os
 import struct
-import threading
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -69,8 +68,8 @@ def save_binary(path: PathLike, trace: Iterable[TraceRecord]) -> int:
     :class:`TraceFormatError` and leaves ``path`` as it was.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}."
-                         f"{threading.get_ident()}.{next(_TMP_COUNTER)}.tmp")
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
     count = 0
     try:
         with open(tmp, "wb") as handle:

@@ -1,5 +1,7 @@
 """Tests for trace persistence (binary + text formats)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,19 +80,12 @@ OUT_OF_RANGE = {
 }
 
 
-def with_field(record, **fields):
-    values = dict(asid=record.asid, core=record.core, va=record.va,
-                  is_write=record.is_write, gap=record.gap)
-    values.update(fields)
-    return TraceRecord(**values)
-
-
 class TestBinaryRange:
     @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
     def test_unrepresentable_record_leaves_no_file(self, tmp_path, field):
         path = tmp_path / "x.trc"
         records = sample_records(5)
-        records[3] = with_field(records[3], **OUT_OF_RANGE[field])
+        records[3] = dataclasses.replace(records[3], **OUT_OF_RANGE[field])
         with pytest.raises(tracefile.TraceFormatError, match="record 3"):
             tracefile.save(path, records)
         assert list(tmp_path.iterdir()) == []
@@ -99,14 +94,15 @@ class TestBinaryRange:
         path = tmp_path / "x.trc"
         tracefile.save(path, sample_records(4))
         before = path.read_bytes()
-        bad = [with_field(sample_records(1)[0], asid=70000)]
+        bad = [dataclasses.replace(sample_records(1)[0], asid=70000)]
         with pytest.raises(tracefile.TraceFormatError):
             tracefile.save(path, bad)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_field_limits_round_trip(self, tmp_path):
-        path = tmp_path / "x.trc"
+    @pytest.mark.parametrize("name", ["x.trc", "x.csv"])
+    def test_field_limits_round_trip(self, tmp_path, name):
+        path = tmp_path / name
         edge = [TraceRecord(asid=0xFFFF, core=255, va=(1 << 64) - 1,
                             is_write=True, gap=(1 << 32) - 1),
                 TraceRecord(asid=0, core=0, va=0, is_write=False, gap=0)]
@@ -119,7 +115,7 @@ class TestTextRange:
     def test_out_of_range_field_located(self, tmp_path, field):
         path = tmp_path / "t.csv"
         records = sample_records(3)
-        records[1] = with_field(records[1], **OUT_OF_RANGE[field])
+        records[1] = dataclasses.replace(records[1], **OUT_OF_RANGE[field])
         name = field.split("-")[0]
         path.write_text("# repro trace v1: asid,core,va,rw,gap\n" + "".join(
             f"{r.asid},{r.core},{r.va:#x},{'w' if r.is_write else 'r'},"
