@@ -142,7 +142,7 @@ class Process:
         """:meth:`record_shared_page` for every page of a range, in order."""
         self.shared_page_list.extend(
             range(vbase & ~(PAGE_SIZE - 1), vbase + length, PAGE_SIZE))
-        self.synonym_filter.mark_shared_range(vbase, length, PAGE_SIZE)
+        self.synonym_filter.mark_shared_range(vbase, length)
 
     def rebuild_filter(self) -> None:
         """OS rebuild of a saturated filter from the authoritative list."""
