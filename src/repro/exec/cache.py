@@ -88,8 +88,10 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def store(self, job: Job, result: "SimulationResult") -> Path:
-        """Persist one result atomically; returns the entry's path.
+    def store(self, job: Job, result: "SimulationResult") -> str:
+        """Persist one result atomically; returns the entry's text, which
+        is exactly what :func:`encode_document` makes of the job's
+        :func:`result_document` (the service serves it as the body).
 
         The temp name carries pid + thread id + a counter: two writers
         racing on the same fingerprint each write their own temp file
@@ -97,19 +99,19 @@ class ResultCache:
         a truncated or interleaved entry.  (Equal fingerprints mean
         equal results, so *which* writer wins is immaterial.)
         """
-        doc = result_document(job, result)
+        text = encode_document(result_document(job, result))
         path = self.path(job)
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}."
             f"{next(_TMP_COUNTER)}.tmp")
         try:
-            tmp.write_text(encode_document(doc))
+            tmp.write_text(text)
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)   # never leave temp litter behind
             raise
         self.stores += 1
-        return path
+        return text
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))

@@ -77,9 +77,9 @@ class JobRecord:
     byte-identical responses.
     """
 
-    __slots__ = ("job", "fingerprint", "status", "disposition", "doc",
-                 "body", "coalesced", "submitted_at", "started_at",
-                 "finished_at", "done")
+    __slots__ = ("job", "fingerprint", "status", "disposition", "body",
+                 "coalesced", "submitted_at", "started_at", "finished_at",
+                 "done")
 
     def __init__(self, job: Job, fingerprint: str, status: str,
                  disposition: str) -> None:
@@ -87,7 +87,6 @@ class JobRecord:
         self.fingerprint = fingerprint
         self.status = status
         self.disposition = disposition      # "ran" | "cached"
-        self.doc: Optional[Dict[str, Any]] = None
         self.body: Optional[bytes] = None
         self.coalesced = 0
         self.submitted_at = time.time()
@@ -282,8 +281,8 @@ class JobService:
                 hit = self.cache.load(job)
                 if hit is not None:
                     record = JobRecord(job, fingerprint, "done", "cached")
-                    record.doc = result_document(job, hit)
-                    record.body = encode_document(record.doc).encode("utf-8")
+                    record.body = encode_document(
+                        result_document(job, hit)).encode("utf-8")
                     record.finished_at = record.submitted_at
                     record.done.set()
                     self._records[fingerprint] = record
@@ -381,13 +380,12 @@ class JobService:
         """Terminal error transition; caller holds the lock."""
         record.status = "error"
         record.finished_at = time.time()
-        record.doc = {
+        record.body = encode_document({
             "schema": ERROR_SCHEMA,
             "fingerprint": record.fingerprint,
             "status": "error",
             "error": {"error_type": error_type, "message": message},
-        }
-        record.body = (encode_document(record.doc)).encode("utf-8")
+        }).encode("utf-8")
         record.done.set()
 
     def _job_done(self, job: Job, outcome: Any) -> None:
@@ -396,28 +394,30 @@ class JobService:
         fingerprint = job.fingerprint()
         finished = time.time()
         if isinstance(outcome, JobError):
-            doc: Dict[str, Any] = {
+            text = encode_document({
                 "schema": ERROR_SCHEMA,
                 "fingerprint": fingerprint,
                 "status": "error",
                 "error": dataclasses.asdict(outcome),
-            }
+            })
             status = "error"
         else:
+            text = None
             if self.cache is not None:
                 try:
-                    self.cache.store(job, outcome)
+                    # Built once: the cache entry's text is the body.
+                    text = self.cache.store(job, outcome)
                 except OSError:
                     pass                     # cache is best-effort
-            doc = result_document(job, outcome)
+            if text is None:
+                text = encode_document(result_document(job, outcome))
             status = "done"
-        body = encode_document(doc).encode("utf-8")
+        body = text.encode("utf-8")
         with self._cond:
             record = self._records.get(fingerprint)
             if record is None:               # cannot happen; stay safe
                 return
             record.status = status
-            record.doc = doc
             record.body = body
             record.finished_at = finished
             if record.started_at is not None:

@@ -232,8 +232,9 @@ class TestResultCache:
     def test_entry_is_a_result_v1_document_with_identity(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = Job("stream", "baseline", **FAST)
-        cache.store(job, job.run())
-        doc = json.loads(cache.path(job).read_text())
+        text = cache.store(job, job.run())
+        assert cache.path(job).read_text() == text   # what store returns
+        doc = json.loads(text)
         assert doc["schema"] == RESULT_SCHEMA
         assert doc["fingerprint"] == job.fingerprint()
         assert doc["identity"] == json.loads(
