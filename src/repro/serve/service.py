@@ -23,8 +23,9 @@ descriptions (the ``repro.job/v1`` wire format); the service
 
 Everything observable lands in a :class:`~repro.obs.metrics.
 MetricsRegistry` under ``repro_serve_*`` (queue depth, in-flight,
-coalesced, cache hits, a job-latency histogram), scrapeable at
-``/metrics``.  See ``docs/serving.md`` for the full architecture.
+coalesced, cache hits, queue-wait, execution and encode histograms),
+scrapeable at ``/metrics``.  See ``docs/serving.md`` for the full
+architecture.
 """
 
 from __future__ import annotations
@@ -168,8 +169,16 @@ class JobService:
             "repro_serve_queue_depth", "jobs waiting in the bounded queue")
         self._m_in_flight = reg.gauge(
             "repro_serve_in_flight", "jobs currently executing")
+        self._m_queue_wait_ms = reg.histogram(
+            "repro_serve_queue_wait_ms",
+            "submission to batch start (milliseconds)")
         self._m_job_ms = reg.histogram(
-            "repro_serve_job_ms", "job execution wall time (milliseconds)")
+            "repro_serve_job_ms",
+            "batch start to outcome back: execution (milliseconds)")
+        self._m_encode_ms = reg.histogram(
+            "repro_serve_encode_ms",
+            "outcome to response body: document, encode and cache write "
+            "(milliseconds)")
         self._m_queue_depth.set(0)
         self._m_in_flight.set(0)
         if start:
@@ -355,6 +364,8 @@ class JobService:
             for record in batch:
                 record.status = "running"
                 record.started_at = now
+                self._m_queue_wait_ms.observe(
+                    int((now - record.submitted_at) * 1000))
             self._in_flight = len(batch)
             self._m_in_flight.set(len(batch))
             self._m_queue_depth.set(self._queue.qsize())
@@ -413,6 +424,7 @@ class JobService:
                 text = encode_document(result_document(job, outcome))
             status = "done"
         body = text.encode("utf-8")
+        encoded = time.time()
         with self._cond:
             record = self._records.get(fingerprint)
             if record is None:               # cannot happen; stay safe
@@ -423,6 +435,7 @@ class JobService:
             if record.started_at is not None:
                 self._m_job_ms.observe(
                     int((finished - record.started_at) * 1000))
+            self._m_encode_ms.observe(int((encoded - finished) * 1000))
             self._m_jobs.inc(status=status)
             self._cond.notify_all()
         record.done.set()

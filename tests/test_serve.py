@@ -409,16 +409,20 @@ class TestMetricsEndpoint:
                         ("repro_serve_jobs_total", "counter"),
                         ("repro_serve_queue_depth", "gauge"),
                         ("repro_serve_in_flight", "gauge"),
+                        ("repro_serve_queue_wait_ms", "histogram"),
                         ("repro_serve_job_ms", "histogram"),
+                        ("repro_serve_encode_ms", "histogram"),
                         ("repro_serve_http_requests_total", "counter")):
                     assert f"# TYPE {family} {kind}" in text
                 assert ('repro_serve_jobs_total{status="done"} 1'
                         in text)
                 # Histogram invariant: +Inf bucket equals _count.
-                inf = re.search(r'repro_serve_job_ms_bucket\{le="\+Inf"\} '
-                                r'(\d+)', text)
-                count = re.search(r"repro_serve_job_ms_count (\d+)", text)
-                assert inf.group(1) == count.group(1) == "1"
+                for family in ("repro_serve_queue_wait_ms",
+                               "repro_serve_job_ms", "repro_serve_encode_ms"):
+                    inf = re.search(rf'{family}_bucket\{{le="\+Inf"\}} '
+                                    r'(\d+)', text)
+                    count = re.search(rf"{family}_count (\d+)", text)
+                    assert inf.group(1) == count.group(1) == "1", family
                 status, body, _ = http(server.url, "/metrics.json")
                 assert status == 200
                 assert "repro_serve_jobs_total" in json.loads(body)
