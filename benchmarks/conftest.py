@@ -48,7 +48,9 @@ class Engine:
 
 @pytest.fixture(scope="session")
 def engine():
-    return Engine()
+    engine = Engine()
+    yield engine
+    engine.executor.close()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -159,7 +159,8 @@ def _finish_trace(tracer: Optional[Tracer],
 
 
 def _executor(args):
-    """Engine executor from ``--workers`` (serial unless N > 1)."""
+    """Engine executor from ``--workers`` (serial unless N > 1); the
+    command closes it when it ends, joining any pool workers."""
     workers = getattr(args, "workers", None) or 1
     if workers > 1:
         return ParallelExecutor(workers=workers)
@@ -373,17 +374,19 @@ def cmd_configs(_args) -> None:
 def cmd_run(args) -> None:
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
+    executor = _executor(args)
     try:
         result = run_workload(args.workload, args.config,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
                               interval=_json_interval(args), tracer=tracer,
                               trace_spec=trace_spec,
-                              executor=_executor(args), cache=_cache(args),
+                              executor=executor, cache=_cache(args),
                               progress=_progress(args, telemetry),
                               metrics=telemetry.registry,
                               beat=telemetry.beat)
     finally:
+        executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
     doc = result.to_json_dict()
@@ -410,17 +413,19 @@ def cmd_compare(args) -> None:
     configs = args.configs.split(",") if args.configs else list(MMU_CONFIGS)
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
+    executor = _executor(args)
     try:
         row = compare_configs(args.workload, mmu_names=configs,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
                               interval=_json_interval(args), tracer=tracer,
                               trace_spec=trace_spec,
-                              executor=_executor(args), cache=_cache(args),
+                              executor=executor, cache=_cache(args),
                               progress=_progress(args, telemetry),
                               metrics=telemetry.registry,
                               beat=telemetry.beat)
     finally:
+        executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
     normalized = row.normalized(configs[0])
@@ -442,18 +447,20 @@ def cmd_sweep(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
+    executor = _executor(args)
     try:
         results = sweep_delayed_tlb(args.workload, sizes,
                                     accesses=args.accesses, warmup=args.warmup,
                                     seed=args.seed,
                                     interval=_json_interval(args),
                                     tracer=tracer, trace_spec=trace_spec,
-                                    executor=_executor(args),
+                                    executor=executor,
                                     cache=_cache(args),
                                     progress=_progress(args, telemetry),
                                     metrics=telemetry.registry,
                                     beat=telemetry.beat)
     finally:
+        executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
     mpkis = [r.tlb_mpki() for r in results]
@@ -486,17 +493,19 @@ def cmd_profile(args) -> None:
         return
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
+    executor = _executor(args)
     try:
         result = run_workload(args.workload, args.config,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
                               interval=args.interval or max(1, args.accesses // 10),
                               tracer=tracer, trace_spec=trace_spec,
-                              executor=_executor(args), cache=_cache(args),
+                              executor=executor, cache=_cache(args),
                               progress=_progress(args, telemetry),
                               metrics=telemetry.registry,
                               beat=telemetry.beat)
     finally:
+        executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
     if args.json:
@@ -543,6 +552,7 @@ def _profile_sweep(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
+    executor = _executor(args)
     try:
         by_size = sweep_config(args.workload, args.config,
                                PROFILE_SWEEP_FIELD, sizes,
@@ -552,11 +562,12 @@ def _profile_sweep(args) -> None:
                                interval=args.interval
                                or max(1, args.accesses // 10),
                                tracer=tracer, trace_spec=trace_spec,
-                               executor=_executor(args), cache=_cache(args),
+                               executor=executor, cache=_cache(args),
                                progress=_progress(args, telemetry),
                                metrics=telemetry.registry,
                                beat=telemetry.beat)
     finally:
+        executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
     results = [by_size[size] for size in sizes]
@@ -678,6 +689,18 @@ def cmd_trace(args) -> Optional[int]:
     return None
 
 
+def _run_suite(args, jobs):
+    """Run benchmark jobs on the ``--workers`` executor, then close it."""
+    from repro import bench
+
+    executor = _executor(args)
+    try:
+        return bench.run_suite(jobs, executor=executor, cache=_cache(args),
+                               progress=_progress(args))
+    finally:
+        executor.close()
+
+
 def cmd_bench(args) -> Optional[int]:
     """``repro bench record|check|migrate`` — the regression gate."""
     from repro import bench
@@ -689,9 +712,7 @@ def cmd_bench(args) -> Optional[int]:
             warmup=(args.warmup if args.warmup is not None
                     else bench.DEFAULT_WARMUP),
             seed=args.seed if args.seed is not None else bench.DEFAULT_SEED)
-        entries = bench.run_suite(jobs, executor=_executor(args),
-                                  cache=_cache(args),
-                                  progress=_progress(args))
+        entries = _run_suite(args, jobs)
         doc = bench.make_baseline(entries)
         path = bench.save_baseline(doc, args.out)
         print(f"recorded {len(entries)} benchmark(s) -> {path}")
@@ -730,9 +751,7 @@ def cmd_bench(args) -> Optional[int]:
                 "repro: baseline has no re-runnable benchmarks (no job "
                 "parameters recorded); pass --current to compare against "
                 "a pre-recorded document")
-        entries = bench.run_suite(jobs, executor=_executor(args),
-                                  cache=_cache(args),
-                                  progress=_progress(args))
+        entries = _run_suite(args, jobs)
         current = bench.make_baseline(entries)
     report = bench.compare_baselines(
         baseline, current, threshold_pct=args.threshold,

@@ -10,8 +10,9 @@ pluggable executor:
 * :class:`SerialExecutor`  — in-process, one at a time; bit-identical
   to the historical hand-rolled loops (the default);
 * :class:`ParallelExecutor` — fans independent jobs across a process
-  pool (``--workers N`` on the CLI), returning outcomes in submission
-  order so results stay deterministic.
+  pool (``--workers N`` on the CLI) that it keeps across runs until
+  ``close()``, returning outcomes in submission order so results stay
+  deterministic.
 
 A failing job never kills a sweep: executors capture the exception as a
 structured :class:`JobError` and the other points complete.  An opt-in

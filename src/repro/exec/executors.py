@@ -8,7 +8,10 @@ Executors never raise for a failing job: each outcome is either a
 ``SimulationResult`` or a structured :class:`JobError`, so one
 diverging point cannot kill an N-point sweep.
 
-:class:`ParallelExecutor` fans jobs over a ``ProcessPoolExecutor``.
+:class:`ParallelExecutor` fans jobs over a ``ProcessPoolExecutor`` that
+it keeps across :meth:`~ParallelExecutor.run` calls until
+:meth:`~ParallelExecutor.close`, so a long-lived caller such as
+``repro serve`` starts its workers once rather than per batch.
 Outcomes are returned in submission order and every job seeds its own
 fresh kernel, so parallel output is bit-identical to serial output
 (pinned by the determinism test in ``tests/test_exec.py``).
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Union
 
 from repro.exec.job import CancelPulse, Job, JobError
 
@@ -131,15 +134,24 @@ class SerialExecutor:
                 on_done(job, outcome)
         return outcomes
 
+    def close(self) -> None:
+        """Nothing to release: jobs run in this process."""
+
 
 class ParallelExecutor:
     """Process-pool execution of independent jobs.
 
     ``workers`` caps the pool size (``None`` → ``os.cpu_count()``).
     Jobs are pickled to worker processes; outcomes come back in
-    submission order regardless of completion order.  A worker that
-    dies outright (killed, pool broken) yields a :class:`JobError` for
-    its job rather than an exception.
+    submission order regardless of completion order.
+
+    The pool starts on the first :meth:`run`, with the platform's
+    default start method, and is kept for later calls until
+    :meth:`close` shuts it down and joins its workers.  A worker that
+    dies mid-job breaks the pool: every job of that batch still
+    unfinished yields a :class:`JobError` rather than an exception.  A
+    broken pool (including one whose worker died while idle) is
+    replaced on the next submission.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -147,6 +159,7 @@ class ParallelExecutor:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.submitted = 0
+        self._pool: "Optional[concurrent.futures.ProcessPoolExecutor]" = None
 
     def run(self, jobs: Sequence[Job], tracer: "Optional[Tracer]" = None,
             on_done: Optional[JobCallback] = None,
@@ -158,27 +171,43 @@ class ParallelExecutor:
         if not jobs:
             return []
         outcomes: List[Optional[Outcome]] = [None] * len(jobs)
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers) as pool:
-            futures = {}
-            for index, job in enumerate(jobs):
-                if trace_spec is None:
-                    _mark_run_start(tracer, job)   # shards self-describe
-                self.submitted += 1
-                # ``timeout`` pickles as-is; ``cancel`` must be a
-                # module-level (picklable) callable to cross the pool.
-                futures[pool.submit(run_job, job,
-                                    trace_spec=trace_spec,
-                                    beat=beat, timeout=timeout,
-                                    cancel=cancel)] = index
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                job = jobs[index]
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    outcome = JobError.from_exception(job, exc)
-                outcomes[index] = outcome
-                if on_done is not None:
-                    on_done(job, outcome)
+        futures = {}
+        for index, job in enumerate(jobs):
+            if trace_spec is None:
+                _mark_run_start(tracer, job)   # shards self-describe
+            self.submitted += 1
+            # ``timeout`` pickles as-is; ``cancel`` must be a
+            # module-level (picklable) callable to cross the pool.
+            futures[self._submit(job, trace_spec=trace_spec, beat=beat,
+                                 timeout=timeout, cancel=cancel)] = index
+        for future in concurrent.futures.as_completed(futures):
+            index = futures[future]
+            job = jobs[index]
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                outcome = JobError.from_exception(job, exc)
+            outcomes[index] = outcome
+            if on_done is not None:
+                on_done(job, outcome)
         return list(outcomes)  # fully populated: every future completed
+
+    def _submit(self, job: Job, **kwargs: Any) -> "concurrent.futures.Future":
+        """Hand one job to the kept pool, starting it on first use.  A
+        pool found broken (a worker died since it last ran a job) is
+        shut down and the job goes to a fresh one."""
+        if self._pool is not None:
+            try:
+                return self._pool.submit(run_job, job, **kwargs)
+            except concurrent.futures.BrokenExecutor:
+                self.close()
+        self._pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers)
+        return self._pool.submit(run_job, job, **kwargs)
+
+    def close(self) -> None:
+        """Shut the pool down and join its workers (idempotent).  A later
+        :meth:`run` starts a new pool."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)

@@ -13,8 +13,9 @@ descriptions (the ``repro.job/v1`` wire format); the service
   of accepting unbounded backlog;
 * **batches**: one dispatcher thread drains up to ``batch_max`` queued
   jobs at a time and hands the batch to the configured executor — a
-  :class:`~repro.exec.executors.ParallelExecutor` fans it across a
-  process pool, amortising pool startup over the batch;
+  :class:`~repro.exec.executors.ParallelExecutor` fans it across the
+  process pool it keeps for the service's life (started on the first
+  batch, replaced after a worker dies, joined on drain and close);
 * enforces a per-job ``job_timeout`` through the engine's
   :class:`~repro.exec.job.CancelPulse` cancellation hook;
 * **drains gracefully**: :meth:`begin_drain` rejects new work while
@@ -225,11 +226,13 @@ class JobService:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5)
             self._dispatcher = None
+        self.executor.close()
         return True
 
     def close(self) -> None:
         """Hard stop: reject new work, park the dispatcher, fail any
-        still-queued record so pollers never hang on its event."""
+        still-queued record so pollers never hang on its event, then
+        shut the executor down (joining any pool workers)."""
         self.begin_drain()
         self._stop.set()
         if self._dispatcher is not None:
@@ -241,6 +244,7 @@ class JobService:
                     self._fail_record(record, "ServiceStopped",
                                       "service shut down before execution")
             self._cond.notify_all()
+        self.executor.close()
 
     # ------------------------------------------------------------------ #
     # Submission path

@@ -9,6 +9,11 @@ JSON documents the cache and the CLI rely on.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -178,6 +183,115 @@ class TestParallelDeterminism:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
+
+
+def child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def new_worker_pids(before, timeout=30.0):
+    """Pids of multiprocessing children started since ``before`` (a pid
+    set), waiting until at least one exists."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        pids = child_pids() - before
+        if pids:
+            return pids
+        time.sleep(0.01)
+    raise AssertionError("no pool worker appeared")
+
+
+def wait_reaped(pid, timeout=30.0):
+    """Wait until ``pid`` is gone, not even a zombie: its parent (the
+    pool's manager thread here) has reaped it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} was never reaped")
+
+
+class TestKeptPool:
+    """One pool across ``run`` calls: reuse, replacement, shutdown."""
+
+    def test_repeated_jobs_across_runs_match_serial(self):
+        first = [Job("stream", "hybrid_tlb", seed=seed, **FAST)
+                 for seed in (1, 2, 3)]
+        second = [Job("gups", "baseline", **FAST), first[1],
+                  Job("stream", "hybrid_segments", **FAST), first[0]]
+        executor = ParallelExecutor(workers=2)
+        try:
+            parallel = executor.run(first) + executor.run(second)
+        finally:
+            executor.close()
+        serial = SerialExecutor().run(first + second)
+        assert [identity_view(p) for p in parallel] == \
+            [identity_view(s) for s in serial]
+
+    def test_worker_killed_mid_job_fails_batch_then_fresh_pool(self):
+        before = child_pids()
+        executor = ParallelExecutor(workers=1)
+        # The deadline only bounds the test if the kill never lands.
+        slow = Job("gups", "hybrid_tlb", accesses=2_000_000, warmup=100)
+        queued = Job("stream", "baseline", **FAST)
+        killed = []
+
+        def kill_worker():
+            for pid in new_worker_pids(before):
+                time.sleep(0.3)
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+
+        killer = threading.Thread(target=kill_worker)
+        killer.start()
+        try:
+            outcomes = executor.run([slow, queued], timeout=60.0)
+            killer.join(timeout=60)
+            assert not killer.is_alive() and killed
+            for outcome in outcomes:
+                assert isinstance(outcome, JobError)
+                assert outcome.error_type == "BrokenProcessPool"
+            after = executor.run([queued])
+            assert not set(killed) & child_pids()
+        finally:
+            executor.close()
+        assert identity_view(after[0]) == \
+            identity_view(SerialExecutor().run([queued])[0])
+
+    def test_worker_killed_while_idle_does_not_fail_next_run(self):
+        before = child_pids()
+        executor = ParallelExecutor(workers=2)
+        job = Job("stream", "baseline", **FAST)
+        try:
+            executor.run([job])
+            workers = new_worker_pids(before)
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            for pid in workers:
+                wait_reaped(pid)
+            outcomes = executor.run([job, Job("gups", "ideal", **FAST)])
+        finally:
+            executor.close()
+        assert all(isinstance(o, SimulationResult) for o in outcomes)
+        assert identity_view(outcomes[0]) == \
+            identity_view(SerialExecutor().run([job])[0])
+
+    def test_one_pool_serves_every_run_until_close(self):
+        before = child_pids()
+        executor = ParallelExecutor(workers=1)
+        executor.run([Job("stream", "baseline", **FAST)])
+        workers = new_worker_pids(before)
+        executor.run([Job("gups", "ideal", **FAST)])
+        assert child_pids() - before == workers     # no worker restarted
+        executor.close()
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)                 # joined, not a zombie
+        executor.close()
+        SerialExecutor().close()
 
 
 # --------------------------------------------------------------------- #

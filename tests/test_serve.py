@@ -14,6 +14,7 @@ ephemeral port.  The load-bearing pins:
 """
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import Job, ResultCache, SerialExecutor
+from repro.exec import Job, ParallelExecutor, ResultCache, SerialExecutor
 from repro.serve import (ERROR_SCHEMA, HEALTH_SCHEMA, STATUS_SCHEMA,
                          JobService, QueueFullError, ServeServer,
                          ServiceDrainingError)
@@ -70,6 +71,27 @@ def wait_terminal(base, fingerprint, timeout=120):
         assert status == 202, f"unexpected status {status}"
         time.sleep(0.02)
     raise AssertionError(f"job {fingerprint} never finished")
+
+
+def child_pids(pid):
+    """Pids whose parent is ``pid`` (what ``pgrep -P`` lists)."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:                      # the process has just exited
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestSubmissionApi:
@@ -374,6 +396,22 @@ class TestExecutionPaths:
             finally:
                 service.close()
 
+    def test_drain_joins_the_kept_pool(self):
+        before = {c.pid for c in multiprocessing.active_children()}
+        service = JobService(executor=ParallelExecutor(workers=2))
+        try:
+            for seed in (1, 2):                 # two batches, one pool
+                record, _ = service.submit(make_job(seed=seed))
+                assert record.done.wait(timeout=120)
+                assert record.status == "done"
+            workers = {c.pid for c in multiprocessing.active_children()}
+            workers -= before
+            assert workers
+            assert service.drain(timeout=60)
+            assert not [pid for pid in workers if alive(pid)]
+        finally:
+            service.close()
+
     def test_close_fails_queued_records_instead_of_hanging(self):
         service = JobService(start=False)
         record, _ = service.submit(make_job())
@@ -432,14 +470,17 @@ class TestMetricsEndpoint:
 
 class TestSigtermDrain:
     @pytest.mark.slow
-    def test_sigterm_drains_in_flight_jobs(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigterm_drains_in_flight_jobs(self, tmp_path, workers):
         """Real process, real signal: SIGTERM right after a submission
-        must still produce the job's cache entry before a clean exit."""
+        must still produce the job's cache entry before a clean exit,
+        and a pool's workers must be joined, not left behind."""
         env = dict(os.environ)
         src = str(Path(__file__).parent.parent / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", str(workers),
              "--cache-dir", str(tmp_path), "--drain-timeout", "120"],
             stderr=subprocess.PIPE, text=True, env=env)
         try:
@@ -454,10 +495,17 @@ class TestSigtermDrain:
             job = make_job(accesses=8_000, warmup=1_000)
             status, doc, _ = post_job(url, job)
             assert status == 202
+            workers_seen = set()
+            deadline = time.monotonic() + 30
+            while workers > 1 and not workers_seen:
+                assert time.monotonic() < deadline, "no pool worker started"
+                workers_seen = child_pids(proc.pid)
+                time.sleep(0.01)
             proc.send_signal(signal.SIGTERM)
             stderr = proc.stderr.read()
             assert proc.wait(timeout=120) == 0
             assert "drained" in stderr
+            assert not [pid for pid in workers_seen if alive(pid)]
             entry = tmp_path / f"{job.fingerprint()}.json"
             assert entry.exists(), "in-flight job was not drained"
             saved = json.loads(entry.read_text())
