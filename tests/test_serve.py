@@ -14,7 +14,6 @@ ephemeral port.  The load-bearing pins:
 """
 
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -397,15 +396,14 @@ class TestExecutionPaths:
                 service.close()
 
     def test_drain_joins_the_kept_pool(self):
-        before = {c.pid for c in multiprocessing.active_children()}
+        before = child_pids(os.getpid())
         service = JobService(executor=ParallelExecutor(workers=2))
         try:
             for seed in (1, 2):                 # two batches, one pool
                 record, _ = service.submit(make_job(seed=seed))
                 assert record.done.wait(timeout=120)
                 assert record.status == "done"
-            workers = {c.pid for c in multiprocessing.active_children()}
-            workers -= before
+            workers = child_pids(os.getpid()) - before
             assert workers
             assert service.drain(timeout=60)
             assert not [pid for pid in workers if alive(pid)]
