@@ -14,7 +14,7 @@ import pytest
 from repro.common.params import SystemConfig
 from repro.common.stats import mpki
 from repro.osmodel import Kernel
-from repro.segtrans import RangeTlb
+from repro.segtrans.rmm import RangeTlb
 from repro.sim import lay_out
 from repro.workloads import TABLE3_WORKLOADS, spec
 

@@ -14,7 +14,7 @@ Reproduces the paper's Section IV argument in miniature:
 
 from repro.common import SystemConfig, mpki
 from repro.osmodel import Kernel
-from repro.segtrans import RangeTlb
+from repro.segtrans.rmm import RangeTlb
 from repro.sim import lay_out, run_workload, sweep_delayed_tlb
 
 ACCESSES = 25_000

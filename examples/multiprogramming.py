@@ -13,7 +13,8 @@ import dataclasses
 from repro.common.params import SystemConfig
 from repro.core import ConventionalMmu, HybridMmu
 from repro.osmodel import Kernel
-from repro.sim import ScheduledSimulator, lay_out
+from repro.sim import lay_out
+from repro.sim.scheduler import ScheduledSimulator
 
 NAMES = ("postgres", "omnetpp", "astar", "stream")
 ACCESSES = 4_000

@@ -20,7 +20,8 @@ import tempfile
 from pathlib import Path
 
 from repro.exec import ParallelExecutor
-from repro.obs import TraceSpec, read_trace
+from repro.obs import TraceSpec
+from repro.obs.traceview import read_trace
 from repro.sim import sweep_delayed_tlb
 
 WORKLOAD = "gups"

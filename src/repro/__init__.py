@@ -20,7 +20,18 @@ Quick start::
     from repro.sim import compare_configs
     row = compare_configs("gups", accesses=50_000)
     print(row.normalized())   # speedups over the physical baseline
+
+``import repro`` loads the simulator and nothing else: the datapath
+(filter, TLBs and walker, caches, delayed translation, timing), the OS
+model, the workload generators and the one-call drivers.  The execution
+engine loads when a point first runs; the observability tools, reports,
+the server, ``repro.bench``, the CLI subcommands and the prior-scheme
+MMUs load when first used (see ``docs/api.md``).
 """
+
+# Set before the imports below: ``repro.obs.manifest`` reads it while
+# this package is still loading.
+__version__ = "1.0.0"
 
 from repro.common.params import SystemConfig
 from repro.core import ConventionalMmu, HybridMmu, IdealMmu
@@ -28,8 +39,6 @@ from repro.filters import SynonymFilter
 from repro.osmodel import Kernel
 from repro.sim import Simulator, compare_configs, run_workload
 from repro.workloads import WorkloadSpec, spec
-
-__version__ = "1.0.0"
 
 __all__ = [
     "SystemConfig",

@@ -2,8 +2,8 @@
 
 A baseline is the committed record one PR leaves for the next: what the
 model produced (per-benchmark *metrics* — IPC, MPKI, miss rates) and
-what it cost to produce (per-benchmark wall-clock seconds).  Version 2
-separates the two concerns v1 conflated:
+what it cost to produce (per-benchmark wall-clock seconds).  The layout
+separates the two concerns:
 
 * **identity** — ``schema``, the ``benchmarks`` list (name, seconds,
   ``metrics``, job parameters and fingerprints), ``total_seconds``, and
@@ -12,9 +12,6 @@ separates the two concerns v1 conflated:
   ``python``, ``git_sha``) lives under one ``meta`` key, which the
   regression gate ignores entirely, so committed baselines diff cleanly
   across machines and re-records.
-
-v1 documents (flat volatile fields, seconds-only benchmarks) are
-migrated on load, and :func:`migrate_file` rewrites one in place.
 """
 
 from __future__ import annotations
@@ -28,10 +25,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 BENCH_SCHEMA = "repro.bench/v2"
-BENCH_SCHEMA_V1 = "repro.bench/v1"
-
-#: Environment fields that never participate in a regression check.
-VOLATILE_FIELDS = ("generated_unix", "host", "python", "git_sha")
 
 
 def git_sha(root: Union[str, Path, None] = None) -> Optional[str]:
@@ -73,36 +66,14 @@ def make_baseline(entries: Iterable[Dict[str, Any]],
     }
 
 
-def migrate_v1(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Rewrite a v1 document in the v2 layout.
-
-    The flat volatile fields move under ``meta`` and every benchmark
-    entry gains an (empty) ``metrics`` map; seconds and artifact lines
-    carry over untouched.
-    """
-    migrated: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "meta": {field: doc.get(field) for field in VOLATILE_FIELDS},
-        "benchmarks": [dict(entry, metrics=dict(entry.get("metrics", {})))
-                       for entry in doc.get("benchmarks", [])],
-        "total_seconds": doc.get("total_seconds", 0.0),
-        "artifact_lines": list(doc.get("artifact_lines", [])),
-    }
-    return migrated
-
-
 def load_baseline(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load a baseline document, migrating v1 layouts on the way in."""
+    """Load a ``repro.bench/v2`` baseline document."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a baseline document")
     schema = doc.get("schema")
-    if schema == BENCH_SCHEMA_V1:
-        return migrate_v1(doc)
     if schema != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: expected {BENCH_SCHEMA} (or {BENCH_SCHEMA_V1}), "
-            f"got {schema!r}")
+        raise ValueError(f"{path}: expected {BENCH_SCHEMA}, got {schema!r}")
     doc.setdefault("meta", {})
     doc.setdefault("benchmarks", [])
     return doc
@@ -116,16 +87,3 @@ def save_baseline(doc: Dict[str, Any], path: Union[str, Path]) -> Path:
     tmp.write_text(json.dumps(doc, indent=2) + "\n")
     os.replace(tmp, path)
     return path
-
-
-def migrate_file(path: Union[str, Path]) -> bool:
-    """Migrate one baseline file to v2 in place.
-
-    Returns ``True`` when the file was rewritten, ``False`` when it was
-    already v2.
-    """
-    raw = json.loads(Path(path).read_text())
-    if isinstance(raw, dict) and raw.get("schema") == BENCH_SCHEMA:
-        return False
-    save_baseline(load_baseline(path), path)
-    return True

@@ -1,10 +1,9 @@
-"""Virtually/physically addressed cache hierarchy with extended tags."""
+"""Virtually/physically addressed cache hierarchy with extended tags.
 
-from repro.cache.coherence import (
-    CoherenceEngine,
-    CoherenceViolation,
-    DirectoryEntry,
-)
+The directory-MESI checker (:mod:`repro.cache.coherence`) is imported by
+module path; the simulator does not use it.
+"""
+
 from repro.cache.hierarchy import CacheAccessResult, CacheHierarchy
 from repro.cache.line import (
     CacheLine,
@@ -19,9 +18,6 @@ from repro.cache.line import (
 from repro.cache.setassoc import SetAssociativeCache
 
 __all__ = [
-    "CoherenceEngine",
-    "CoherenceViolation",
-    "DirectoryEntry",
     "CacheAccessResult",
     "CacheHierarchy",
     "CacheLine",

@@ -11,9 +11,9 @@ Subcommands:
   for one point or an aggregated ``--sizes`` sweep;
 * ``trace``      — the trace-analysis surface: ``trace view`` analyzes
   recorded JSONL event traces offline, ``trace workload`` profiles a
-  workload's address stream (``analyze`` remains as an alias);
-* ``bench``      — benchmark baselines: ``record`` / ``check`` /
-  ``migrate`` (the regression gate);
+  workload's address stream;
+* ``bench``      — benchmark baselines: ``record`` / ``check`` (the
+  regression gate);
 * ``db``         — the cross-run metrics store: ``ingest`` recorded
   JSON documents into a SQLite history, ``query`` and ``trend`` it;
 * ``report``     — the self-contained HTML report: ``report build``
@@ -56,24 +56,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
 from repro.common.params import SystemConfig
 from repro.common.stats import mpki
-from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
-from repro.obs.aggregate import PROFILE_SCHEMA, aggregate_results
-from repro.obs.heartbeat import (BeatSpec, HeartbeatMonitor, LiveStatus,
-                                 StaleWorker, open_beat_channel)
-from repro.obs.metrics import MetricsRegistry, MetricsServer, SnapshotLog
 from repro.obs.tracer import Tracer, TraceSpec
-from repro.obs.traceview import read_trace
 from repro.sim import (
     MMU_CONFIGS,
     PRIOR_CONFIGS,
     compare_configs,
     run_workload,
-    sweep_config,
     sweep_delayed_tlb,
 )
 from repro.sim.report import (
@@ -84,7 +77,15 @@ from repro.sim.report import (
     markdown_table,
     series_table,
 )
-from repro.workloads import all_specs, analyze as analyze_trace, names
+from repro.workloads import all_specs, names
+
+# Each subcommand imports its own tools (engine, telemetry, trace
+# analytics, store, reports, server), so a command loads only what it runs.
+if TYPE_CHECKING:
+    from repro.exec import ResultCache
+    from repro.obs.heartbeat import (BeatSpec, HeartbeatMonitor, LiveStatus,
+                                     StaleWorker)
+    from repro.obs.metrics import MetricsRegistry, MetricsServer, SnapshotLog
 
 EXPERIMENTS = (
     ("Table I", "benchmarks/test_table1_sharing.py",
@@ -161,6 +162,8 @@ def _finish_trace(tracer: Optional[Tracer],
 def _executor(args):
     """Engine executor from ``--workers`` (serial unless N > 1); the
     command closes it when it ends, joining any pool workers."""
+    from repro.exec import ParallelExecutor, SerialExecutor
+
     workers = getattr(args, "workers", None) or 1
     if workers > 1:
         return ParallelExecutor(workers=workers)
@@ -168,6 +171,8 @@ def _executor(args):
 
 
 def _cache(args) -> Optional[ResultCache]:
+    from repro.exec import ResultCache
+
     cache_dir = getattr(args, "cache_dir", None)
     return ResultCache(cache_dir) if cache_dir else None
 
@@ -256,6 +261,11 @@ class _Telemetry:
         self.active = live or port is not None or bool(out)
         if not self.active:
             return
+        from repro.obs.heartbeat import (BeatSpec, HeartbeatMonitor,
+                                         LiveStatus, open_beat_channel)
+        from repro.obs.metrics import (MetricsRegistry, MetricsServer,
+                                       SnapshotLog)
+
         self.registry = MetricsRegistry()
         queue, self._manager = open_beat_channel(
             parallel=(getattr(args, "workers", None) or 1) > 1)
@@ -549,6 +559,9 @@ PROFILE_SWEEP_FIELD = "delayed_tlb.entries"
 
 def _profile_sweep(args) -> None:
     """``profile --sizes``: aggregated sweep over delayed-TLB entries."""
+    from repro.obs.aggregate import PROFILE_SCHEMA, aggregate_results
+    from repro.sim.sweep import sweep_config
+
     sizes = [int(s) for s in args.sizes.split(",")]
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
@@ -610,13 +623,15 @@ def _profile_sweep(args) -> None:
         print(histogram_chart(snap))
 
 
-def cmd_analyze(args) -> None:
+def _trace_workload(args) -> None:
+    """``repro trace workload``: profile a workload's address stream."""
     from repro.osmodel import Kernel
     from repro.sim import lay_out
+    from repro.workloads.analysis import analyze
 
     kernel = Kernel(_system_config(args))
     workload = lay_out(args.workload, kernel, seed=args.seed)
-    profile = analyze_trace(workload.trace(args.accesses))
+    profile = analyze(workload.trace(args.accesses))
     print(f"workload={args.workload} accesses={profile.accesses}")
     print(f"distinct pages={profile.distinct_pages} "
           f"blocks={profile.distinct_blocks} "
@@ -667,7 +682,9 @@ def _render_run_summary(summary, heading: str) -> None:
 def cmd_trace(args) -> Optional[int]:
     """``repro trace view|workload`` — the trace-analysis surface."""
     if args.trace_command == "workload":
-        return cmd_analyze(args)
+        return _trace_workload(args)
+    from repro.obs.traceview import read_trace
+
     try:
         view = read_trace(args.files, top_n=args.top)
     except OSError as exc:
@@ -702,7 +719,7 @@ def _run_suite(args, jobs):
 
 
 def cmd_bench(args) -> Optional[int]:
-    """``repro bench record|check|migrate`` — the regression gate."""
+    """``repro bench record|check`` — the regression gate."""
     from repro import bench
 
     if args.bench_command == "record":
@@ -721,18 +738,6 @@ def cmd_bench(args) -> Optional[int]:
                                for k, v in sorted(entry["metrics"].items()))
             print(f"  {entry['name']}: {metrics}")
         return None
-
-    if args.bench_command == "migrate":
-        status = 0
-        for path in args.files:
-            try:
-                rewritten = bench.migrate_file(path)
-            except (OSError, ValueError) as exc:
-                print(f"repro: {path}: {exc}", file=sys.stderr)
-                status = 1
-                continue
-            print(f"{path}: {'migrated to v2' if rewritten else 'already v2'}")
-        return status
 
     # check
     try:
@@ -885,9 +890,7 @@ def cmd_serve(args) -> int:
 
     from repro.serve import JobService, ServeServer
 
-    executor = (ParallelExecutor(workers=args.workers)
-                if args.workers > 1 else SerialExecutor())
-    service = JobService(cache=_cache(args), executor=executor,
+    service = JobService(cache=_cache(args), executor=_executor(args),
                          max_queue=args.max_queue,
                          batch_max=args.batch_max,
                          job_timeout=args.timeout)
@@ -898,19 +901,6 @@ def cmd_serve(args) -> int:
         service.close()
         raise SystemExit(
             f"repro: cannot serve on {args.host}:{args.port}: {exc}")
-    metrics_server = None
-    if args.metrics_port is not None:
-        try:
-            metrics_server = MetricsServer(service.registry,
-                                           port=args.metrics_port,
-                                           host=args.host).start()
-        except OSError as exc:
-            server.close()
-            service.close()
-            raise SystemExit(f"repro: cannot serve /metrics on port "
-                             f"{args.metrics_port}: {exc}")
-        print(f"repro: serving /metrics on http://{metrics_server.host}:"
-              f"{metrics_server.port}/metrics", file=sys.stderr)
     print(f"repro: serving jobs on {server.url}/jobs "
           f"(workers={args.workers}, max-queue={args.max_queue}, "
           f"batch-max={args.batch_max}"
@@ -932,8 +922,6 @@ def cmd_serve(args) -> int:
               flush=True)
         drained = service.drain(timeout=args.drain_timeout)
         server.close()
-        if metrics_server is not None:
-            metrics_server.close()
         service.close()
         counts = service.counts()
         print(f"repro: {'drained' if drained else 'drain timed out'}: "
@@ -1071,11 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="profile a workload's address stream")
     add_common(workload_parser)
 
-    # Deprecated spelling of `trace workload`, kept for compatibility.
-    analyze_parser = sub.add_parser("analyze", help="profile a trace "
-                                    "(alias of `trace workload`)")
-    add_common(analyze_parser)
-
     bench_parser = sub.add_parser(
         "bench", help="benchmark baselines and the regression gate")
     bench_sub = bench_parser.add_subparsers(dest="bench_command",
@@ -1125,9 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "history, then ingest this run")
     add_exec(check_parser)
     add_report_out(check_parser)
-    migrate_parser = bench_sub.add_parser(
-        "migrate", help="rewrite v1 baseline files in the v2 layout")
-    migrate_parser.add_argument("files", nargs="+", metavar="FILE")
 
     db_parser = sub.add_parser(
         "db", help="cross-run metrics store: ingest, query, trend")
@@ -1198,10 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="S",
                               help="per-job wall-clock timeout in "
                                    "seconds (default: none)")
-    serve_parser.add_argument("--metrics-port", type=int,
-                              dest="metrics_port", metavar="PORT",
-                              help="also serve /metrics on a separate "
-                                   "port (0 = ephemeral)")
     serve_parser.add_argument("--drain-timeout", type=float,
                               dest="drain_timeout", default=60.0,
                               metavar="S",
@@ -1264,7 +1240,6 @@ HANDLERS = {
     "db": cmd_db,
     "report": cmd_report,
     "serve": cmd_serve,
-    "analyze": cmd_analyze,
     "experiments": cmd_experiments,
 }
 

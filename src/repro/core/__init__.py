@@ -1,4 +1,8 @@
-"""MMU front-ends: the paper's contribution and its comparison points."""
+"""MMU front-ends: the paper's contribution and its comparison points.
+
+The prior schemes (:mod:`repro.core.prior`, :mod:`repro.core.thp`) are
+imported by module path, so ``import repro`` does not load them.
+"""
 
 from repro.core.conventional import ConventionalMmu
 from repro.core.hybrid import (
@@ -7,8 +11,6 @@ from repro.core.hybrid import (
     ManySegmentEngine,
 )
 from repro.core.ideal import IdealMmu
-from repro.core.prior import DirectSegmentMmu, EnigmaMmu, RmmMmu
-from repro.core.thp import ThpBaselineMmu
 from repro.core.mmu_base import AccessOutcome, MmuBase
 
 __all__ = [
@@ -17,10 +19,6 @@ __all__ = [
     "HybridMmu",
     "ManySegmentEngine",
     "IdealMmu",
-    "DirectSegmentMmu",
-    "EnigmaMmu",
-    "RmmMmu",
-    "ThpBaselineMmu",
     "AccessOutcome",
     "MmuBase",
 ]

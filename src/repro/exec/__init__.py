@@ -25,19 +25,14 @@ See ``docs/execution.md`` for the full model.
 
 from repro.exec.cache import ResultCache, encode_document, result_document
 from repro.exec.executors import ParallelExecutor, SerialExecutor, run_job
-from repro.exec.job import (JOB_SCHEMA, CancelPulse, Job, JobCancelled,
-                            JobError, JobFailedError)
-from repro.exec.plan import ExperimentPlan, PlanResults
+from repro.exec.job import Job, JobError, JobFailedError
+from repro.exec.plan import ExperimentPlan
 
 __all__ = [
-    "JOB_SCHEMA",
     "Job",
-    "JobCancelled",
     "JobError",
     "JobFailedError",
-    "CancelPulse",
     "ExperimentPlan",
-    "PlanResults",
     "SerialExecutor",
     "ParallelExecutor",
     "ResultCache",

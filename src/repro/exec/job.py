@@ -9,11 +9,9 @@ two jobs with equal fingerprints must produce identical results, which
 is what makes plan-level deduplication and the on-disk
 :class:`~repro.exec.cache.ResultCache` sound.
 
-``repro.sim`` is imported lazily so the engine sits *below* the
-experiment helpers without an import cycle: ``repro.sim.runner`` builds
-plans of jobs at module load, while a job's :meth:`run` only calls back
-into the runner's ``build_mmu``/``lay_out`` primitives at execution
-time.
+A job runs on the runner's ``build_mmu``/``lay_out`` primitives; the
+runner's one-call helpers import the engine only when they are called,
+so the two never form an import cycle.
 """
 
 from __future__ import annotations
@@ -25,10 +23,14 @@ import traceback as tb
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
+from repro import __version__
 from repro.common.params import SystemConfig, config_from_dict
 from repro.obs.manifest import MANIFEST_SCHEMA, config_fingerprint
+from repro.osmodel.kernel import Kernel
+from repro.sim.runner import build_mmu, lay_out
+from repro.sim.simulator import Simulator
 
-if TYPE_CHECKING:  # avoid importing repro.sim at module load (cycle)
+if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
     from repro.sim.results import SimulationResult
     from repro.workloads.spec import WorkloadSpec
@@ -36,6 +38,17 @@ if TYPE_CHECKING:  # avoid importing repro.sim at module load (cycle)
 #: Version tag of the :meth:`Job.to_json_dict` wire format — what the
 #: simulation service accepts over HTTP (``POST /jobs``).
 JOB_SCHEMA = "repro.job/v1"
+
+
+def _integer(key: str, value: Any, minimum: Optional[int] = None) -> int:
+    """One integer field of a job document, checked, never coerced: a
+    bool, float or string is a ``ValueError``, as is a value below
+    ``minimum``."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,6 @@ class Job:
         ``interval``, ``reset_stats_after_warmup``, and a hash of ad-hoc
         workload specs not named in the catalog.
         """
-        from repro import __version__  # deferred: repro imports sim at load
-
         identity: Dict[str, Any] = {
             "schema": MANIFEST_SCHEMA,
             "workload": self.workload_name,
@@ -131,6 +142,9 @@ class Job:
         field by field and hashed over sorted keys.  Unknown keys are
         ignored for forward compatibility; missing required keys raise
         ``KeyError``, wrong shapes raise ``TypeError``/``ValueError``.
+        ``accesses``, ``warmup`` and ``seed`` must be integers (not bools
+        or floats), the first two non-negative, and ``interval`` is null
+        or a positive integer.
         """
         schema = doc.get("schema")
         if schema != JOB_SCHEMA:
@@ -145,10 +159,11 @@ class Job:
             mmu=doc["mmu"],
             config=(config_from_dict(config_doc)
                     if config_doc is not None else None),
-            accesses=int(doc.get("accesses", 100_000)),
-            warmup=int(doc.get("warmup", 20_000)),
-            seed=int(doc.get("seed", 42)),
-            interval=(int(doc["interval"])
+            accesses=_integer("accesses", doc.get("accesses", 100_000),
+                              minimum=0),
+            warmup=_integer("warmup", doc.get("warmup", 20_000), minimum=0),
+            seed=_integer("seed", doc.get("seed", 42)),
+            interval=(_integer("interval", doc["interval"], minimum=1)
                       if doc.get("interval") is not None else None),
             reset_stats_after_warmup=bool(
                 doc.get("reset_stats_after_warmup", False)),
@@ -173,10 +188,6 @@ class Job:
         hook (see :class:`~repro.obs.heartbeat.HeartbeatPulse`); it
         reports, never influences, the simulated outcome.
         """
-        from repro.osmodel.kernel import Kernel
-        from repro.sim.runner import build_mmu, lay_out
-        from repro.sim.simulator import Simulator
-
         config = self.config or SystemConfig()
         kernel = Kernel(config,
                         transparent_huge_pages=self.mmu == "baseline_thp")

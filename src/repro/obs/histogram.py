@@ -102,13 +102,6 @@ class Histogram:
                 return self.bucket_bounds(i)[1]
         return self.bucket_bounds(NUM_BUCKETS - 1)[1]
 
-    def max_bucket_hi(self) -> int:
-        """Upper bound of the highest non-empty bucket."""
-        for i in range(NUM_BUCKETS - 1, -1, -1):
-            if self.counts[i]:
-                return self.bucket_bounds(i)[1]
-        return 0
-
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #

@@ -18,6 +18,8 @@ import platform
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro import __version__
+
 MANIFEST_SCHEMA = "repro.manifest/v1"
 
 
@@ -52,8 +54,6 @@ class RunManifest:
     def collect(cls, workload: str, mmu: str, config: Any,
                 seed: Optional[int], accesses: int, warmup: int,
                 started_at: str, duration_s: float) -> "RunManifest":
-        from repro import __version__  # deferred: repro imports sim at load
-
         return cls(
             workload=workload,
             mmu=mmu,

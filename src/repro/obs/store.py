@@ -132,7 +132,7 @@ class MetricsStore:
                      else [None] * len(results))
             return [self.ingest_result(result, source=source, name=name)
                     for result, name in zip(results, names)]
-        if schema in ("repro.bench/v2", "repro.bench/v1"):
+        if schema == "repro.bench/v2":
             return self.ingest_baseline(doc, source=source)
         raise ValueError(f"cannot ingest schema {schema!r}")
 

@@ -1,8 +1,11 @@
-"""Hardware structures for scalable delayed segment translation."""
+"""Hardware structures for scalable delayed segment translation.
+
+The prior schemes' range structures (:mod:`repro.segtrans.rmm`) are
+imported by module path.
+"""
 
 from repro.segtrans.index_cache import IndexCache
 from repro.segtrans.many_segment import ManySegmentTranslator, SegmentTranslation
-from repro.segtrans.rmm import DirectSegment, RangeTlb, RangeTlbResult
 from repro.segtrans.segment_cache import SegmentCache, SegmentCacheEntry
 from repro.segtrans.segment_table import HwSegmentTable
 
@@ -10,9 +13,6 @@ __all__ = [
     "IndexCache",
     "ManySegmentTranslator",
     "SegmentTranslation",
-    "DirectSegment",
-    "RangeTlb",
-    "RangeTlbResult",
     "SegmentCache",
     "SegmentCacheEntry",
     "HwSegmentTable",

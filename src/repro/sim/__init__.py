@@ -1,4 +1,9 @@
-"""Trace-driven simulation drivers and experiment helpers."""
+"""Trace-driven simulation drivers and experiment helpers.
+
+Multiprogramming (:mod:`repro.sim.scheduler`), parameter sweeps
+(:mod:`repro.sim.sweep`) and text rendering (:mod:`repro.sim.report`)
+are imported by module path.
+"""
 
 from repro.sim.results import ComparisonRow, SimulationResult, geometric_mean
 from repro.sim.runner import (
@@ -10,9 +15,7 @@ from repro.sim.runner import (
     run_workload,
     sweep_delayed_tlb,
 )
-from repro.sim.scheduler import ScheduledResult, ScheduledSimulator, SwitchCosts
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import sweep_config, sweep_grid, with_overrides
 
 __all__ = [
     "ComparisonRow",
@@ -26,10 +29,4 @@ __all__ = [
     "run_workload",
     "sweep_delayed_tlb",
     "Simulator",
-    "ScheduledResult",
-    "ScheduledSimulator",
-    "SwitchCosts",
-    "sweep_config",
-    "sweep_grid",
-    "with_overrides",
 ]

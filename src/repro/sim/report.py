@@ -7,7 +7,7 @@ CLI, and user scripts can share one presentation layer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -140,29 +140,3 @@ def cycle_attribution(breakdown: Mapping[str, float]) -> str:
 
     return format_table({"stage": "stage", "cycles": "cycles",
                          "share": "share"}, rows)
-
-
-def normalized_comparison(rows: Mapping[str, Mapping[str, float]],
-                          baseline_key: str = "baseline") -> str:
-    """Render per-workload normalized results plus a geomean row.
-
-    An empty mapping — or rows that name no configuration at all —
-    renders the ``(no data)`` placeholder rather than a degenerate
-    header-only table.
-    """
-    from repro.sim.results import geometric_mean
-
-    configs: List[str] = []
-    for row in rows.values():
-        for key in row:
-            if key not in configs:
-                configs.append(key)
-    if not rows or not configs:
-        return "(no data)"
-    table: Dict[str, List[float]] = {
-        name: [row.get(c, 0.0) for c in configs] for name, row in rows.items()
-    }
-    table["geomean"] = [
-        geometric_mean([rows[n].get(c, 0.0) for n in rows]) for c in configs
-    ]
-    return series_table(table, configs, fmt="{:16.3f}", first_header="workload")

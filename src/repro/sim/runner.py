@@ -33,25 +33,24 @@ Prior schemes (see ``repro.core.prior`` / ``repro.core.thp``):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from repro.common.params import SystemConfig
-from repro.exec.cache import ResultCache
-from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
-from repro.obs.heartbeat import BeatSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, TraceSpec
 from repro.core.conventional import ConventionalMmu
 from repro.core.hybrid import HybridMmu
 from repro.core.ideal import IdealMmu
-from repro.core.prior import DirectSegmentMmu, EnigmaMmu, RmmMmu
-from repro.core.thp import ThpBaselineMmu
 from repro.core.mmu_base import MmuBase
 from repro.osmodel.kernel import Kernel
 from repro.sim.results import ComparisonRow, SimulationResult
 from repro.workloads import catalog
 from repro.workloads.spec import LaidOutWorkload, WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.exec.cache import ResultCache
+    from repro.exec.plan import ProgressCallback
+    from repro.obs.heartbeat import BeatSpec
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer, TraceSpec
 
 MMU_CONFIGS = ("baseline", "ideal", "hybrid_tlb", "hybrid_segments",
                "hybrid_segments_nosc")
@@ -76,12 +75,16 @@ def build_mmu(name: str, kernel: Kernel,
         return HybridMmu(kernel, config, delayed="segments",
                          use_segment_cache=False)
     if name == "direct_segment":
+        from repro.core.prior import DirectSegmentMmu
         return DirectSegmentMmu(kernel, config)
     if name == "rmm":
+        from repro.core.prior import RmmMmu
         return RmmMmu(kernel, config)
     if name == "enigma":
+        from repro.core.prior import EnigmaMmu
         return EnigmaMmu(kernel, config)
     if name == "baseline_thp":
+        from repro.core.thp import ThpBaselineMmu
         return ThpBaselineMmu(kernel, config)
     raise ValueError(f"unknown MMU configuration {name!r}; "
                      f"known: {MMU_CONFIGS + PRIOR_CONFIGS}")
@@ -115,6 +118,8 @@ def run_workload(workload: Union[str, WorkloadSpec], mmu_name: str,
     ``interval`` and ``tracer`` enable windowed stat series and pipeline
     event tracing (see :mod:`repro.obs`); both default to off.
     """
+    from repro.exec import ExperimentPlan, Job
+
     job = Job(workload=workload, mmu=mmu_name, config=config,
               accesses=accesses, warmup=warmup, seed=seed, interval=interval)
     results = ExperimentPlan([job]).run(executor=executor, cache=cache,
@@ -144,6 +149,8 @@ def compare_configs(workload: Union[str, WorkloadSpec],
     stream; the engine brackets each run with a ``run_start`` mark so
     the stream stays attributable.
     """
+    from repro.exec import ExperimentPlan, Job
+
     if isinstance(workload, str):
         name = workload
     else:
@@ -175,6 +182,8 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
                       beat: Optional[BeatSpec] = None
                       ) -> List[SimulationResult]:
     """Figure 4 helper: hybrid+delayed-TLB across TLB sizes."""
+    from repro.exec import ExperimentPlan, Job
+
     jobs = [Job(workload=workload, mmu="hybrid_tlb",
                 config=SystemConfig().with_delayed_tlb_entries(entries),
                 accesses=accesses, warmup=warmup, seed=seed,

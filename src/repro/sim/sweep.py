@@ -23,17 +23,21 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Union)
 
 from repro.common.params import SystemConfig
-from repro.exec.cache import ResultCache
 from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
-from repro.obs.heartbeat import BeatSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, TraceSpec
+from repro.exec.plan import ExperimentPlan
 from repro.sim.results import SimulationResult
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.exec.cache import ResultCache
+    from repro.exec.plan import ProgressCallback
+    from repro.obs.heartbeat import BeatSpec
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer, TraceSpec
 
 
 def with_overrides(config: SystemConfig,

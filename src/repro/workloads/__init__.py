@@ -1,4 +1,8 @@
-"""Synthetic-but-calibrated workload generation."""
+"""Synthetic-but-calibrated workload generation.
+
+Trace analysis (:mod:`repro.workloads.analysis`) and the binary trace
+format (:mod:`repro.workloads.tracefile`) are imported by module path.
+"""
 
 from repro.workloads.catalog import (
     CACHE_FRIENDLY,
@@ -10,7 +14,6 @@ from repro.workloads.catalog import (
     names,
     spec,
 )
-from repro.workloads.analysis import TraceAnalyzer, TraceProfile, analyze, estimate_tlb_hit_rate
 from repro.workloads.patterns import build_pattern
 from repro.workloads.spec import (
     LaidOutWorkload,
@@ -18,8 +21,7 @@ from repro.workloads.spec import (
     SharingSpec,
     WorkloadSpec,
 )
-from repro.workloads import tracefile
-from repro.workloads.trace import TraceRecord, interleave_round_robin, take
+from repro.workloads.trace import TraceRecord, take
 
 __all__ = [
     "CACHE_FRIENDLY",
@@ -31,16 +33,10 @@ __all__ = [
     "names",
     "spec",
     "build_pattern",
-    "TraceAnalyzer",
-    "TraceProfile",
-    "analyze",
-    "estimate_tlb_hit_rate",
     "LaidOutWorkload",
     "PatternMix",
     "SharingSpec",
     "WorkloadSpec",
-    "tracefile",
     "TraceRecord",
-    "interleave_round_robin",
     "take",
 ]

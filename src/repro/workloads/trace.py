@@ -9,7 +9,7 @@ experiments never materialize a trace in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 
 @dataclass(slots=True)
@@ -21,21 +21,6 @@ class TraceRecord:
     va: int
     is_write: bool
     gap: int  # non-memory instructions since the previous reference
-
-
-def interleave_round_robin(traces: List[Iterable[TraceRecord]]) -> Iterator[TraceRecord]:
-    """Merge per-core traces round-robin (the paper's quad-core mixes).
-
-    Stops when the shortest trace is exhausted so every core contributes
-    equally — matching the fixed-instruction-budget methodology.
-    """
-    iterators = [iter(t) for t in traces]
-    while True:
-        for it in iterators:
-            record = next(it, None)
-            if record is None:
-                return
-            yield record
 
 
 def take(trace: Iterable[TraceRecord], n: int) -> Iterator[TraceRecord]:

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.common.params import SystemConfig
 from repro.osmodel import Kernel
 from repro.sim import lay_out
-from repro.workloads import (
-    TraceAnalyzer,
-    analyze,
-    estimate_tlb_hit_rate,
-    spec,
-)
+from repro.workloads import spec
+from repro.workloads.analysis import (TraceAnalyzer, analyze,
+                                      estimate_tlb_hit_rate)
 from repro.workloads.trace import TraceRecord
 
 

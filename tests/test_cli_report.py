@@ -9,7 +9,6 @@ from repro.sim.report import (
     breakdown_chart,
     horizontal_bars,
     markdown_table,
-    normalized_comparison,
     series_table,
     spark_line,
 )
@@ -50,11 +49,6 @@ class TestReportHelpers:
     def test_breakdown_chart_empty(self):
         assert breakdown_chart({}) == "(empty breakdown)"
 
-    def test_normalized_comparison_empty_guard(self):
-        # No rows, and rows whose configs are all empty, both guard.
-        assert normalized_comparison({}) == "(no data)"
-        assert normalized_comparison({"w1": {}}) == "(no data)"
-
     def test_spark_line_degenerate_inputs(self):
         assert spark_line([]) == ""
         # Single point / flat series: mid-height blocks, not the bottom
@@ -67,16 +61,6 @@ class TestReportHelpers:
         out = spark_line([0.0, 1.0, 2.0])
         assert len(out) == 3
         assert out[0] == "▁" and out[-1] == "█"
-
-    def test_normalized_comparison_has_geomean(self):
-        out = normalized_comparison({
-            "w1": {"baseline": 1.0, "x": 2.0},
-            "w2": {"baseline": 1.0, "x": 0.5},
-        })
-        assert "geomean" in out
-        # geomean of 2.0 and 0.5 is 1.0
-        geomean_line = [l for l in out.splitlines() if "geomean" in l][0]
-        assert "1.000" in geomean_line
 
 
 class TestCliParser:
@@ -129,11 +113,6 @@ class TestCliCommands:
         assert main(["sweep", "stream", "--sizes", "1024,2048"] + FAST) == 0
         out = capsys.readouterr().out
         assert "1024" in out and "2048" in out
-
-    def test_analyze(self, capsys):
-        assert main(["analyze", "stream"] + FAST) == 0
-        out = capsys.readouterr().out
-        assert "distinct pages=" in out
 
     def test_run_json_document(self, capsys):
         assert main(["run", "stream", "hybrid_tlb", "--json"] + FAST) == 0

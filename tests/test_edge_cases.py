@@ -156,7 +156,7 @@ class TestSimulatorEdges:
 
 class TestEnigmaSharedWindows:
     def test_distinct_shared_regions_distinct_namespaces(self):
-        from repro.core import EnigmaMmu
+        from repro.core.prior import EnigmaMmu
 
         config = dataclasses.replace(SystemConfig(), cores=2)
         kernel = Kernel(config)

@@ -29,8 +29,9 @@ from repro.exec import (
     SerialExecutor,
 )
 from repro.obs.tracer import Tracer
-from repro.sim import run_workload, sweep_grid
+from repro.sim import run_workload
 from repro.sim.results import RESULT_SCHEMA, SimulationResult
+from repro.sim.sweep import sweep_grid
 
 FAST = dict(accesses=800, warmup=200)
 
@@ -536,6 +537,35 @@ class TestJobWireFormat:
         with pytest.raises(TypeError, match="catalog name"):
             Job.from_json_dict({"schema": "repro.job/v1",
                                 "workload": 7, "mmu": "baseline"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("accesses", True), ("accesses", 600.0),
+        ("warmup", False), ("warmup", 1.5),
+        ("seed", True), ("seed", 1.5),
+        ("interval", True), ("interval", 2.5),
+    ])
+    def test_bool_or_float_integer_field_rejected(self, field, value):
+        doc = Job("stream", "baseline", interval=100, **FAST).to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Job.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value, minimum", [
+        ("accesses", -5, 0), ("warmup", -1, 0),
+        ("interval", 0, 1), ("interval", -3, 1),
+    ])
+    def test_out_of_range_integer_field_rejected(self, field, value,
+                                                 minimum):
+        doc = Job("stream", "baseline", **FAST).to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be >= {minimum}"):
+            Job.from_json_dict(doc)
+
+    def test_zero_accesses_and_null_interval_accepted(self):
+        doc = Job("stream", "baseline", accesses=0, warmup=0).to_json_dict()
+        assert doc["interval"] is None
+        assert Job.from_json_dict(doc) == Job("stream", "baseline",
+                                              accesses=0, warmup=0)
 
     def test_adhoc_spec_jobs_have_no_wire_form(self):
         import dataclasses

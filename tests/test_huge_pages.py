@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.address import align_up
 from repro.common.params import SystemConfig
-from repro.core import ThpBaselineMmu
+from repro.core.thp import ThpBaselineMmu
 from repro.osmodel import FrameAllocator, Kernel, PageTable
 from repro.osmodel.pagetable import HUGE_PAGE_SIZE, PageFault
 from repro.sim import lay_out

@@ -6,13 +6,8 @@ import pytest
 
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
-from repro.core import (
-    ConventionalMmu,
-    DirectSegmentMmu,
-    EnigmaMmu,
-    HybridMmu,
-    RmmMmu,
-)
+from repro.core import ConventionalMmu, HybridMmu
+from repro.core.prior import DirectSegmentMmu, EnigmaMmu, RmmMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PERM_READ, PERM_RW
 

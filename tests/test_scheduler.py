@@ -7,7 +7,8 @@ import pytest
 from repro.common.params import SystemConfig
 from repro.core import ConventionalMmu, HybridMmu
 from repro.osmodel import Kernel
-from repro.sim import ScheduledSimulator, SwitchCosts, lay_out
+from repro.sim import lay_out
+from repro.sim.scheduler import ScheduledSimulator, SwitchCosts
 
 
 def build_system(mmu_cls, n_workloads=3, cores=1, **kw):

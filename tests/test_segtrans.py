@@ -5,13 +5,12 @@ import pytest
 from repro.common.params import SegmentTranslationConfig, SystemConfig
 from repro.osmodel import Kernel, OsSegmentTable, SegmentFault
 from repro.segtrans import (
-    DirectSegment,
     HwSegmentTable,
     IndexCache,
     ManySegmentTranslator,
-    RangeTlb,
     SegmentCache,
 )
+from repro.segtrans.rmm import DirectSegment, RangeTlb
 
 MB = 1024 * 1024
 PAGE = 4096

@@ -138,6 +138,23 @@ class TestSubmissionApi:
             finally:
                 service.close()
 
+    def test_bad_integer_fields_answer_400_with_a_reason(self):
+        service = JobService(start=False)
+        with ServeServer(service) as server:
+            try:
+                for field, value in (("seed", 1.5), ("accesses", True),
+                                     ("accesses", -5), ("warmup", -1),
+                                     ("interval", 0)):
+                    doc = make_job().to_json_dict()
+                    doc[field] = value
+                    status, body, _ = http(server.url, "/jobs",
+                                           data=json.dumps(doc).encode())
+                    assert status == 400, (field, value)
+                    assert field in json.loads(body)["error"]
+                assert service.counts()["queued"] == 0
+            finally:
+                service.close()
+
     def test_oversized_body_rejected(self):
         service = JobService(start=False)
         with ServeServer(service) as server:

@@ -16,7 +16,7 @@ from repro.workloads import (
     names,
     spec,
 )
-from repro.workloads.trace import interleave_round_robin, take
+from repro.workloads.trace import take
 
 MB = 1024 * 1024
 
@@ -170,11 +170,3 @@ class TestTraceHelpers:
         kernel = Kernel(SystemConfig())
         w = LaidOutWorkload(spec("stream"), kernel)
         assert len(list(take(w.trace(100), 10))) == 10
-
-    def test_interleave_round_robin(self):
-        kernel = Kernel(SystemConfig())
-        w1 = LaidOutWorkload(spec("stream"), kernel, seed=1)
-        w2 = LaidOutWorkload(spec("gups"), kernel, seed=2)
-        merged = list(interleave_round_robin([w1.trace(10), w2.trace(10)]))
-        assert len(merged) == 20
-        assert merged[0].asid != merged[1].asid
