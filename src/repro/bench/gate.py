@@ -17,6 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+#: Version tag of :meth:`GateReport.to_json_dict` (``repro bench check
+#: --json-report``).
+GATE_REPORT_SCHEMA = "repro.bench.report/v1"
+
 #: Metric direction: +1 = higher is better, -1 = lower is better.
 METRIC_DIRECTIONS: Dict[str, int] = {
     "ipc": +1,
@@ -91,7 +95,7 @@ class GateReport:
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
-            "schema": "repro.bench.report/v1",
+            "schema": GATE_REPORT_SCHEMA,
             "ok": self.ok,
             "threshold_pct": self.threshold_pct,
             "seconds_threshold_pct": self.seconds_threshold_pct,

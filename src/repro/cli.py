@@ -11,7 +11,8 @@ Subcommands:
   for one point or an aggregated ``--sizes`` sweep;
 * ``trace``      — the trace-analysis surface: ``trace view`` analyzes
   recorded JSONL event traces offline, ``trace workload`` profiles a
-  workload's address stream;
+  workload's address stream (it simulates nothing, so it takes only
+  ``--accesses``, ``--seed`` and ``--llc-mb``);
 * ``bench``      — benchmark baselines: ``record`` / ``check`` (the
   regression gate);
 * ``db``         — the cross-run metrics store: ``ingest`` recorded
@@ -27,7 +28,11 @@ Subcommands:
   in-flight jobs before exit (see ``docs/serving.md``);
 * ``experiments``— map paper artifacts to their benchmark modules.
 
-``run``/``compare``/``sweep``/``profile`` share the observability flags:
+``run``/``compare``/``sweep``/``profile`` each build their frozen jobs
+from the flags and hand them to one plan runner, :func:`_run_plan`,
+which owns the run's lifecycle: telemetry, tracing, executor, cache and
+progress are set up from the flags and torn down when the plan ends.
+They share the observability flags:
 ``--json`` (schema-stable document), ``--interval N`` (windowed stat
 time series), ``--trace-out FILE`` (JSONL pipeline events) and
 ``--sample-every N`` (trace sampling).  See ``docs/observability.md``.
@@ -56,19 +61,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro import __version__
 from repro.common.params import SystemConfig
 from repro.common.stats import mpki
 from repro.obs.tracer import Tracer, TraceSpec
-from repro.sim import (
-    MMU_CONFIGS,
-    PRIOR_CONFIGS,
-    compare_configs,
-    run_workload,
-    sweep_delayed_tlb,
-)
+from repro.sim import MMU_CONFIGS, PRIOR_CONFIGS
 from repro.sim.report import (
     breakdown_chart,
     cycle_attribution,
@@ -77,12 +76,14 @@ from repro.sim.report import (
     markdown_table,
     series_table,
 )
+from repro.sim.results import COMPARE_SCHEMA, SWEEP_SCHEMA, ComparisonRow
 from repro.workloads import all_specs, names
 
 # Each subcommand imports its own tools (engine, telemetry, trace
 # analytics, store, reports, server), so a command loads only what it runs.
 if TYPE_CHECKING:
-    from repro.exec import ResultCache
+    from repro.exec import Job, ResultCache
+    from repro.exec.plan import PlanResults
     from repro.obs.heartbeat import (BeatSpec, HeartbeatMonitor, LiveStatus,
                                      StaleWorker)
     from repro.obs.metrics import MetricsRegistry, MetricsServer, SnapshotLog
@@ -381,24 +382,49 @@ def cmd_configs(_args) -> None:
     print(markdown_table(["configuration", "description"], rows))
 
 
-def cmd_run(args) -> None:
+def _job(args, mmu: str, interval: Optional[int],
+         entries: Optional[int] = None, tag: str = "") -> Job:
+    """One point of a simulation command, from its flags.  ``entries``
+    overrides the delayed-TLB size and is recorded under ``tag`` in the
+    point's ``run_start`` trace mark."""
+    from repro.exec import Job
+
+    config = _system_config(args)
+    tags = ()
+    if entries is not None:
+        config = config.with_delayed_tlb_entries(entries)
+        tags = ((tag, entries),)
+    return Job(workload=args.workload, mmu=mmu, config=config,
+               accesses=args.accesses, warmup=args.warmup, seed=args.seed,
+               interval=interval, tags=tags)
+
+
+def _run_plan(args, jobs: Iterable[Job]) -> PlanResults:
+    """Run one command's jobs: the single run lifecycle.
+
+    Telemetry, the shared tracer or shard spec, the executor, the cache
+    and progress come from the flags; the executor, the trace and the
+    telemetry are closed, in that order, however the plan ends.
+    """
+    from repro.exec import ExperimentPlan
+
     telemetry = _Telemetry(args)
     tracer, trace_spec = _trace_setup(args)
     executor = _executor(args)
     try:
-        result = run_workload(args.workload, args.config,
-                              accesses=args.accesses, warmup=args.warmup,
-                              config=_system_config(args), seed=args.seed,
-                              interval=_json_interval(args), tracer=tracer,
-                              trace_spec=trace_spec,
-                              executor=executor, cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
+        return ExperimentPlan(jobs).run(
+            executor=executor, cache=_cache(args), tracer=tracer,
+            progress=_progress(args, telemetry), trace_spec=trace_spec,
+            metrics=telemetry.registry, beat=telemetry.beat)
     finally:
         executor.close()
         _finish_trace(tracer, trace_spec)
         telemetry.finish()
+
+
+def cmd_run(args) -> None:
+    job = _job(args, args.config, _json_interval(args))
+    result = _run_plan(args, [job]).result(job)
     doc = result.to_json_dict()
     doc["config"] = args.config
     _write_report_out(args, doc, label=f"run {args.workload}/{args.config}")
@@ -421,30 +447,16 @@ def cmd_run(args) -> None:
 
 def cmd_compare(args) -> None:
     configs = args.configs.split(",") if args.configs else list(MMU_CONFIGS)
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    executor = _executor(args)
-    try:
-        row = compare_configs(args.workload, mmu_names=configs,
-                              accesses=args.accesses, warmup=args.warmup,
-                              config=_system_config(args), seed=args.seed,
-                              interval=_json_interval(args), tracer=tracer,
-                              trace_spec=trace_spec,
-                              executor=executor, cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
-    finally:
-        executor.close()
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
-    normalized = row.normalized(configs[0])
-    doc = {"schema": "repro.compare/v1",
+    jobs = {name: _job(args, name, _json_interval(args)) for name in configs}
+    outcomes = _run_plan(args, jobs.values())
+    results = {name: outcomes.result(job) for name, job in jobs.items()}
+    normalized = ComparisonRow(args.workload, results).normalized(configs[0])
+    doc = {"schema": COMPARE_SCHEMA,
            "workload": args.workload,
            "normalized_to": configs[0],
            "speedups": normalized,
            "results": {name: r.to_json_dict()
-                       for name, r in row.results.items()}}
+                       for name, r in results.items()}}
     _write_report_out(args, doc, label=f"compare {args.workload}")
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -455,26 +467,12 @@ def cmd_compare(args) -> None:
 
 def cmd_sweep(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    executor = _executor(args)
-    try:
-        results = sweep_delayed_tlb(args.workload, sizes,
-                                    accesses=args.accesses, warmup=args.warmup,
-                                    seed=args.seed,
-                                    interval=_json_interval(args),
-                                    tracer=tracer, trace_spec=trace_spec,
-                                    executor=executor,
-                                    cache=_cache(args),
-                                    progress=_progress(args, telemetry),
-                                    metrics=telemetry.registry,
-                                    beat=telemetry.beat)
-    finally:
-        executor.close()
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+    jobs = [_job(args, "hybrid_tlb", _json_interval(args), size,
+                 "delayed_tlb_entries") for size in sizes]
+    outcomes = _run_plan(args, jobs)
+    results = [outcomes.result(job) for job in jobs]
     mpkis = [r.tlb_mpki() for r in results]
-    doc = {"schema": "repro.sweep/v1",
+    doc = {"schema": SWEEP_SCHEMA,
            "workload": args.workload,
            "sizes": sizes,
            "delayed_tlb_mpki": mpkis,
@@ -498,26 +496,12 @@ def cmd_profile(args) -> None:
     point, cycle breakdowns summed — which is identical however the
     points were scheduled.
     """
-    if getattr(args, "sizes", None):
-        _profile_sweep(args)
+    interval = args.interval or max(1, args.accesses // 10)
+    if args.sizes:
+        _profile_sweep(args, interval)
         return
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    executor = _executor(args)
-    try:
-        result = run_workload(args.workload, args.config,
-                              accesses=args.accesses, warmup=args.warmup,
-                              config=_system_config(args), seed=args.seed,
-                              interval=args.interval or max(1, args.accesses // 10),
-                              tracer=tracer, trace_spec=trace_spec,
-                              executor=executor, cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
-    finally:
-        executor.close()
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+    job = _job(args, args.config, interval)
+    result = _run_plan(args, [job]).result(job)
     if args.json:
         doc = result.to_json_dict()
         doc["config"] = args.config
@@ -557,32 +541,15 @@ def cmd_profile(args) -> None:
 PROFILE_SWEEP_FIELD = "delayed_tlb.entries"
 
 
-def _profile_sweep(args) -> None:
+def _profile_sweep(args, interval: int) -> None:
     """``profile --sizes``: aggregated sweep over delayed-TLB entries."""
     from repro.obs.aggregate import PROFILE_SCHEMA, aggregate_results
-    from repro.sim.sweep import sweep_config
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    executor = _executor(args)
-    try:
-        by_size = sweep_config(args.workload, args.config,
-                               PROFILE_SWEEP_FIELD, sizes,
-                               base_config=_system_config(args),
-                               accesses=args.accesses, warmup=args.warmup,
-                               seed=args.seed,
-                               interval=args.interval
-                               or max(1, args.accesses // 10),
-                               tracer=tracer, trace_spec=trace_spec,
-                               executor=executor, cache=_cache(args),
-                               progress=_progress(args, telemetry),
-                               metrics=telemetry.registry,
-                               beat=telemetry.beat)
-    finally:
-        executor.close()
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+    jobs = {size: _job(args, args.config, interval, size, PROFILE_SWEEP_FIELD)
+            for size in sizes}
+    outcomes = _run_plan(args, jobs.values())
+    by_size = {size: outcomes.result(job) for size, job in jobs.items()}
     results = [by_size[size] for size in sizes]
     aggregate = aggregate_results(results)
     if args.json:
@@ -840,6 +807,7 @@ def cmd_db(args) -> Optional[int]:
 
 def cmd_report(args) -> Optional[int]:
     """``repro report build|bench`` — the HTML report generator."""
+    from repro.bench.gate import GATE_REPORT_SCHEMA
     from repro.report import (build_bench_report_page, build_report,
                               load_bundle)
 
@@ -849,9 +817,9 @@ def cmd_report(args) -> Optional[int]:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"repro: cannot read gate report: {exc}")
-        if doc.get("schema") != "repro.bench.report/v1":
+        if doc.get("schema") != GATE_REPORT_SCHEMA:
             raise SystemExit(
-                f"repro: expected a repro.bench.report/v1 document, "
+                f"repro: expected a {GATE_REPORT_SCHEMA} document, "
                 f"got {doc.get('schema')!r}")
         page = build_bench_report_page(doc, source=args.file)
         return _emit_report(page, args.out)
@@ -859,8 +827,7 @@ def cmd_report(args) -> Optional[int]:
     # build
     try:
         bundle = load_bundle(args.files, trace_paths=args.trace or (),
-                             db_path=args.db,
-                             workers=getattr(args, "workers", 1) or 1)
+                             db_path=args.db)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise SystemExit(f"repro: cannot build report: {exc}")
     if not len(bundle) and not bundle.history:
@@ -948,13 +915,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("configs", help="list MMU configurations")
     sub.add_parser("experiments", help="map paper artifacts to benchmarks")
 
-    def add_common(p):
+    def add_workload(p):
         p.add_argument("workload", choices=names())
         p.add_argument("--accesses", type=int, default=30_000)
-        p.add_argument("--warmup", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--llc-mb", type=int, dest="llc_mb",
                        help="override LLC size (MiB)")
+
+    def add_common(p):
+        add_workload(p)
+        p.add_argument("--warmup", type=int, default=10_000)
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON instead of text")
         p.add_argument("--interval", type=_positive_int,
@@ -1057,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="emit the repro.trace/v1 document")
     workload_parser = trace_sub.add_parser(
         "workload", help="profile a workload's address stream")
-    add_common(workload_parser)
+    add_workload(workload_parser)
 
     bench_parser = sub.add_parser(
         "bench", help="benchmark baselines and the regression gate")
@@ -1212,10 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
     build_parser_.add_argument("--title",
                                default="Hybrid virtual caching — "
                                        "reproduction report")
-    build_parser_.add_argument("--workers", type=_positive_int, default=1,
-                               metavar="N",
-                               help="parse inputs on N threads (output "
-                                    "is byte-identical to serial)")
     bench_report_parser = report_sub.add_parser(
         "bench", help="render a repro.bench.report/v1 gate report as "
                       "HTML")

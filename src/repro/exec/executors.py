@@ -1,9 +1,5 @@
 """Pluggable executors: serial (default) and process-pool parallel.
 
-Every submission funnels through one place — :func:`_mark_run_start` —
-which is now the single home of the ``run_start`` tracer mark that
-``compare_configs`` and ``sweep_delayed_tlb`` used to duplicate.
-
 Executors never raise for a failing job: each outcome is either a
 ``SimulationResult`` or a structured :class:`JobError`, so one
 diverging point cannot kill an N-point sweep.
@@ -17,12 +13,14 @@ fresh kernel, so parallel output is bit-identical to serial output
 (pinned by the determinism test in ``tests/test_exec.py``).
 
 Per-access tracing crosses the process boundary via *sharded sinks*: a
-live ``Tracer`` holds an open file handle and is given only to in-
-process (serial) execution, while a picklable
-:class:`~repro.obs.tracer.TraceSpec` describes a family of per-job
-shards — each worker opens ``<base>.<fingerprint>.jsonl`` itself, writes
-a ``run_start`` mark, records its own job, and closes.  The shard set of
-a parallel run is identical to that of a serial run of the same plan.
+live ``Tracer`` holds an open file handle, so only in-process (serial)
+execution takes one — :class:`SerialExecutor` brackets each job in it
+with a ``run_start`` mark, and :class:`ParallelExecutor` rejects it.  A
+picklable :class:`~repro.obs.tracer.TraceSpec` describes a family of
+per-job shards instead — each worker opens ``<base>.<fingerprint>.jsonl``
+itself, writes a ``run_start`` mark, records its own job, and closes.
+The shard set of a parallel run is identical to that of a serial run of
+the same plan.
 
 Live progress crosses the same boundary via a
 :class:`~repro.obs.heartbeat.BeatSpec`: the worker builds a per-job
@@ -53,17 +51,10 @@ Outcome = Union["SimulationResult", JobError]
 JobCallback = Callable[[Job, Outcome], None]
 
 
-def _mark_run_start(tracer: "Optional[Tracer]", job: Job) -> None:
-    """Bracket one job in a shared trace stream (single submission path)."""
-    if tracer is not None and tracer.active:
-        tracer.mark("run_start", **job.mark_detail())
-
-
 def run_job(job: Job, tracer: "Optional[Tracer]" = None,
             trace_spec: "Optional[TraceSpec]" = None,
             beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> Outcome:
+            timeout: Optional[float] = None) -> Outcome:
     """Run one job, capturing any failure as a :class:`JobError`.
 
     Module-level so :class:`ParallelExecutor` can pickle it into worker
@@ -75,15 +66,13 @@ def run_job(job: Job, tracer: "Optional[Tracer]" = None,
     (success or failure) over the spec's queue.
 
     ``timeout`` (seconds, measured from when this job *starts*
-    executing, not from submission) and ``cancel`` (an in-process
-    callable polled periodically) abort the simulation mid-run through
-    a :class:`CancelPulse`; the outcome is a :class:`JobError` with
-    ``error_type == "JobCancelled"``.
+    executing, not from submission) aborts the simulation mid-run
+    through a :class:`CancelPulse`; the outcome is a :class:`JobError`
+    with ``error_type == "JobCancelled"``.
     """
     pulse = beat.pulse_for(job) if beat is not None else None
-    if timeout is not None or cancel is not None:
-        deadline = time.time() + timeout if timeout is not None else None
-        pulse = CancelPulse(pulse, deadline=deadline, cancel=cancel)
+    if timeout is not None:
+        pulse = CancelPulse(pulse, deadline=time.time() + timeout)
     if trace_spec is not None:
         tracer = trace_spec.open(job.fingerprint())
         tracer.mark("run_start", **job.mark_detail())
@@ -119,16 +108,15 @@ class SerialExecutor:
             on_done: Optional[JobCallback] = None,
             trace_spec: "Optional[TraceSpec]" = None,
             beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> List[Outcome]:
+            timeout: Optional[float] = None) -> List[Outcome]:
         outcomes: List[Outcome] = []
         for job in jobs:
-            if trace_spec is None:
-                _mark_run_start(tracer, job)   # shards self-describe
+            if tracer is not None and trace_spec is None:
+                tracer.mark("run_start", **job.mark_detail())
             self.submitted += 1
             outcome = run_job(job, tracer=None if trace_spec else tracer,
                               trace_spec=trace_spec, beat=beat,
-                              timeout=timeout, cancel=cancel)
+                              timeout=timeout)
             outcomes.append(outcome)
             if on_done is not None:
                 on_done(job, outcome)
@@ -143,7 +131,9 @@ class ParallelExecutor:
 
     ``workers`` caps the pool size (``None`` → ``os.cpu_count()``).
     Jobs are pickled to worker processes; outcomes come back in
-    submission order regardless of completion order.
+    submission order regardless of completion order.  A live ``Tracer``
+    cannot follow them there, so :meth:`run` rejects one: trace a
+    parallel run through a ``TraceSpec``.
 
     The pool starts on the first :meth:`run`, with the platform's
     default start method, and is kept for later calls until
@@ -165,21 +155,19 @@ class ParallelExecutor:
             on_done: Optional[JobCallback] = None,
             trace_spec: "Optional[TraceSpec]" = None,
             beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> List[Outcome]:
+            timeout: Optional[float] = None) -> List[Outcome]:
+        if tracer is not None and tracer.active:
+            raise ValueError("a live Tracer cannot reach pool workers; "
+                             "pass a TraceSpec to record per-job shards")
         jobs = list(jobs)
         if not jobs:
             return []
         outcomes: List[Optional[Outcome]] = [None] * len(jobs)
         futures = {}
         for index, job in enumerate(jobs):
-            if trace_spec is None:
-                _mark_run_start(tracer, job)   # shards self-describe
             self.submitted += 1
-            # ``timeout`` pickles as-is; ``cancel`` must be a
-            # module-level (picklable) callable to cross the pool.
             futures[self._submit(job, trace_spec=trace_spec, beat=beat,
-                                 timeout=timeout, cancel=cancel)] = index
+                                 timeout=timeout)] = index
         for future in concurrent.futures.as_completed(futures):
             index = futures[future]
             job = jobs[index]

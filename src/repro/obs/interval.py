@@ -11,30 +11,20 @@ Deltas — not cumulative values — are stored because phase behavior
 (warm-up transients, working-set shifts) only shows in the derivative;
 cumulative curves flatten everything into the average the aggregate
 counters already report.
-
-Unbounded runs need a bound: with ``max_snapshots`` set, the recorder
-*coarsens* whenever the list would exceed it — the effective interval
-doubles and adjacent windows merge pairwise — so memory stays O(max)
-while every recorded access remains accounted for (sums are preserved,
-only the resolution drops).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class IntervalRecorder:
     """Accumulates per-window deltas of counters, cycles and instructions."""
 
-    def __init__(self, registry, timing, interval: int,
-                 max_snapshots: Optional[int] = None) -> None:
+    def __init__(self, registry, timing, interval: int) -> None:
         if interval < 1:
             raise ValueError("interval must be >= 1")
-        if max_snapshots is not None and max_snapshots < 2:
-            raise ValueError("max_snapshots must be >= 2")
         self.interval = interval
-        self.max_snapshots = max_snapshots
         self._registry = registry
         self._timing = timing
         self.snapshots: List[Dict[str, object]] = []
@@ -78,46 +68,6 @@ class IntervalRecorder:
         self._prev_cycles = cycles
         self._prev_instructions = instructions
         self._in_window = 0
-        if (self.max_snapshots is not None
-                and len(self.snapshots) > self.max_snapshots):
-            self._coarsen()
-
-    def _coarsen(self) -> None:
-        """Double the effective interval by merging adjacent windows.
-
-        Windows ``(0,1), (2,3), ...`` collapse pairwise; a trailing odd
-        window survives unmerged (it simply covers half the new
-        interval — its ``accesses`` field records the truth).  Sums of
-        accesses, instructions, cycles and every counter are invariant
-        under coarsening; ``ipc`` is recomputed from the merged deltas.
-        """
-        merged: List[Dict[str, object]] = []
-        for i in range(0, len(self.snapshots), 2):
-            pair = self.snapshots[i:i + 2]
-            if len(pair) == 1:
-                window = dict(pair[0])
-                window["index"] = len(merged)
-                merged.append(window)
-                continue
-            first, second = pair
-            counters: Dict[str, Dict[str, int]] = {}
-            for source in (first["counters"], second["counters"]):
-                for group, values in source.items():   # type: ignore[union-attr]
-                    bucket = counters.setdefault(group, {})
-                    for key, value in values.items():
-                        bucket[key] = bucket.get(key, 0) + value
-            di = first["instructions"] + second["instructions"]   # type: ignore[operator]
-            dc = first["cycles"] + second["cycles"]               # type: ignore[operator]
-            merged.append({
-                "index": len(merged),
-                "accesses": first["accesses"] + second["accesses"],  # type: ignore[operator]
-                "instructions": di,
-                "cycles": dc,
-                "ipc": di / dc if dc > 0 else 0.0,
-                "counters": counters,
-            })
-        self.snapshots = merged
-        self.interval *= 2
 
     def series(self, group: str, counter: str) -> List[int]:
         """Extract one counter's per-window deltas across all snapshots."""

@@ -34,6 +34,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.bench.baseline import BENCH_SCHEMA
+from repro.sim.results import COMPARE_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA
+
 STORE_SCHEMA = "repro.store/v1"
 
 _TABLES = """
@@ -119,12 +122,12 @@ class MetricsStore:
         by the entry's recorded job fingerprint).
         """
         schema = doc.get("schema")
-        if schema == "repro.result/v1":
+        if schema == RESULT_SCHEMA:
             return [self.ingest_result(doc, source=source)]
-        if schema == "repro.compare/v1":
+        if schema == COMPARE_SCHEMA:
             return [self.ingest_result(result, source=source, name=name)
                     for name, result in doc.get("results", {}).items()]
-        if schema == "repro.sweep/v1":
+        if schema == SWEEP_SCHEMA:
             results = doc.get("results", [])
             sizes = doc.get("sizes") or []
             names = ([f"size={size}" for size in sizes]
@@ -132,7 +135,7 @@ class MetricsStore:
                      else [None] * len(results))
             return [self.ingest_result(result, source=source, name=name)
                     for result, name in zip(results, names)]
-        if schema == "repro.bench/v2":
+        if schema == BENCH_SCHEMA:
             return self.ingest_baseline(doc, source=source)
         raise ValueError(f"cannot ingest schema {schema!r}")
 

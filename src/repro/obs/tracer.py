@@ -19,8 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (IO, Any, Deque, Dict, Iterable, Iterator, List, Optional,
-                    Tuple, Union)
+from typing import IO, Any, Deque, List, Optional, Union
 
 from repro.obs.events import STAGE_ACCESS, STAGE_MARK, TraceEvent
 
@@ -68,10 +67,6 @@ class Tracer:
         self._seq = -1
         self._sampled = 0
         self._emitted = 0
-        #: Buffered events grouped by ``seq`` (insertion order preserved),
-        #: kept in lockstep with the ring buffer so :meth:`events_for` is
-        #: O(events-of-that-access) instead of O(buffer).
-        self._by_seq: Dict[int, List[TraceEvent]] = {}
         self._sink: Optional[IO[str]] = None
         self._owns_sink = False
         if sink is not None:
@@ -128,15 +123,7 @@ class Tracer:
 
     def _emit(self, event: TraceEvent) -> None:
         self._emitted += 1
-        if len(self.events) == self.events.maxlen:
-            dropped = self.events.popleft()   # oldest-first ring semantics
-            group = self._by_seq.get(dropped.seq)
-            if group is not None:
-                group.pop(0)                  # dropped is always its oldest
-                if not group:
-                    del self._by_seq[dropped.seq]
         self.events.append(event)
-        self._by_seq.setdefault(event.seq, []).append(event)
         if self._sink is not None:
             self._sink.write(json.dumps(event.to_dict()) + "\n")
 
@@ -156,18 +143,6 @@ class Tracer:
     def events_emitted(self) -> int:
         """Total emitted events, including ones the ring buffer dropped."""
         return self._emitted
-
-    def events_for(self, seq: int) -> Iterable[TraceEvent]:
-        """Buffered events of one access (marks under ``seq == -1``)."""
-        return list(self._by_seq.get(seq, ()))
-
-    def accesses(self) -> Iterator[Tuple[int, List[TraceEvent]]]:
-        """Buffered ``(seq, events)`` groups in arrival order, marks
-        excluded — the grouped view :mod:`repro.obs.traceview` consumes
-        when analyzing an in-memory buffer."""
-        for seq, events in self._by_seq.items():
-            if seq >= 0:
-                yield seq, list(events)
 
     def close(self) -> None:
         """Flush and (when owned) close the sink.  Idempotent: the

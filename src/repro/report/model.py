@@ -15,10 +15,7 @@ plus two report-specific inputs:
 
 ``add_doc`` dispatches on each document's ``schema`` key, so callers
 never need to know what kind of file they are holding; ``load_bundle``
-is the file-reading front the CLI uses, with an optional thread pool
-whose output is folded back **in input order** — a bundle built with
-``workers=N`` is identical to the serial one, which keeps report bytes
-independent of parallelism.
+is the file-reading front the CLI uses.
 """
 
 from __future__ import annotations
@@ -27,6 +24,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.bench.baseline import BENCH_SCHEMA
+from repro.bench.gate import GATE_REPORT_SCHEMA
+from repro.obs.aggregate import PROFILE_SCHEMA
+from repro.obs.traceview import TRACE_SCHEMA
+from repro.sim.results import COMPARE_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA
 
 FIDELITY_SCHEMA = "repro.fidelity/v1"
 
@@ -66,13 +69,13 @@ class ReportBundle:
     sources: List[str] = field(default_factory=list)
 
     _DISPATCH = {
-        "repro.result/v1": "results",
-        "repro.compare/v1": "compares",
-        "repro.sweep/v1": "sweeps",
-        "repro.profile/v1": "profiles",
-        "repro.bench/v2": "bench",
-        "repro.bench.report/v1": "bench_reports",
-        "repro.trace/v1": "traces",
+        RESULT_SCHEMA: "results",
+        COMPARE_SCHEMA: "compares",
+        SWEEP_SCHEMA: "sweeps",
+        PROFILE_SCHEMA: "profiles",
+        BENCH_SCHEMA: "bench",
+        GATE_REPORT_SCHEMA: "bench_reports",
+        TRACE_SCHEMA: "traces",
     }
 
     def __len__(self) -> int:
@@ -124,37 +127,16 @@ class ReportBundle:
                 self.history[metric] = values
 
 
-def load_docs(paths: Iterable[PathLike],
-              workers: int = 1) -> List[Tuple[str, Doc]]:
-    """Read and parse JSON documents, preserving input order.
-
-    ``workers > 1`` parses on a thread pool; results are still returned
-    in input order, so downstream output is byte-identical to serial.
-    """
-    paths = [str(p) for p in paths]
-
-    def load_one(path: str) -> Tuple[str, Doc]:
+def load_bundle(paths: Iterable[PathLike] = (),
+                trace_paths: Iterable[PathLike] = (),
+                db_path: Optional[PathLike] = None) -> ReportBundle:
+    """Build a bundle from files: the ``repro report build`` front."""
+    bundle = ReportBundle()
+    for path in map(str, paths):
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: not a JSON document")
-        return path, doc
-
-    if workers > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(load_one, paths))
-    return [load_one(path) for path in paths]
-
-
-def load_bundle(paths: Iterable[PathLike] = (),
-                trace_paths: Iterable[PathLike] = (),
-                db_path: Optional[PathLike] = None,
-                workers: int = 1) -> ReportBundle:
-    """Build a bundle from files: the ``repro report build`` front."""
-    bundle = ReportBundle()
-    for path, doc in load_docs(paths, workers=workers):
         bundle.add_doc(doc, source=path)
     bundle.add_trace_files(trace_paths)
     if db_path is not None:

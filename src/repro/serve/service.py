@@ -17,7 +17,7 @@ descriptions (the ``repro.job/v1`` wire format); the service
   process pool it keeps for the service's life (started on the first
   batch, replaced after a worker dies, joined on drain and close);
 * enforces a per-job ``job_timeout`` through the engine's
-  :class:`~repro.exec.job.CancelPulse` cancellation hook;
+  :class:`~repro.exec.job.CancelPulse` timeout hook;
 * **drains gracefully**: :meth:`begin_drain` rejects new work while
   :meth:`drain` waits for everything queued or running to finish — the
   ``repro serve`` CLI wires this to SIGTERM.

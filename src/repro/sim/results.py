@@ -11,6 +11,11 @@ from repro.obs.manifest import RunManifest
 #: Version tag of the ``to_json_dict`` document layout.  Bump only on
 #: incompatible changes; additive keys keep the same version.
 RESULT_SCHEMA = "repro.result/v1"
+#: ``repro compare --json``: one workload's results keyed by
+#: configuration, with speedups normalized to the first.
+COMPARE_SCHEMA = "repro.compare/v1"
+#: ``repro sweep --json``: one workload's results per delayed-TLB size.
+SWEEP_SCHEMA = "repro.sweep/v1"
 
 
 @dataclass

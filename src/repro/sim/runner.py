@@ -8,11 +8,13 @@ All of these helpers are thin *plan builders* over the execution engine
 (:mod:`repro.exec`): they collect frozen :class:`~repro.exec.job.Job`
 descriptions into an :class:`~repro.exec.plan.ExperimentPlan` and run
 it through an executor.  Every helper therefore accepts the engine's
-knobs — ``executor`` (e.g. ``ParallelExecutor(workers=4)`` to fan the
+``executor`` (e.g. ``ParallelExecutor(workers=4)`` to fan the
 independent points across processes), ``cache`` (a ``ResultCache`` so
-reruns only simulate changed points) and ``progress`` (a callback fed
-as points finish).  Defaults — serial, uncached — behave exactly like
-the historical hand-rolled loops.
+reruns only simulate changed points), ``tracer`` (one shared event
+stream, serial only) and ``trace_spec`` (one trace shard per job).
+Defaults — serial, uncached, untraced — simulate each point in turn in
+this process.  Progress callbacks, metrics and heartbeats are
+``ExperimentPlan.run`` arguments.
 
 MMU configuration names:
 
@@ -47,9 +49,6 @@ from repro.workloads.spec import LaidOutWorkload, WorkloadSpec
 
 if TYPE_CHECKING:
     from repro.exec.cache import ResultCache
-    from repro.exec.plan import ProgressCallback
-    from repro.obs.heartbeat import BeatSpec
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer, TraceSpec
 
 MMU_CONFIGS = ("baseline", "ideal", "hybrid_tlb", "hybrid_segments",
@@ -106,11 +105,7 @@ def run_workload(workload: Union[str, WorkloadSpec], mmu_name: str,
                  tracer: Optional[Tracer] = None,
                  trace_spec: Optional[TraceSpec] = None,
                  executor=None,
-                 cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 beat: Optional[BeatSpec] = None
-                 ) -> SimulationResult:
+                 cache: Optional[ResultCache] = None) -> SimulationResult:
     """Simulate one (workload, MMU) point on a fresh system.
 
     ``baseline_thp`` runs on a transparent-huge-page kernel (2 MB-aligned
@@ -123,9 +118,7 @@ def run_workload(workload: Union[str, WorkloadSpec], mmu_name: str,
     job = Job(workload=workload, mmu=mmu_name, config=config,
               accesses=accesses, warmup=warmup, seed=seed, interval=interval)
     results = ExperimentPlan([job]).run(executor=executor, cache=cache,
-                                        tracer=tracer, progress=progress,
-                                        trace_spec=trace_spec,
-                                        metrics=metrics, beat=beat)
+                                        tracer=tracer, trace_spec=trace_spec)
     return results.result(job)
 
 
@@ -138,11 +131,7 @@ def compare_configs(workload: Union[str, WorkloadSpec],
                     tracer: Optional[Tracer] = None,
                     trace_spec: Optional[TraceSpec] = None,
                     executor=None,
-                    cache: Optional[ResultCache] = None,
-                    progress: Optional[ProgressCallback] = None,
-                    metrics: Optional[MetricsRegistry] = None,
-                    beat: Optional[BeatSpec] = None
-                    ) -> ComparisonRow:
+                    cache: Optional[ResultCache] = None) -> ComparisonRow:
     """Run one workload under several MMU configurations.
 
     A shared ``tracer`` records every configuration's events into one
@@ -161,8 +150,7 @@ def compare_configs(workload: Union[str, WorkloadSpec],
             for mmu_name in mmu_names}
     plan = ExperimentPlan(jobs.values())
     outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+                        trace_spec=trace_spec)
     results: Dict[str, SimulationResult] = {
         mmu_name: outcomes.result(job) for mmu_name, job in jobs.items()}
     return ComparisonRow(name, results)
@@ -176,10 +164,7 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
                       tracer: Optional[Tracer] = None,
                       trace_spec: Optional[TraceSpec] = None,
                       executor=None,
-                      cache: Optional[ResultCache] = None,
-                      progress: Optional[ProgressCallback] = None,
-                      metrics: Optional[MetricsRegistry] = None,
-                      beat: Optional[BeatSpec] = None
+                      cache: Optional[ResultCache] = None
                       ) -> List[SimulationResult]:
     """Figure 4 helper: hybrid+delayed-TLB across TLB sizes."""
     from repro.exec import ExperimentPlan, Job
@@ -192,6 +177,5 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
             for entries in entry_counts]
     plan = ExperimentPlan(jobs)
     outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+                        trace_spec=trace_spec)
     return [outcomes.result(job) for job in jobs]

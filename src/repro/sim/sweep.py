@@ -8,9 +8,10 @@ size) sweeps to every parameter in the system.
 
 Both sweeps are plan builders over the execution engine
 (:mod:`repro.exec`): each point becomes a frozen ``Job``, identical
-points dedupe, and the ``executor``/``cache``/``progress`` knobs allow
-parallel execution and fingerprint-keyed result reuse (see
-``docs/execution.md``).
+points dedupe, and the ``executor``/``cache`` arguments allow parallel
+execution and fingerprint-keyed result reuse (see
+``docs/execution.md``).  ``sweep_config`` is ``sweep_grid`` over one
+field.
 
 Example::
 
@@ -34,9 +35,6 @@ from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:
     from repro.exec.cache import ResultCache
-    from repro.exec.plan import ProgressCallback
-    from repro.obs.heartbeat import BeatSpec
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer, TraceSpec
 
 
@@ -76,24 +74,14 @@ def sweep_config(workload: Union[str, WorkloadSpec], mmu_name: str,
                  tracer: Optional[Tracer] = None,
                  trace_spec: Optional[TraceSpec] = None,
                  executor=None,
-                 cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 beat: Optional[BeatSpec] = None
+                 cache: Optional[ResultCache] = None
                  ) -> Dict[Any, SimulationResult]:
     """Run ``workload`` under ``mmu_name`` for each value of one field."""
-    base = base_config or SystemConfig()
-    jobs = {value: Job(workload=workload, mmu=mmu_name,
-                       config=with_overrides(base, {field_path: value}),
-                       accesses=accesses, warmup=warmup, seed=seed,
-                       interval=interval,
-                       tags=((field_path, value),))
-            for value in values}
-    plan = ExperimentPlan(jobs.values())
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
-    return {value: outcomes.result(job) for value, job in jobs.items()}
+    rows = sweep_grid(workload, mmu_name, {field_path: list(values)},
+                      base_config, accesses=accesses, warmup=warmup,
+                      seed=seed, interval=interval, tracer=tracer,
+                      trace_spec=trace_spec, executor=executor, cache=cache)
+    return {row["params"][field_path]: row["result"] for row in rows}
 
 
 def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
@@ -105,10 +93,7 @@ def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
                tracer: Optional[Tracer] = None,
                trace_spec: Optional[TraceSpec] = None,
                executor=None,
-               cache: Optional[ResultCache] = None,
-               progress: Optional[ProgressCallback] = None,
-               metrics: Optional[MetricsRegistry] = None,
-               beat: Optional[BeatSpec] = None
+               cache: Optional[ResultCache] = None
                ) -> List[Dict[str, Any]]:
     """Cartesian-product sweep over several fields.
 
@@ -129,7 +114,6 @@ def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
         plan.add(job)
         points.append((params, job))
     outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+                        trace_spec=trace_spec)
     return [{"params": params, "result": outcomes.result(job)}
             for params, job in points]

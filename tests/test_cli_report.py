@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.common.params import SystemConfig
+from repro.obs.manifest import config_fingerprint
 from repro.sim.report import (
     breakdown_chart,
     horizontal_bars,
@@ -139,6 +141,15 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["sizes"] == [1024, 2048]
         assert len(doc["delayed_tlb_mpki"]) == 2
+
+    def test_sweep_llc_override_reaches_the_simulated_llc(self, capsys):
+        assert main(["sweep", "stream", "--sizes", "1024", "--llc-mb", "8",
+                     "--json"] + FAST) == 0
+        doc = json.loads(capsys.readouterr().out)
+        config = (SystemConfig().with_llc_size(8 * 1024 * 1024)
+                  .with_delayed_tlb_entries(1024))
+        assert (doc["results"][0]["manifest"]["config_hash"]
+                == config_fingerprint(config))
 
     def test_compare_json_carries_results(self, capsys):
         assert main(["compare", "stream", "--configs", "baseline,ideal",

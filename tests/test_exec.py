@@ -185,6 +185,20 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
 
+    def test_live_tracer_rejected(self, tmp_path):
+        """A live tracer's open sink cannot reach pool workers, so a
+        pool handed one would record only its run_start marks; it must
+        ask for a TraceSpec instead."""
+        executor = ParallelExecutor(workers=2)
+        try:
+            with Tracer(sink=tmp_path / "t.jsonl") as tracer, \
+                    pytest.raises(ValueError, match="TraceSpec"):
+                executor.run([Job("stream", "baseline", **FAST)],
+                             tracer=tracer)
+        finally:
+            executor.close()
+        assert (tmp_path / "t.jsonl").read_text() == ""
+
 
 def child_pids():
     return {child.pid for child in multiprocessing.active_children()}
@@ -499,7 +513,7 @@ class TestCliEngineFlags:
 
 
 # --------------------------------------------------------------------- #
-# Job wire format + cancellation (the serving layer's engine hooks)
+# Job wire format + timeouts (the serving layer's engine hooks)
 # --------------------------------------------------------------------- #
 
 class TestJobWireFormat:
@@ -587,15 +601,6 @@ class TestCancellation:
         assert isinstance(outcome, JobError)
         assert outcome.error_type == "JobCancelled"
         assert "deadline" in outcome.message
-
-    def test_cancel_callable_aborts_serial_batch(self):
-        from repro.exec import run_job
-
-        outcome = run_job(Job("stream", "baseline",
-                              accesses=10_000_000, warmup=100),
-                          cancel=lambda: True)
-        assert isinstance(outcome, JobError)
-        assert outcome.error_type == "JobCancelled"
 
     def test_untimed_job_still_completes(self):
         from repro.exec import run_job

@@ -215,32 +215,6 @@ class TestTracer:
         stages = {e.stage for e in tracer.events}
         assert "segment_walk" in stages
 
-    def test_events_for_groups_by_seq(self):
-        t = Tracer()
-        for seq in range(3):
-            t.begin_access(0, 1, 0x1000 + seq, False)
-            t.stage("filter_probe", cycles=0)
-            t.stage("cache", cycles=4 + seq)
-        events = list(t.events_for(1))
-        assert [e.stage for e in events] == ["filter_probe", "cache"]
-        assert all(e.seq == 1 for e in events)
-        assert events[1].cycles == 5
-        assert list(t.events_for(99)) == []
-
-    def test_events_for_tracks_ring_eviction(self):
-        t = Tracer(buffer_size=3)
-        for seq in range(4):
-            t.begin_access(0, 1, seq, False)
-            t.stage("cache", cycles=1)
-            t.stage("dram", cycles=2)
-        # Buffer holds the last 3 events: access 2's "dram" + access 3's
-        # pair; access 2's "cache" was evicted from its group.
-        assert [e.stage for e in t.events_for(2)] == ["dram"]
-        assert [e.stage for e in t.events_for(3)] == ["cache", "dram"]
-        assert list(t.events_for(0)) == []
-        groups = dict(t.accesses())
-        assert set(groups) == {2, 3}
-
     def test_close_is_idempotent(self, tmp_path):
         t = Tracer(sink=tmp_path / "t.jsonl")
         t.mark("run_start")
@@ -347,63 +321,17 @@ class _FakeRegistry:
 
 
 class TestIntervalCoarsening:
-    """``max_snapshots``: bounded memory by merging adjacent windows."""
+    """The recorder keeps every window: it never merges them."""
 
-    def _drive(self, ticks, interval, max_snapshots):
+    def test_no_bound_means_no_coarsening(self):
         registry, timing = _FakeRegistry(), _FakeTiming()
-        recorder = IntervalRecorder(registry, timing, interval,
-                                    max_snapshots=max_snapshots)
-        for i in range(ticks):
+        recorder = IntervalRecorder(registry, timing, 1)
+        for _ in range(50):
             timing.acct.instructions += 1
             timing.cycles += 2
             registry.counters["g"]["c"] += 3
             recorder.tick()
         recorder.finish()
-        return recorder
-
-    def test_rejects_max_snapshots_below_two(self):
-        with pytest.raises(ValueError, match="max_snapshots"):
-            IntervalRecorder(_FakeRegistry(), _FakeTiming(), 1,
-                             max_snapshots=1)
-
-    def test_length_stays_bounded(self):
-        recorder = self._drive(ticks=1000, interval=1, max_snapshots=8)
-        assert len(recorder.snapshots) <= 8
-
-    def test_sums_survive_coarsening(self):
-        ticks = 1000
-        recorder = self._drive(ticks=ticks, interval=1, max_snapshots=8)
-        snaps = recorder.snapshots
-        assert sum(s["accesses"] for s in snaps) == ticks
-        assert sum(s["instructions"] for s in snaps) == ticks
-        assert sum(s["cycles"] for s in snaps) == 2 * ticks
-        assert sum(recorder.series("g", "c")) == 3 * ticks
-        # ipc recomputed from the merged deltas, not averaged.
-        assert all(s["ipc"] == pytest.approx(0.5) for s in snaps)
-
-    def test_effective_interval_doubles_per_coarsening(self):
-        # 9 windows of 1 with max 4: 5 -> 3 (x2), 5 -> 3 (x4).
-        recorder = self._drive(ticks=9, interval=1, max_snapshots=4)
-        assert recorder.interval == 4
-
-    def test_odd_trailing_window_survives_unmerged(self):
-        registry, timing = _FakeRegistry(), _FakeTiming()
-        recorder = IntervalRecorder(registry, timing, 1, max_snapshots=2)
-        for _ in range(3):
-            timing.acct.instructions += 1
-            timing.cycles += 1
-            recorder.tick()
-        # Third window triggered one coarsening: [2-merged, 1-lone].
-        assert [s["accesses"] for s in recorder.snapshots] == [2, 1]
-        assert [s["index"] for s in recorder.snapshots] == [0, 1]
-
-    def test_indexes_stay_contiguous(self):
-        recorder = self._drive(ticks=321, interval=2, max_snapshots=6)
-        assert ([s["index"] for s in recorder.snapshots]
-                == list(range(len(recorder.snapshots))))
-
-    def test_no_bound_means_no_coarsening(self):
-        recorder = self._drive(ticks=50, interval=1, max_snapshots=None)
         assert len(recorder.snapshots) == 50
         assert recorder.interval == 1
 

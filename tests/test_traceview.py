@@ -331,3 +331,15 @@ class TestCli:
         assert main(["trace", "workload", "stream",
                      "--accesses", "600"]) == 0
         assert "distinct pages" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--warmup", "100"], ["--json"], ["--interval", "10"],
+        ["--trace-out", "t.jsonl"], ["--sample-every", "2"]])
+    def test_trace_workload_rejects_simulation_flags(self, flag, capsys):
+        """``trace workload`` simulates nothing, so the flags of the
+        simulation commands are argparse errors, not silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "workload", "stream", "--accesses", "600"]
+                 + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
