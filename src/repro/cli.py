@@ -135,11 +135,10 @@ def _trace_setup(args):
     the historical behavior); with ``--workers N > 1`` each job gets its
     own shard, ``<out>.<fingerprint>.jsonl``, opened inside the worker.
     """
-    trace_out = getattr(args, "trace_out", None)
+    trace_out, sample_every = args.trace_out, args.sample_every
     if not trace_out:
         return None, None
-    sample_every = getattr(args, "sample_every", 1) or 1
-    if (getattr(args, "workers", None) or 1) > 1:
+    if args.workers > 1:
         return None, TraceSpec(base=trace_out, sample_every=sample_every)
     try:
         return Tracer(sample_every=sample_every, sink=trace_out), None
@@ -256,9 +255,7 @@ class _Telemetry:
         self._manager = None
         self._server: Optional[MetricsServer] = None
         self._log: Optional[SnapshotLog] = None
-        live = bool(getattr(args, "live", False))
-        port = getattr(args, "metrics_port", None)
-        out = getattr(args, "metrics_out", None)
+        live, port, out = args.live, args.metrics_port, args.metrics_out
         self.active = live or port is not None or bool(out)
         if not self.active:
             return
@@ -268,8 +265,7 @@ class _Telemetry:
                                        SnapshotLog)
 
         self.registry = MetricsRegistry()
-        queue, self._manager = open_beat_channel(
-            parallel=(getattr(args, "workers", None) or 1) > 1)
+        queue, self._manager = open_beat_channel(parallel=args.workers > 1)
         self.beat = BeatSpec(queue=queue)
         if live:
             self.live_status = LiveStatus()
