@@ -9,9 +9,12 @@ each other's streams.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import zlib
 from bisect import bisect_left
+from typing import Tuple
 
 
 def make_rng(seed: int, stream: str = "") -> random.Random:
@@ -28,23 +31,49 @@ def make_rng(seed: int, stream: str = "") -> random.Random:
     return random.Random(seed)
 
 
+#: Geometries the Zipf memo keeps, and the largest table it keeps: at
+#: most 16 tables of 65,536 floats (about 2 MiB each).  The whole
+#: catalog uses 25 geometries of at most 47,595 entries (mcf).
+_ZIPF_MEMO_TABLES = 16
+_ZIPF_MEMO_MAX_ENTRIES = 1 << 16
+
+
+def zipf_table(n: int, theta: float) -> Tuple[float, ...]:
+    """The cumulative weights of a Zipf(``theta``) distribution over
+    ``n`` ranks, normalized so the last is (about) 1.
+
+    The table depends only on ``(n, theta)``, so one is built per
+    geometry and shared as an immutable tuple: a process that traces one
+    geometry again (every job after the first in a pool worker, and each
+    process of a multi-process workload) reuses it.
+    """
+    if n <= _ZIPF_MEMO_MAX_ENTRIES:
+        return _memo_zipf_table(n, theta)
+    return _build_zipf_table(n, theta)
+
+
+def _build_zipf_table(n: int, theta: float) -> Tuple[float, ...]:
+    weights = [1.0 / ((rank + 1) ** theta) for rank in range(n)]
+    total = sum(weights)
+    return tuple(itertools.accumulate(w / total for w in weights))
+
+
+# typed: theta=1 and theta=1.0 compare equal but power differently.
+_memo_zipf_table = functools.lru_cache(maxsize=_ZIPF_MEMO_TABLES,
+                                       typed=True)(_build_zipf_table)
+
+
 def zipf_sampler(rng: random.Random, n: int, theta: float = 0.8):
     """Return a callable sampling Zipf-distributed ranks in ``[0, n)``.
 
     Uses the standard inverse-CDF construction over precomputed cumulative
-    weights; ``theta`` is the skew (0 = uniform, ~1 = strongly skewed).
-    Hot-ranked items model the hot-page behaviour of server workloads.
+    weights (:func:`zipf_table`); ``theta`` is the skew (0 = uniform, ~1 =
+    strongly skewed).  Hot-ranked items model the hot-page behaviour of
+    server workloads.
     """
     if n <= 0:
         raise ValueError("zipf_sampler needs n >= 1")
-    weights = [1.0 / ((rank + 1) ** theta) for rank in range(n)]
-    total = sum(weights)
-    cumulative = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cumulative.append(acc)
-
+    cumulative = zipf_table(n, theta)
     draw = rng.random
     last = n - 1
 

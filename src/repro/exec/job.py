@@ -16,6 +16,7 @@ so the two never form an import cycle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -38,6 +39,11 @@ if TYPE_CHECKING:
 #: Version tag of the :meth:`Job.to_json_dict` wire format — what the
 #: simulation service accepts over HTTP (``POST /jobs``).
 JOB_SCHEMA = "repro.job/v1"
+
+#: The config of every job that names none.  One shared (frozen) object,
+#: so ``config_fingerprint`` serializes and hashes it once per process,
+#: for job identities and result manifests alike.
+DEFAULT_CONFIG = SystemConfig()
 
 
 def _integer(key: str, value: Any, minimum: Optional[int] = None) -> int:
@@ -81,13 +87,26 @@ class Job:
         fields (host, wall-clock, Python version) are exactly what this
         omits; the engine adds the fields the manifest predates —
         ``interval``, ``reset_stats_after_warmup``, and a hash of ad-hoc
-        workload specs not named in the catalog.
+        workload specs not named in the catalog.  Built once per job;
+        each call returns a fresh copy the caller may mutate.
         """
+        return dict(self._identity)
+
+    def fingerprint(self) -> str:
+        """Stable short hash of :meth:`identity` — the dedup/cache key."""
+        return self._fingerprint
+
+    # A frozen job never changes, so both are computed on first use and
+    # kept on the instance (``cached_property`` writes the instance dict
+    # directly; fields, equality and hashing never see them).
+
+    @functools.cached_property
+    def _identity(self) -> Dict[str, Any]:
         identity: Dict[str, Any] = {
             "schema": MANIFEST_SCHEMA,
             "workload": self.workload_name,
             "mmu": self.mmu,
-            "config_hash": config_fingerprint(self.config or SystemConfig()),
+            "config_hash": config_fingerprint(self.config or DEFAULT_CONFIG),
             "seed": self.seed,
             "accesses": self.accesses,
             "warmup": self.warmup,
@@ -99,9 +118,9 @@ class Job:
             identity["workload_spec_hash"] = config_fingerprint(self.workload)
         return identity
 
-    def fingerprint(self) -> str:
-        """Stable short hash of :meth:`identity` — the dedup/cache key."""
-        text = json.dumps(self.identity(), sort_keys=True, default=str)
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        text = json.dumps(self._identity, sort_keys=True, default=str)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -188,7 +207,7 @@ class Job:
         hook (see :class:`~repro.obs.heartbeat.HeartbeatPulse`); it
         reports, never influences, the simulated outcome.
         """
-        config = self.config or SystemConfig()
+        config = self.config or DEFAULT_CONFIG
         kernel = Kernel(config,
                         transparent_huge_pages=self.mmu == "baseline_thp")
         laid_out = lay_out(self.workload, kernel, seed=self.seed)

@@ -92,9 +92,15 @@ def zipf_page_offsets(rng: random.Random, length: int, theta: float = 0.8,
     # (an object header / hot fields); 0 means Zipf over the whole page.
     line_pool = min(lines_per_page, total_lines) if lines_per_page else total_lines
     sample_line = zipf_sampler(rng, line_pool, line_theta)
-    permutation = list(range(pages))
-    rng.shuffle(permutation)
     getrandbits = rng.getrandbits
+    permutation = list(range(pages))
+    for i in range(pages - 1, 0, -1):
+        # rng.shuffle(permutation), draw for draw: j = randrange(i + 1).
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        permutation[i], permutation[j] = permutation[j], permutation[i]
     word_bits = (64).bit_length()
 
     def nxt() -> int:

@@ -20,7 +20,7 @@ import math
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.common.rng import make_rng, zipf_sampler
+from repro.common.rng import make_rng, zipf_sampler, zipf_table
 from repro.osmodel import Kernel
 from repro.sim.runner import lay_out
 from repro.workloads import build_pattern, names
@@ -167,6 +167,18 @@ class TestZipfSampler:
         reference, _ = reference_zipf_sampler(ScriptedRandom(values), n, 0.8)
         assert [sample() for _ in values] == [reference() for _ in values]
 
+    @pytest.mark.parametrize("n, theta", [
+        (1, 0.8), (64, 1.2), (6144, 0.8), (100, 1), (100, 1.0),
+        ((1 << 16) + 1, 0.6)])    # the last is past the memo's bound
+    def test_table_is_the_reference_and_immutable(self, n, theta):
+        _, cumulative = reference_zipf_sampler(None, n, theta)
+        table = zipf_table(n, theta)
+        assert type(table) is tuple
+        assert table == tuple(cumulative)
+        assert (zipf_table(n, theta) is table) == (n <= 1 << 16)
+        with pytest.raises(TypeError):
+            table[0] = 0.5
+
 
 class TestPatternDraws:
     @pytest.mark.parametrize("length,touch", [
@@ -187,7 +199,10 @@ class TestPatternDraws:
             [reference.randrange(0, limit) & ~0x7 for _ in range(3000)]
 
     @pytest.mark.parametrize("length,lines_per_page", [
-        (4096, 0), (64 * 4096, 0), (1 << 22, 2)])
+        (4096, 0),             # one page: nothing to shuffle
+        (64 * 4096, 0), (1 << 22, 2),
+        (100 * 4096, 0),       # not a power of two: the shuffle rejects
+        (6144 * 4096, 2)])     # speccpu_private's geometry
     def test_zipf_intra_page_word_is_randrange(self, length, lines_per_page):
         rng = make_rng(9)
         pages = length // 4096
