@@ -25,6 +25,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping
 
 
+def _at_least(config: Any, minimum: int, *names: str) -> None:
+    """Reject any of ``config``'s fields ``names`` that is below
+    ``minimum`` (or NaN), with a ``ValueError`` naming the field."""
+    for name in names:
+        value = getattr(config, name)
+        if not value >= minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and access latency of one cache level."""
@@ -39,6 +48,8 @@ class CacheConfig:
         return self.size_bytes // (self.ways * self.block_size)
 
     def __post_init__(self) -> None:
+        _at_least(self, 1, "size_bytes", "ways", "block_size")
+        _at_least(self, 0, "latency")
         if self.size_bytes % (self.ways * self.block_size):
             raise ValueError(
                 f"cache size {self.size_bytes} not divisible into "
@@ -59,6 +70,8 @@ class TlbConfig:
         return self.entries // self.ways
 
     def __post_init__(self) -> None:
+        _at_least(self, 1, "entries", "ways")
+        _at_least(self, 0, "latency")
         if self.entries % self.ways:
             raise ValueError(f"{self.entries} entries not divisible by {self.ways} ways")
 
@@ -73,6 +86,11 @@ class SynonymFilterConfig:
     # The filter probe overlaps with the L1 access for non-synonyms, so it
     # exposes no latency on the common path (Section III-A).
     latency: int = 0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "bits")
+        _at_least(self, 0, "fine_grain_shift", "coarse_grain_shift",
+                  "latency")
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,14 @@ class SegmentTranslationConfig:
     # Paper: four index-cache reads + segment table ~= 19, modeled as 20.
     full_walk_latency: int = 20
 
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "segment_table_entries", "index_cache_size",
+                  "index_cache_ways", "index_tree_fanout",
+                  "segment_cache_entries")
+        _at_least(self, 0, "segment_table_latency", "index_cache_latency",
+                  "segment_cache_grain_shift", "segment_cache_latency",
+                  "full_walk_latency")
+
 
 @dataclass(frozen=True)
 class DramConfig:
@@ -103,6 +129,11 @@ class DramConfig:
     row_miss_cycles: int = 175    # ~52 ns (precharge + activate + CAS)
     queue_penalty_cycles: int = 10
 
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "channels", "banks", "row_bytes")
+        _at_least(self, 0, "row_hit_cycles", "row_miss_cycles",
+                  "queue_penalty_cycles")
+
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -113,6 +144,9 @@ class CoreConfig:
     # Fraction of a cache-miss penalty exposed after overlap; per-workload
     # memory-level parallelism divides the raw penalty.
     default_mlp: float = 1.0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "base_cpi")
 
 
 @dataclass(frozen=True)
@@ -126,6 +160,10 @@ class WalkerConfig:
     per_level_overhead: int = 2
     walk_cache_entries: int = 32   # caches upper-level PTEs (skips 2 levels)
     nested_levels: int = 4         # host page-table levels for 2-D walks
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "levels", "walk_cache_entries", "nested_levels")
+        _at_least(self, 0, "per_level_overhead")
 
 
 @dataclass(frozen=True)
@@ -147,6 +185,9 @@ class SystemConfig:
     walker: WalkerConfig = field(default_factory=WalkerConfig)
     physical_memory_bytes: int = 4 * 1024 ** 3
 
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "cores", "physical_memory_bytes")
+
     def with_llc_size(self, size_bytes: int) -> "SystemConfig":
         """Return a copy with a different shared-LLC capacity."""
         return replace(self, llc=replace(self.llc, size_bytes=size_bytes))
@@ -165,15 +206,24 @@ class SystemConfig:
         return config_from_dict(doc)
 
 
-def _dataclass_from_dict(cls: type, doc: Mapping[str, Any]) -> Any:
+def _dataclass_from_dict(cls: type, doc: Any, path: str = "") -> Any:
     """Rebuild one (possibly nested) config dataclass from plain dicts.
 
     Field types are resolved through ``typing.get_type_hints`` because
     this module uses postponed annotations; unknown keys are ignored and
     missing keys fall back to the field default, so older documents load
     against newer configs (same forward-compatibility contract as
-    ``RunManifest.from_dict``).
+    ``RunManifest.from_dict``).  Values are checked, never coerced: a
+    non-object where a nested config belongs, a bool, float or string in
+    an integer field, and a non-number in a float field are each a
+    ``ValueError`` naming the field, prefixed with the ``path`` of the
+    nested config it sits in, as is whatever the config's own
+    ``__post_init__`` rejects.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{path or 'config'} must be an object, "
+                         f"got {doc!r}")
+    prefix = f"{path}: " if path else ""
     hints = typing.get_type_hints(cls)
     kwargs: Dict[str, Any] = {}
     for f in dataclasses.fields(cls):
@@ -181,10 +231,20 @@ def _dataclass_from_dict(cls: type, doc: Mapping[str, Any]) -> Any:
             continue
         value = doc[f.name]
         field_type = hints[f.name]
-        if dataclasses.is_dataclass(field_type) and isinstance(value, Mapping):
-            value = _dataclass_from_dict(field_type, value)
+        if dataclasses.is_dataclass(field_type):
+            value = _dataclass_from_dict(
+                field_type, value, f"{path}.{f.name}" if path else f.name)
+        elif field_type is int and type(value) is not int:
+            raise ValueError(
+                f"{prefix}{f.name} must be an integer, got {value!r}")
+        elif field_type is float and type(value) not in (int, float):
+            raise ValueError(
+                f"{prefix}{f.name} must be a number, got {value!r}")
         kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> SystemConfig:
@@ -193,6 +253,8 @@ def config_from_dict(doc: Mapping[str, Any]) -> SystemConfig:
     Exact inverse for JSON-representable fields (everything here is
     ints/floats), so ``config_fingerprint(config_from_dict(c.to_dict()))
     == config_fingerprint(c)`` — which is what keeps job fingerprints
-    stable across the ``repro.job/v1`` wire format.
+    stable across the ``repro.job/v1`` wire format.  A malformed document
+    raises ``ValueError`` naming the field (see
+    :func:`_dataclass_from_dict`).
     """
     return _dataclass_from_dict(SystemConfig, doc)

@@ -6,9 +6,12 @@ import pytest
 
 from repro.common.params import (
     CacheConfig,
+    CoreConfig,
     SystemConfig,
     TlbConfig,
+    config_from_dict,
 )
+from repro.obs.manifest import config_fingerprint
 
 
 class TestTableIvDefaults:
@@ -91,3 +94,55 @@ class TestConfigValidation:
     def test_configs_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SystemConfig().cores = 8
+
+    def test_zero_tlb_ways_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="ways must be >= 1, got 0"):
+            TlbConfig(entries=64, ways=0, latency=1)
+
+    def test_zero_cache_ways_rejected_before_dividing(self):
+        with pytest.raises(ValueError, match="ways must be >= 1, got 0"):
+            CacheConfig(size_bytes=32 * 1024, ways=0, latency=4)
+
+    def test_zero_cores_rejected(self):
+        with pytest.raises(ValueError, match="cores must be >= 1, got 0"):
+            SystemConfig(cores=0)
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError, match="latency must be >= 0, got -3"):
+            CacheConfig(size_bytes=32 * 1024, ways=4, latency=-3)
+
+
+class TestConfigFromDict:
+    """``config_from_dict`` checks what the wire format carries: each
+    rejection is a ``ValueError`` naming the field."""
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"l1_tlb": {"entries": 64, "ways": 0, "latency": 1}},
+         "l1_tlb: ways must be >= 1, got 0"),
+        ({"l2": {"size_bytes": 256 * 1024, "ways": 0, "latency": 6}},
+         "l2: ways must be >= 1, got 0"),
+        ({"cores": 0}, "cores must be >= 1, got 0"),
+        ({"l1": 5}, "l1 must be an object, got 5"),
+        ({"cores": "2"}, "cores must be an integer, got '2'"),
+        ({"cores": True}, "cores must be an integer, got True"),
+        ({"cores": 2.0}, "cores must be an integer, got 2.0"),
+        ({"l1": {"size_bytes": 32 * 1024, "ways": 4, "latency": -3}},
+         "l1: latency must be >= 0, got -3"),
+        ({"core": {"base_cpi": "0.4"}},
+         "core: base_cpi must be a number, got '0.4'"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, reason):
+        with pytest.raises(ValueError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == reason
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="config must be an object"):
+            config_from_dict([1, 2])
+
+    def test_valid_documents_keep_their_fingerprints(self):
+        for config in (SystemConfig(), SystemConfig(cores=2),
+                       SystemConfig(core=CoreConfig(base_cpi=1))):
+            back = config_from_dict(config.to_dict())
+            assert back == config
+            assert config_fingerprint(back) == config_fingerprint(config)
