@@ -2,11 +2,13 @@
 
 Each entry is one ``repro.result/v1`` JSON document stored at
 ``<root>/<fingerprint>.json``, with the job's identity embedded so a
-human can tell what produced it.  Loads verify the schema and the
-recorded fingerprint; anything missing, corrupt, or mismatched is a
-miss — a broken cache entry can cost a re-simulation, never a wrong
-result.  Stores are atomic (temp file + rename) with per-writer temp
-names — pid, thread id and a monotonic counter — so concurrent
+human can tell what produced it.  Loads verify the schema and require
+the recorded fingerprint to be the job's own; anything missing,
+corrupt, or mismatched is a miss (a bare ``repro run --json`` document
+carries no fingerprint, so it never loads as some job's result).  A
+broken cache entry can cost a re-simulation, never a wrong result.
+Stores are atomic (temp file + rename) with per-writer temp names —
+pid, thread id and a monotonic counter — so concurrent
 processes, concurrent threads (two service workers racing on the same
 fingerprint) and interrupted runs cannot leave half-written or
 interleaved entries behind.
@@ -73,11 +75,8 @@ class ResultCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
-        if not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA:
-            self.misses += 1
-            return None
-        stored_fp = doc.get("fingerprint")
-        if stored_fp is not None and stored_fp != job.fingerprint():
+        if (not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA
+                or doc.get("fingerprint") != job.fingerprint()):
             self.misses += 1
             return None
         try:
