@@ -8,9 +8,11 @@ the ``repro.result/v1`` / ``repro.compare/v1`` / ``repro.sweep/v1``
 JSON documents the cache and the CLI rely on.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -18,7 +20,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.common.params import SystemConfig
+from repro.common.params import CoreConfig, SystemConfig
 from repro.exec import (
     ExperimentPlan,
     Job,
@@ -27,7 +29,9 @@ from repro.exec import (
     ParallelExecutor,
     ResultCache,
     SerialExecutor,
+    result_document,
 )
+from repro.obs.manifest import config_fingerprint
 from repro.obs.tracer import Tracer
 from repro.sim import run_workload
 from repro.sim.results import RESULT_SCHEMA, SimulationResult
@@ -90,6 +94,51 @@ class TestJobFingerprint:
         job_identity = job.identity()
         for key in manifest_identity:
             assert job_identity[key] == manifest_identity[key], key
+
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_equal_configs_that_encode_differently_stay_distinct(self,
+                                                                 int_first):
+        """``base_cpi=1`` and ``base_cpi=1.0`` compare and hash equal but
+        encode differently; whichever is hashed first, neither borrows
+        the other's fingerprint."""
+        as_int = SystemConfig(core=CoreConfig(base_cpi=1))
+        as_float = SystemConfig(core=CoreConfig(base_cpi=1.0))
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        order = (as_int, as_float) if int_first else (as_float, as_int)
+        hashes = [config_fingerprint(config) for config in order]
+        jobs = [Job("stream", "baseline", config=config, **FAST)
+                for config in order]
+        assert hashes[0] != hashes[1]
+        assert jobs[0] == jobs[1]
+        assert jobs[0].fingerprint() != jobs[1].fingerprint()
+        # Each matches what a fresh copy of its config hashes to.
+        assert hashes == [config_fingerprint(dataclasses.replace(config))
+                          for config in order]
+
+    def test_mutating_the_identity_changes_nothing(self):
+        job = Job("stream", "baseline", **FAST)
+        fingerprint = job.fingerprint()
+        identity = job.identity()
+        expected = dict(identity)
+        identity["seed"] = 7
+        identity["extra"] = "x"
+        assert job.identity() == expected
+        assert job.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("hashed_before", [False, True])
+    def test_pickled_job_keeps_its_fingerprint(self, hashed_before):
+        job = Job("stream", "hybrid_tlb",
+                  config=SystemConfig().with_delayed_tlb_entries(512),
+                  **FAST)
+        expected = Job("stream", "hybrid_tlb",
+                       config=SystemConfig().with_delayed_tlb_entries(512),
+                       **FAST).fingerprint()
+        if hashed_before:
+            job.fingerprint()
+        back = pickle.loads(pickle.dumps(job))
+        assert back == job
+        assert back.fingerprint() == expected
+        assert back.identity() == job.identity()
 
 
 # --------------------------------------------------------------------- #
@@ -358,6 +407,25 @@ class TestResultCache:
         cache.path(job).write_text(json.dumps({"schema": "bogus/v9"}))
         assert cache.load(job) is None
 
+    def test_entry_without_a_fingerprint_is_a_miss(self, tmp_path):
+        """A bare ``repro run --json`` document saved at another job's
+        path is not that job's result."""
+        cache = ResultCache(tmp_path)
+        job = Job("gups", "hybrid_tlb", **FAST)
+        other = Job("stream", "baseline", **FAST)
+        cache.path(job).write_text(json.dumps(other.run().to_json_dict()))
+        assert cache.load(job) is None
+        assert cache.misses == 1 and cache.hits == 0
+
+    def test_entry_with_a_foreign_fingerprint_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = Job("gups", "hybrid_tlb", **FAST)
+        other = Job("stream", "baseline", **FAST)
+        cache.path(job).write_text(
+            json.dumps(result_document(other, other.run())))
+        assert cache.load(job) is None
+        assert cache.misses == 1 and cache.hits == 0
+
     def test_entry_is_a_result_v1_document_with_identity(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = Job("stream", "baseline", **FAST)
@@ -582,8 +650,6 @@ class TestJobWireFormat:
                                               accesses=0, warmup=0)
 
     def test_adhoc_spec_jobs_have_no_wire_form(self):
-        import dataclasses
-
         from repro.workloads import spec as catalog_spec
 
         adhoc = dataclasses.replace(catalog_spec("stream"), name="adhoc")

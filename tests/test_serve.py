@@ -13,6 +13,7 @@ ephemeral port.  The load-bearing pins:
   ``repro_serve_*`` families.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.params import SystemConfig
 from repro.exec import Job, ParallelExecutor, ResultCache, SerialExecutor
 from repro.serve import (ERROR_SCHEMA, HEALTH_SCHEMA, STATUS_SCHEMA,
                          JobService, QueueFullError, ServeServer,
@@ -152,6 +154,33 @@ class TestSubmissionApi:
                     assert status == 400, (field, value)
                     assert field in json.loads(body)["error"]
                 assert service.counts()["queued"] == 0
+            finally:
+                service.close()
+
+    @pytest.mark.parametrize("config, field", [
+        ({"l1_tlb": {"entries": 64, "ways": 0, "latency": 1}}, "ways"),
+        ({"l1": {"size_bytes": 32768, "ways": 0, "latency": 4}}, "ways"),
+        ({"cores": 0}, "cores"),
+        ({"l1": 5}, "l1"),
+        ({"cores": "2"}, "cores"),
+        ({"cores": True}, "cores"),
+        ({"l1": {"size_bytes": 32768, "ways": 4, "latency": -3}},
+         "latency"),
+    ])
+    def test_malformed_config_answers_400_naming_the_field(self, config,
+                                                           field):
+        service = JobService(start=False)
+        with ServeServer(service) as server:
+            try:
+                doc = make_job().to_json_dict()
+                doc["config"] = config
+                status, body, _ = http(server.url, "/jobs",
+                                       data=json.dumps(doc).encode())
+                assert status == 400
+                assert field in json.loads(body)["error"]
+                assert service.counts()["queued"] == 0
+                status, _, _ = http(server.url, "/healthz")
+                assert status == 200
             finally:
                 service.close()
 
@@ -329,6 +358,41 @@ class TestCacheIntegration:
                 assert hits.get() == 1
             finally:
                 service.close()
+
+
+class TestFixedCosts:
+    def test_default_config_is_hashed_at_most_once(self, tmp_path,
+                                                   monkeypatch):
+        """A first-time job, a cache hit and a replay, each submitted as
+        a fresh ``Job`` the way the HTTP layer builds them, serialize
+        and hash the default ``SystemConfig`` at most once between them
+        (13 times when every identity rebuilt it)."""
+        serialized = []
+        asdict = dataclasses.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            if isinstance(obj, SystemConfig):
+                serialized.append(obj)
+            return asdict(obj, *args, **kwargs)
+
+        monkeypatch.setattr(dataclasses, "asdict", counting_asdict)
+
+        def submit(service):
+            record, disposition = service.submit(make_job())
+            assert record.done.wait(60) and record.status == "done"
+            return disposition
+
+        dispositions = []
+        for submissions in (1, 2):          # a fresh service, one cache
+            service = JobService(cache=ResultCache(tmp_path),
+                                 executor=SerialExecutor())
+            try:
+                dispositions += [submit(service) for _ in range(submissions)]
+            finally:
+                service.drain(timeout=60)
+                service.close()
+        assert dispositions == ["accepted", "cached", "replayed"]
+        assert len(serialized) <= 1
 
 
 class TestAdmissionControl:
