@@ -58,7 +58,8 @@ def _build_zipf_table(n: int, theta: float) -> Tuple[float, ...]:
     return tuple(itertools.accumulate(w / total for w in weights))
 
 
-# typed: theta=1 and theta=1.0 compare equal but power differently.
+# typed, so the memo stays exact: theta=4 and theta=4.0 compare equal
+# but take different pow paths (exact int, rounded float).
 _memo_zipf_table = functools.lru_cache(maxsize=_ZIPF_MEMO_TABLES,
                                        typed=True)(_build_zipf_table)
 

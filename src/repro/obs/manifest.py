@@ -26,7 +26,8 @@ MANIFEST_SCHEMA = "repro.manifest/v1"
 #: ``id(config) -> (config, fingerprint)``.  Holding the config keeps its
 #: id from being reused while the entry lives.  Never keyed by equality:
 #: ``CoreConfig(base_cpi=1)`` equals ``CoreConfig(base_cpi=1.0)`` but
-#: encodes, and so hashes, differently.
+#: encodes, and so hashes, differently.  Threads that race on an entry
+#: each store the same value, so the memo needs no lock.
 _FINGERPRINTS: Dict[int, Tuple[Any, str]] = {}
 #: Entries the memo holds before it starts over.
 _FINGERPRINTS_MAX = 64
