@@ -20,6 +20,9 @@ given in the running text (Sections III-B, IV-C, VI-A):
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping
@@ -188,6 +191,18 @@ class SystemConfig:
     def __post_init__(self) -> None:
         _at_least(self, 1, "cores", "physical_memory_bytes")
 
+    # A frozen config never changes, so its fingerprint is computed on
+    # first use and kept on the instance, as a ``Job`` keeps its
+    # identity (``cached_property`` writes the instance dict directly;
+    # fields, equality and hashing never see it, and a pickle carries it
+    # to a pool worker).  Never shared between equal configs:
+    # ``CoreConfig(base_cpi=1)`` equals ``CoreConfig(base_cpi=1.0)`` but
+    # encodes, and so hashes, differently.
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        return _digest(dataclasses.asdict(self))
+
     def with_llc_size(self, size_bytes: int) -> "SystemConfig":
         """Return a copy with a different shared-LLC capacity."""
         return replace(self, llc=replace(self.llc, size_bytes=size_bytes))
@@ -204,6 +219,23 @@ class SystemConfig:
     def from_dict(cls, doc: Mapping[str, Any]) -> "SystemConfig":
         """Inverse of :meth:`to_dict` — see :func:`config_from_dict`."""
         return config_from_dict(doc)
+
+
+def config_fingerprint(config: Any) -> str:
+    """Stable short hash of a (nested, frozen) config dataclass, or of a
+    plain JSON-representable value: the first 16 hex digits of the
+    SHA-256 of its sorted-key JSON.  A :class:`SystemConfig` is hashed
+    once per object."""
+    if isinstance(config, SystemConfig):
+        return config._fingerprint
+    if dataclasses.is_dataclass(config):
+        return _digest(dataclasses.asdict(config))
+    return _digest(config)
+
+
+def _digest(payload: Any) -> str:
+    text = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _dataclass_from_dict(cls: type, doc: Any, path: str = "") -> Any:

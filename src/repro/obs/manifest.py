@@ -12,51 +12,14 @@ identical results.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import platform
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import __version__
+from repro.common.params import config_fingerprint
 
 MANIFEST_SCHEMA = "repro.manifest/v1"
-
-#: Fingerprints of the frozen configs hashed lately, by object identity:
-#: ``id(config) -> (config, fingerprint)``.  Holding the config keeps its
-#: id from being reused while the entry lives.  Never keyed by equality:
-#: ``CoreConfig(base_cpi=1)`` equals ``CoreConfig(base_cpi=1.0)`` but
-#: encodes, and so hashes, differently.  Threads that race on an entry
-#: each store the same value, so the memo needs no lock.
-_FINGERPRINTS: Dict[int, Tuple[Any, str]] = {}
-#: Entries the memo holds before it starts over.
-_FINGERPRINTS_MAX = 64
-
-
-def config_fingerprint(config: Any) -> str:
-    """Stable short hash of a (nested, frozen) config dataclass.
-
-    A frozen dataclass is serialized and hashed once per object (the memo
-    starts over after :data:`_FINGERPRINTS_MAX` objects), so the jobs
-    that share one config object, such as the default, pay for it once
-    per process.
-    """
-    if not dataclasses.is_dataclass(config):
-        return _digest(config)
-    entry = _FINGERPRINTS.get(id(config))
-    if entry is not None and entry[0] is config:
-        return entry[1]
-    fingerprint = _digest(dataclasses.asdict(config))
-    if type(config).__dataclass_params__.frozen:
-        if len(_FINGERPRINTS) >= _FINGERPRINTS_MAX:
-            _FINGERPRINTS.clear()
-        _FINGERPRINTS[id(config)] = (config, fingerprint)
-    return fingerprint
-
-
-def _digest(payload: Any) -> str:
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass

