@@ -14,6 +14,7 @@ ephemeral port.  The load-bearing pins:
 """
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -366,7 +367,8 @@ class TestFixedCosts:
         """A first-time job, a cache hit and a replay, each submitted as
         a fresh ``Job`` the way the HTTP layer builds them, serialize
         and hash the default ``SystemConfig`` at most once between them
-        (13 times when every identity rebuilt it)."""
+        (13 times when every identity rebuilt it), and build each job's
+        identity once."""
         serialized = []
         asdict = dataclasses.asdict
 
@@ -376,9 +378,22 @@ class TestFixedCosts:
             return asdict(obj, *args, **kwargs)
 
         monkeypatch.setattr(dataclasses, "asdict", counting_asdict)
+        built = []
+        build_identity = Job._identity.func
+
+        def counting_identity(job):
+            built.append(job)
+            return build_identity(job)
+
+        identity = functools.cached_property(counting_identity)
+        identity.__set_name__(Job, "_identity")
+        monkeypatch.setattr(Job, "_identity", identity)
+
+        submitted = []
 
         def submit(service):
-            record, disposition = service.submit(make_job())
+            submitted.append(make_job())
+            record, disposition = service.submit(submitted[-1])
             assert record.done.wait(60) and record.status == "done"
             return disposition
 
@@ -393,6 +408,7 @@ class TestFixedCosts:
                 service.close()
         assert dispositions == ["accepted", "cached", "replayed"]
         assert len(serialized) <= 1
+        assert [id(job) for job in built] == [id(job) for job in submitted]
 
 
 class TestAdmissionControl:
