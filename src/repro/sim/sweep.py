@@ -17,7 +17,10 @@ Example::
 
     results = sweep_config("gups", "hybrid_segments",
                            "segments.segment_cache_entries",
-                           [0, 32, 128, 512])
+                           [16, 32, 128, 512])
+
+A segment cache holds at least one entry; a run without one is the
+``hybrid_segments_nosc`` MMU configuration.
 """
 
 from __future__ import annotations
