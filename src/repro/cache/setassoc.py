@@ -40,9 +40,7 @@ class SetAssociativeCache:
         self.name = name
         self.stats = stats or StatGroup(name)
         self._counts = self.stats.counts
-        sets = config.sets
-        if sets & (sets - 1):
-            raise ValueError(f"{name}: set count {sets} must be a power of two")
+        sets = config.sets             # a power of two (CacheConfig checks)
         self._sets: List[Dict[int, int]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
         self._ways = config.ways

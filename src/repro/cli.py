@@ -112,12 +112,19 @@ EXPERIMENTS = (
 )
 
 
-def _system_config(args) -> SystemConfig:
+def _system_config(args, entries: Optional[int] = None) -> SystemConfig:
+    """The machine the flags describe; ``entries`` (a sweep point)
+    overrides the delayed-TLB size."""
     config = SystemConfig()
-    if getattr(args, "llc_mb", None):
-        config = config.with_llc_size(args.llc_mb * 1024 * 1024)
-    if getattr(args, "delayed_entries", None):
-        config = config.with_delayed_tlb_entries(args.delayed_entries)
+    try:
+        if getattr(args, "llc_mb", None):
+            config = config.with_llc_size(args.llc_mb * 1024 * 1024)
+        if getattr(args, "delayed_entries", None):
+            config = config.with_delayed_tlb_entries(args.delayed_entries)
+        if entries is not None:
+            config = config.with_delayed_tlb_entries(entries)
+    except ValueError as exc:
+        raise SystemExit(f"repro: cannot build that machine: {exc}")
     return config
 
 
@@ -385,11 +392,8 @@ def _job(args, mmu: str, interval: Optional[int],
     point's ``run_start`` trace mark."""
     from repro.exec import Job
 
-    config = _system_config(args)
-    tags = ()
-    if entries is not None:
-        config = config.with_delayed_tlb_entries(entries)
-        tags = ((tag, entries),)
+    config = _system_config(args, entries)
+    tags = ((tag, entries),) if entries is not None else ()
     return Job(workload=args.workload, mmu=mmu, config=config,
                accesses=args.accesses, warmup=args.warmup, seed=args.seed,
                interval=interval, tags=tags)

@@ -25,7 +25,7 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 
 def _at_least(config: Any, minimum: int, *names: str) -> None:
@@ -35,6 +35,14 @@ def _at_least(config: Any, minimum: int, *names: str) -> None:
         value = getattr(config, name)
         if not value >= minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _power_of_two_sets(sets: int, geometry: str) -> None:
+    """Reject a set count that is not a power of two: the structures
+    index a set by masking the key's low bits."""
+    if sets & (sets - 1):
+        raise ValueError(f"{geometry} gives {sets} sets; the set count "
+                         f"must be a power of two")
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,12 @@ class CacheConfig:
         _at_least(self, 0, "latency")
         if self.size_bytes % (self.ways * self.block_size):
             raise ValueError(
-                f"cache size {self.size_bytes} not divisible into "
+                f"size_bytes {self.size_bytes} not divisible into "
                 f"{self.ways}-way sets of {self.block_size} B blocks"
             )
+        _power_of_two_sets(self.sets, f"size_bytes {self.size_bytes} in "
+                           f"{self.ways}-way sets of {self.block_size} B "
+                           f"blocks")
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,8 @@ class TlbConfig:
         _at_least(self, 0, "latency")
         if self.entries % self.ways:
             raise ValueError(f"{self.entries} entries not divisible by {self.ways} ways")
+        _power_of_two_sets(self.sets, f"entries {self.entries} in "
+                           f"{self.ways}-way sets")
 
 
 @dataclass(frozen=True)
@@ -94,6 +107,8 @@ class SynonymFilterConfig:
         _at_least(self, 1, "bits")
         _at_least(self, 0, "fine_grain_shift", "coarse_grain_shift",
                   "latency")
+        if self.bits & (self.bits - 1):
+            raise ValueError(f"bits must be a power of two, got {self.bits}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,23 @@ class SegmentTranslationConfig:
         _at_least(self, 0, "segment_table_latency", "index_cache_latency",
                   "segment_cache_grain_shift", "segment_cache_latency",
                   "full_walk_latency")
+        try:
+            self.index_cache_geometry()
+        except ValueError as exc:
+            raise ValueError(f"index_cache_size {self.index_cache_size} "
+                             f"makes no index cache: {exc}") from None
+
+    def index_cache_geometry(self, size_bytes: Optional[int] = None
+                             ) -> CacheConfig:
+        """The index cache as a cache level of 64 B node blocks:
+        ``size_bytes`` (default ``index_cache_size``) in
+        ``index_cache_ways`` ways, halved until one set fits, so the
+        tiny sweep points (Figure 7 goes down to 128 B) still build."""
+        size = self.index_cache_size if size_bytes is None else size_bytes
+        ways = self.index_cache_ways
+        while size // (ways * 64) < 1 and ways > 1:
+            ways //= 2
+        return CacheConfig(size, ways, self.index_cache_latency)
 
 
 @dataclass(frozen=True)

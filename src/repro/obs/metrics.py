@@ -6,7 +6,7 @@ log2 histograms (each series addressed by a metric name plus a frozen
 label set), and consumers *read* consistent snapshots — as a nested
 dict, as Prometheus text format (:func:`render_prometheus`), as
 appended JSONL (:class:`SnapshotLog`), or over HTTP
-(:class:`MetricsServer`, a stdlib ``http.server`` on ``/metrics``).
+(:class:`MetricsServer`, ``/metrics`` on ``repro serve``'s listener).
 
 Overhead discipline mirrors the tracer: every probe site checks
 ``metrics.enabled`` (a plain attribute) before doing any work, and
@@ -390,7 +390,7 @@ class SnapshotLog:
 
 
 # ---------------------------------------------------------------------- #
-# /metrics HTTP endpoint (stdlib only)
+# /metrics HTTP endpoint
 # ---------------------------------------------------------------------- #
 
 class MetricsServer:
@@ -401,52 +401,34 @@ class MetricsServer:
     ephemeral port (read it back from :attr:`port`), which is what the
     tests use.  The server holds only a reference to the registry — it
     renders at request time, so scrapes always see the current state.
+    It runs on ``repro serve``'s listener
+    (:class:`~repro.serve.http.HttpListener`).
     """
 
     def __init__(self, registry: MetricsRegistry, port: int = 0,
                  host: str = "127.0.0.1") -> None:
-        import http.server
+        from repro.serve.http import HttpListener, error_response
 
-        server_registry = registry
+        def route(method: str, target: str, body: bytes) -> Any:
+            path = target.split("?")[0]
+            if path == "/metrics":
+                return (200, render_prometheus(registry).encode("utf-8"),
+                        "text/plain; version=0.0.4; charset=utf-8", None)
+            if path == "/metrics.json":
+                return (200, json.dumps(registry.snapshot(), sort_keys=True)
+                        .encode("utf-8"), "application/json", None)
+            return error_response(404, "try /metrics")
 
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self) -> None:
-                if self.path.split("?")[0] == "/metrics":
-                    body = render_prometheus(server_registry).encode("utf-8")
-                    ctype = "text/plain; version=0.0.4; charset=utf-8"
-                elif self.path.split("?")[0] == "/metrics.json":
-                    body = json.dumps(server_registry.snapshot(),
-                                      sort_keys=True).encode("utf-8")
-                    ctype = "application/json"
-                else:
-                    self.send_error(404, "try /metrics")
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt: str, *args: Any) -> None:
-                return None          # scrapes must not pollute stderr
-
-        self._server = http.server.ThreadingHTTPServer((host, port), Handler)
-        self.host, self.port = self._server.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
+        self._listener = HttpListener(route, host, port,
+                                      name="repro-metrics")
+        self.host, self.port = self._listener.host, self._listener.port
 
     def start(self) -> "MetricsServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-metrics",
-                                        daemon=True)
-        self._thread.start()
+        self._listener.start()
         return self
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._listener.close()
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

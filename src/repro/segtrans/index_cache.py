@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cache.setassoc import SetAssociativeCache
-from repro.common.params import CacheConfig, SegmentTranslationConfig
+from repro.common.params import SegmentTranslationConfig
 from repro.common.stats import StatGroup
 
 #: Cost (cycles) of fetching one tree node from memory on an index-cache
@@ -31,14 +31,8 @@ class IndexCache:
                  stats: StatGroup | None = None,
                  size_bytes: Optional[int] = None) -> None:
         self.config = config or SegmentTranslationConfig()
-        size = size_bytes if size_bytes is not None else self.config.index_cache_size
-        ways = self.config.index_cache_ways
-        # Tiny sweep points (Figure 7 goes down to 128 B) cannot sustain
-        # 8 ways; degrade associativity gracefully.
-        while size // (ways * 64) < 1 and ways > 1:
-            ways //= 2
         self._cache = SetAssociativeCache(
-            CacheConfig(size, ways, self.config.index_cache_latency), "index_cache")
+            self.config.index_cache_geometry(size_bytes), "index_cache")
         self.stats = stats or StatGroup("index_cache")
         self._memory_charge = memory_charge or (lambda pa: 200)
 

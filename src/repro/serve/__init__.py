@@ -9,8 +9,9 @@ the configured executor behind a bounded queue with admission control
 (429 + ``Retry-After``).  SIGTERM drains in-flight work before exit.
 
 * :class:`JobService` — the core (coalescing, batching, drain);
-* :class:`ServeServer` — the stdlib HTTP front end
-  (``/jobs``, ``/healthz``, ``/metrics``).
+* :class:`ServeServer` — the HTTP front end (``/jobs``, ``/healthz``,
+  ``/metrics``), one ``selectors`` loop thread with its own HTTP/1.1
+  parser (:class:`~repro.serve.http.HttpListener`).
 
 See ``docs/serving.md``.
 """

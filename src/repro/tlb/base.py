@@ -51,9 +51,7 @@ class SetAssociativeTlb:
         self.stats = stats or StatGroup(name)
         self._counts = self.stats.counts
         self._sets: list[Dict[int, TlbEntry]] = [{} for _ in range(config.sets)]
-        self._set_mask = config.sets - 1
-        if config.sets & self._set_mask:
-            raise ValueError("TLB set count must be a power of two")
+        self._set_mask = config.sets - 1   # a power of two (TlbConfig checks)
         self.latency = config.latency
 
     def lookup(self, page_key: int) -> Optional[TlbEntry]:

@@ -53,3 +53,16 @@ def test_served_job_imports_nothing_new():
         "run_job(Job('gups', 'hybrid_tlb', accesses=200, warmup=0))\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     assert new == []
+
+
+def test_serve_and_metrics_server_load_no_stdlib_http_stack():
+    """The listener parses HTTP itself: neither the service nor a
+    ``/metrics`` endpoint pulls in ``http.server`` and what it imports."""
+    loaded = _fresh(
+        "import json, sys\n"
+        "import repro.serve\n"
+        "from repro.obs.metrics import MetricsRegistry, MetricsServer\n"
+        "MetricsServer(MetricsRegistry()).start().close()\n"
+        "print(json.dumps([m for m in ('http.server', 'http.client', "
+        "'email.parser') if m in sys.modules]))\n")
+    assert loaded == []

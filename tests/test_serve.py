@@ -1,7 +1,7 @@
 """End-to-end tests for the simulation service (``repro.serve``).
 
-Every HTTP test runs against a real ``ThreadingHTTPServer`` on an
-ephemeral port.  The load-bearing pins:
+Every HTTP test runs against a real listener (one selector loop
+thread) on an ephemeral port.  The load-bearing pins:
 
 * N concurrent identical submissions execute exactly **one** simulation
   and every client receives byte-identical ``repro.result/v1`` bodies;
@@ -10,15 +10,19 @@ ephemeral port.  The load-bearing pins:
 * a full queue answers 429 with ``Retry-After`` (admission control);
 * SIGTERM drains in-flight jobs before the process exits (subprocess);
 * ``/metrics`` exposes parseable Prometheus text with the
-  ``repro_serve_*`` families.
+  ``repro_serve_*`` families;
+* the transport keeps a kept-alive connection in step, answers
+  pipelined requests in order and is never held up by a stalled client.
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -73,6 +77,33 @@ def wait_terminal(base, fingerprint, timeout=120):
         assert status == 202, f"unexpected status {status}"
         time.sleep(0.02)
     raise AssertionError(f"job {fingerprint} never finished")
+
+
+@contextlib.contextmanager
+def raw_connection(server):
+    """A plain socket to ``server`` and a buffered reader over it."""
+    sock = socket.create_connection((server.host, server.port), timeout=10)
+    reader = sock.makefile("rb")
+    try:
+        yield sock, reader
+    finally:
+        reader.close()
+        sock.close()
+
+
+def read_response(reader):
+    """``(status, headers, body)`` of the next response on ``reader``;
+    header names are lower-cased."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length",
+                                                        0)))
 
 
 def child_pids(pid):
@@ -167,6 +198,12 @@ class TestSubmissionApi:
         ({"cores": True}, "cores"),
         ({"l1": {"size_bytes": 32768, "ways": 4, "latency": -3}},
          "latency"),
+        # Geometries only the built structures used to reject, mid-run.
+        ({"l1": {"size_bytes": 768, "ways": 4, "latency": 4}},
+         "size_bytes"),
+        ({"l1_tlb": {"entries": 48, "ways": 4, "latency": 1}}, "entries"),
+        ({"synonym_filter": {"bits": 1000}}, "bits"),
+        ({"segments": {"index_cache_size": 100}}, "index_cache_size"),
     ])
     def test_malformed_config_answers_400_naming_the_field(self, config,
                                                            field):
@@ -243,6 +280,35 @@ class TestSubmissionApi:
                 service.close()
         assert elapsed < 0.15, f"10 keep-alive requests took {elapsed:.3f}s"
 
+    @pytest.mark.parametrize("path, length, code", [
+        ("/nope", None, 404),
+        ("/jobs", "x", 400),
+    ])
+    def test_post_answered_early_keeps_the_connection_in_step(
+            self, path, length, code):
+        """A POST answered without its job (unknown route, unreadable
+        Content-Length) must not leave its body on the connection for
+        the next request to trip over."""
+        service = JobService(start=False)
+        body = json.dumps(make_job().to_json_dict()).encode()
+        with ServeServer(service) as server:
+            conn = HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                conn.putrequest("POST", path)
+                conn.putheader("Content-Length", length or str(len(body)))
+                conn.endheaders(body)
+                response = conn.getresponse()
+                assert response.status == code
+                assert "error" in json.loads(response.read())
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["schema"] == HEALTH_SCHEMA
+                assert service.counts()["queued"] == 0
+            finally:
+                conn.close()
+                service.close()
+
     def test_jobs_listing(self):
         service = JobService(start=False)
         with ServeServer(service) as server:
@@ -255,6 +321,100 @@ class TestSubmissionApi:
                 assert doc["schema"] == "repro.serve.jobs/v1"
                 assert len(doc["jobs"]) == 2
                 assert {j["status"] for j in doc["jobs"]} == {"queued"}
+            finally:
+                service.close()
+
+
+class TestTransport:
+    """The listener itself, driven over plain sockets."""
+
+    def test_stalled_clients_do_not_delay_another(self):
+        service = JobService(start=False)
+        with ServeServer(service) as server, \
+                raw_connection(server) as (half, _), \
+                raw_connection(server) as (idle, idle_reader):
+            try:
+                half.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+                idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert read_response(idle_reader)[0] == 200
+                started = time.perf_counter()
+                status, _, _ = http(server.url, "/healthz")
+                elapsed = time.perf_counter() - started
+            finally:
+                service.close()
+        assert status == 200
+        assert elapsed < 1.0, f"/healthz took {elapsed:.3f}s"
+
+    def test_pipelined_requests_answer_in_order(self):
+        service = JobService(start=False)
+        body = json.dumps(make_job().to_json_dict()).encode()
+        with ServeServer(service) as server, \
+                raw_connection(server) as (sock, reader):
+            try:
+                sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: %d"
+                             b"\r\n\r\n%sGET /healthz HTTP/1.1\r\n\r\n"
+                             % (len(body), body))
+                status, _, reply = read_response(reader)
+                assert status == 202
+                assert json.loads(reply)["disposition"] == "accepted"
+                status, _, reply = read_response(reader)
+                assert status == 200
+                assert json.loads(reply)["queued"] == 1
+            finally:
+                service.close()
+
+    def test_expect_100_continue(self):
+        service = JobService(start=False)
+        body = json.dumps(make_job().to_json_dict()).encode()
+        with ServeServer(service) as server, \
+                raw_connection(server) as (sock, reader):
+            try:
+                sock.sendall(b"POST /jobs HTTP/1.1\r\nExpect: 100-continue"
+                             b"\r\nContent-Length: %d\r\n\r\n" % len(body))
+                assert read_response(reader) == (100, {}, b"")
+                sock.sendall(body)
+                status, _, reply = read_response(reader)
+                assert status == 202
+                assert json.loads(reply)["disposition"] == "accepted"
+            finally:
+                service.close()
+
+    @pytest.mark.parametrize("request_bytes, code", [
+        # A head that reaches 64 KiB without its blank line.
+        (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * (64 * 1024 - 23), 431),
+        (b"garbage\r\n\r\n", 400),
+        (b"DELETE /jobs HTTP/1.1\r\n\r\n", 501),
+    ], ids=["head-over-64k", "bad-request-line", "unsupported-method"])
+    def test_protocol_errors_answer_json(self, request_bytes, code):
+        service = JobService(start=False)
+        with ServeServer(service) as server, \
+                raw_connection(server) as (sock, reader):
+            try:
+                sock.sendall(request_bytes)
+                status, headers, body = read_response(reader)
+            finally:
+                service.close()
+        assert status == code
+        assert headers["content-type"] == "application/json"
+        assert set(json.loads(body)) == {"error"}
+
+    def test_http10_closes_unless_asked_to_keep_alive(self):
+        service = JobService(start=False)
+        with ServeServer(service) as server:
+            try:
+                with raw_connection(server) as (sock, reader):
+                    sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                    status, headers, _ = read_response(reader)
+                    assert status == 200
+                    assert headers["connection"] == "close"
+                    assert reader.read() == b""
+                with raw_connection(server) as (sock, reader):
+                    for _ in range(2):
+                        sock.sendall(b"GET /healthz HTTP/1.0\r\n"
+                                     b"Connection: keep-alive\r\n\r\n")
+                        status, headers, _ = read_response(reader)
+                        assert status == 200
+                        assert "connection" not in headers
             finally:
                 service.close()
 
