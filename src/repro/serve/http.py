@@ -53,7 +53,7 @@ import selectors
 import socket
 import threading
 from http import HTTPStatus
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.exec.job import Job
 from repro.obs.metrics import NULL_METRICS, render_prometheus
@@ -91,6 +91,9 @@ def error_response(code: int, message: str,
     return _json_response(code, {"error": message}, retry_after)
 
 
+_TOO_LARGE = error_response(413, f"body over {MAX_BODY_BYTES} bytes")
+
+
 class _BadRequest(Exception):
     """A request head the listener answers itself, then hangs up."""
 
@@ -101,19 +104,14 @@ class _BadRequest(Exception):
         self.method = method
 
 
-class _Request:
+class _Request(NamedTuple):
     """One parsed request head, waiting for its body."""
 
-    __slots__ = ("method", "target", "length", "keep_alive",
-                 "expects_continue")
-
-    def __init__(self, method: str, target: str, length: int,
-                 keep_alive: bool, expects_continue: bool) -> None:
-        self.method = method
-        self.target = target
-        self.length = length
-        self.keep_alive = keep_alive
-        self.expects_continue = expects_continue
+    method: str
+    target: str
+    length: int
+    keep_alive: bool
+    expects_continue: bool
 
 
 def _parse_head(head: bytes) -> _Request:
@@ -277,7 +275,7 @@ class HttpListener:
             self._serve_buffered(conn)
         elif conn.drain:           # the client stopped short of its body
             conn.drain = 0
-            self._reply(conn, conn.request.method, self._too_large(),
+            self._reply(conn, conn.request.method, _TOO_LARGE,
                         keep_alive=False)
         else:                      # any partial request is dropped
             self._close(conn)
@@ -318,7 +316,7 @@ class HttpListener:
                     continue
             if request.length > MAX_BODY_BYTES:
                 if not conn.drain:
-                    self._reply(conn, request.method, self._too_large(),
+                    self._reply(conn, request.method, _TOO_LARGE,
                                 keep_alive=False)
                 return
             if len(conn.rbuf) < request.length:
@@ -340,10 +338,6 @@ class HttpListener:
 
             traceback.print_exc()
             return error_response(500, f"{type(exc).__name__}: {exc}")
-
-    @staticmethod
-    def _too_large() -> Response:
-        return error_response(413, f"body over {MAX_BODY_BYTES} bytes")
 
     def _reply(self, conn: _Connection, method: str, response: Response,
                keep_alive: bool) -> None:
