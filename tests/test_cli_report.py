@@ -104,6 +104,14 @@ class TestCliCommands:
         assert main(["run", "stream", "baseline", "--llc-mb", "8"] + FAST) == 0
         assert "ipc=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "stream", "baseline", "--llc-mb", "3"],
+        ["sweep", "stream", "--sizes", "1024,1000"],
+    ])
+    def test_unbuildable_machine_exits_with_the_reason(self, argv):
+        with pytest.raises(SystemExit, match="power of two"):
+            main(argv + FAST)
+
     def test_compare(self, capsys):
         assert main(["compare", "stream", "--configs",
                      "baseline,ideal"] + FAST) == 0

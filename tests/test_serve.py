@@ -260,8 +260,8 @@ class TestSubmissionApi:
                 service.close()
 
     def test_keep_alive_requests_do_not_stall(self):
-        """Headers and body go out in two writes; without TCP_NODELAY
-        the second waits on the client's delayed ACK (~40 ms each)."""
+        """No kept-alive response may wait on the client's delayed ACK
+        (~40 ms each): each goes out in one send, with TCP_NODELAY."""
         service = JobService(start=False)
         with ServeServer(service) as server:
             conn = HTTPConnection(server.host, server.port, timeout=30)
