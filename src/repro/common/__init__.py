@@ -1,4 +1,8 @@
-"""Shared infrastructure: address arithmetic, configuration, statistics."""
+"""Shared infrastructure: address arithmetic, configuration, statistics.
+
+:mod:`repro.common.httpd`, the HTTP listener behind ``repro serve`` and
+``--metrics-port``, is not imported here: only its servers load it.
+"""
 
 from repro.common.address import (
     ASID_BITS,

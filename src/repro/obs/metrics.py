@@ -6,7 +6,8 @@ log2 histograms (each series addressed by a metric name plus a frozen
 label set), and consumers *read* consistent snapshots — as a nested
 dict, as Prometheus text format (:func:`render_prometheus`), as
 appended JSONL (:class:`SnapshotLog`), or over HTTP
-(:class:`MetricsServer`, ``/metrics`` on ``repro serve``'s listener).
+(:class:`MetricsServer`, ``/metrics`` on the package's one-thread
+listener, :class:`~repro.common.httpd.HttpListener`).
 
 Overhead discipline mirrors the tracer: every probe site checks
 ``metrics.enabled`` (a plain attribute) before doing any work, and
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import (IO, Any, Dict, Iterable, List, Mapping, Optional, Tuple,
                     Union)
 
+from repro.common.httpd import HttpListener, Response, error_response
 from repro.obs.histogram import Histogram
 
 #: Version tag of the JSONL snapshot document layout.
@@ -393,7 +395,7 @@ class SnapshotLog:
 # /metrics HTTP endpoint
 # ---------------------------------------------------------------------- #
 
-class MetricsServer:
+class MetricsServer(HttpListener):
     """Minimal scrape endpoint on a background thread.
 
     ``GET /metrics`` returns the Prometheus text rendering;
@@ -401,15 +403,11 @@ class MetricsServer:
     ephemeral port (read it back from :attr:`port`), which is what the
     tests use.  The server holds only a reference to the registry — it
     renders at request time, so scrapes always see the current state.
-    It runs on ``repro serve``'s listener
-    (:class:`~repro.serve.http.HttpListener`).
     """
 
     def __init__(self, registry: MetricsRegistry, port: int = 0,
                  host: str = "127.0.0.1") -> None:
-        from repro.serve.http import HttpListener, error_response
-
-        def route(method: str, target: str, body: bytes) -> Any:
+        def route(method: str, target: str, body: bytes) -> Response:
             path = target.split("?")[0]
             if path == "/metrics":
                 return (200, render_prometheus(registry).encode("utf-8"),
@@ -419,22 +417,7 @@ class MetricsServer:
                         .encode("utf-8"), "application/json", None)
             return error_response(404, "try /metrics")
 
-        self._listener = HttpListener(route, host, port,
-                                      name="repro-metrics")
-        self.host, self.port = self._listener.host, self._listener.port
-
-    def start(self) -> "MetricsServer":
-        self._listener.start()
-        return self
-
-    def close(self) -> None:
-        self._listener.close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        super().__init__(route, host, port, name="repro-metrics")
 
 
 # ---------------------------------------------------------------------- #

@@ -11,12 +11,13 @@ the configured executor behind a bounded queue with admission control
 * :class:`JobService` — the core (coalescing, batching, drain);
 * :class:`ServeServer` — the HTTP front end (``/jobs``, ``/healthz``,
   ``/metrics``), one ``selectors`` loop thread with its own HTTP/1.1
-  parser (:class:`~repro.serve.http.HttpListener`).
+  parser (:class:`~repro.common.httpd.HttpListener`).
 
 See ``docs/serving.md``.
 """
 
-from repro.serve.http import MAX_BODY_BYTES, ServeServer
+from repro.common.httpd import MAX_BODY_BYTES
+from repro.serve.http import ServeServer
 from repro.serve.service import (DISPOSITIONS, ERROR_SCHEMA, HEALTH_SCHEMA,
                                  JOBS_SCHEMA, STATUS_SCHEMA, JobRecord,
                                  JobService, QueueFullError,

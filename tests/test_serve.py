@@ -12,7 +12,8 @@ thread) on an ephemeral port.  The load-bearing pins:
 * ``/metrics`` exposes parseable Prometheus text with the
   ``repro_serve_*`` families;
 * the transport keeps a kept-alive connection in step, answers
-  pipelined requests in order and is never held up by a stalled client.
+  pipelined requests in order, is never held up by a stalled client and
+  goes on serving the others when one client's request fails.
 """
 
 import contextlib
@@ -34,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.httpd import HttpListener
 from repro.common.params import SystemConfig
 from repro.exec import Job, ParallelExecutor, ResultCache, SerialExecutor
 from repro.serve import (ERROR_SCHEMA, HEALTH_SCHEMA, STATUS_SCHEMA,
@@ -384,19 +386,57 @@ class TestTransport:
         (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * (64 * 1024 - 23), 431),
         (b"garbage\r\n\r\n", 400),
         (b"DELETE /jobs HTTP/1.1\r\n\r\n", 501),
-    ], ids=["head-over-64k", "bad-request-line", "unsupported-method"])
+        # int() refuses a number over 4,300 digits.
+        (b"POST /jobs HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+         + b"\r\n\r\n", 400),
+    ], ids=["head-over-64k", "bad-request-line", "unsupported-method",
+            "content-length-over-4300-digits"])
     def test_protocol_errors_answer_json(self, request_bytes, code):
         service = JobService(start=False)
-        with ServeServer(service) as server, \
-                raw_connection(server) as (sock, reader):
+        with ServeServer(service) as server:
             try:
-                sock.sendall(request_bytes)
-                status, headers, body = read_response(reader)
+                with raw_connection(server) as (sock, reader):
+                    sock.sendall(request_bytes)
+                    status, headers, body = read_response(reader)
+                # The listener goes on serving other clients.
+                health, _, _ = http(server.url, "/healthz")
             finally:
                 service.close()
         assert status == code
         assert headers["content-type"] == "application/json"
         assert set(json.loads(body)) == {"error"}
+        assert health == 200
+
+    def test_a_failure_serving_one_client_hangs_up_only_that_client(self):
+        def route(method, target, body):
+            if target == "/broken":        # a body that is not bytes
+                return 200, "text", "text/plain", None
+            return 200, b"ok", "text/plain", None
+
+        with HttpListener(route) as listener:
+            with raw_connection(listener) as (sock, reader):
+                sock.sendall(b"GET /broken HTTP/1.1\r\n\r\n")
+                assert reader.read() == b""
+            with raw_connection(listener) as (sock, reader):
+                sock.sendall(b"GET /fine HTTP/1.1\r\n\r\n")
+                assert read_response(reader)[::2] == (200, b"ok")
+
+    def test_head_split_across_segments(self):
+        """The search for a head's blank line resumes where the last one
+        stopped, including when the blank line itself is split."""
+        service = JobService(start=False)
+        with ServeServer(service) as server, \
+                raw_connection(server) as (sock, reader):
+            try:
+                for piece in (b"GET /hea", b"lthz HTTP/1.1\r\nHost: x\r",
+                              b"\n\r", b"\n"):
+                    sock.sendall(piece)
+                    time.sleep(0.02)
+                status, _, body = read_response(reader)
+            finally:
+                service.close()
+        assert status == 200
+        assert json.loads(body)["schema"] == HEALTH_SCHEMA
 
     def test_http10_closes_unless_asked_to_keep_alive(self):
         service = JobService(start=False)
