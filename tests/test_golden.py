@@ -17,6 +17,12 @@ four cores that share a 64 KB LLC, under the baseline and both hybrid
 engines: only there do writes invalidate remote private copies and LLC
 evictions back-invalidate blocks held by several cores.
 
+The observer paths are pinned too: the JSONL events of a sampled trace
+(warm-up accesses close with ``timed: false``), the calls a pulse
+receives beside interval windows and that run's document, the document
+of a run that resets its counters after warm-up, and a two-workload
+time-sliced schedule under a hybrid and the baseline MMU.
+
 A change that moves the model on purpose re-records only the entries it
 names and states the model reason in its commit.  Print the current
 digests with::
@@ -26,14 +32,20 @@ digests with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
+import json
 
 import pytest
 
 from repro.common.params import SystemConfig
 from repro.exec import Job, encode_document
+from repro.obs import Tracer
+from repro.osmodel import Kernel
 from repro.sim import Simulator
-from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, lay_out
+from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
+from repro.sim.scheduler import ScheduledSimulator
 from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 
 ACCESSES = 400
@@ -136,6 +148,38 @@ GOLDEN_MULTICORE = {
 }
 
 
+#: Sampled traces: every ``TRACE_SAMPLE_EVERY``-th access, warm-up included.
+TRACE_SAMPLE_EVERY = 7
+GOLDEN_TRACE = {
+    "stream/hybrid_segments": "3316b79028839cdea420065c1a336dcd6ac14f8f86446bea23ca46a944f64194",
+    "gups/baseline": "f24d0babb1ef62174cdd2f5863a60709cef21070b363604d09042cf4d2bb05fe",
+}
+
+#: A pulse every ``PULSE_EVERY`` timed accesses beside windows of
+#: ``PULSE_INTERVAL``: its ``(done, total, instructions, cycles)`` calls
+#: and the run's document.
+PULSE_POINT = "stream/hybrid_segments"
+PULSE_EVERY = 70
+PULSE_INTERVAL = 150
+GOLDEN_PULSE_CALLS = [
+    (70, 400, 140, 453.0), (140, 400, 280, 932.0), (210, 400, 420, 1386.0),
+    (280, 400, 560, 1839.0), (350, 400, 700, 2212.0)]
+GOLDEN_PULSE_DOCUMENT = "9f8898e5d258a0163239cde894a96ef9d3eaf6846482c06d61627741eaf37273"
+
+#: Counters zeroed once warm-up completes.
+RESET_POINT = "gups/hybrid_tlb"
+GOLDEN_RESET_DOCUMENT = "6f4db1bb3b27fc89d36e435f12261d986c9f0f82561a49c60170260f7e6df818"
+
+#: Two workloads time-sliced on one core.
+SCHEDULE_WORKLOADS = ("postgres", "omnetpp")
+SCHEDULE_ACCESSES = 400
+SCHEDULE_QUANTUM = 150
+GOLDEN_SCHEDULE = {
+    "hybrid_segments": "7cddbf33c9a93c06c1e798ee68fd61eb8f5685b8c42cb96cfcc9420d9fdd5b62",
+    "baseline": "7fffdee7c8e0747b91fe76cff943dafde9b79c390b7cfdf7a3c27b52337bcaf0",
+}
+
+
 def virt_system(workload: str, mmu: str):
     """``(laid_out, vm, system)``: a ``virt_*`` MMU on a fresh VM."""
     hypervisor = Hypervisor()
@@ -179,6 +223,81 @@ def test_multicore_document_bytes_unchanged(mmu):
     assert document_digest(result) == GOLDEN_MULTICORE[mmu]
 
 
+def _job(point: str, **fields) -> Job:
+    workload, mmu = point.split("/")
+    return Job(workload=workload, mmu=mmu, accesses=ACCESSES,
+               warmup=WARMUP, seed=SEED, **fields)
+
+
+def trace_digest(point: str) -> str:
+    """SHA-256 of the JSONL events of one sampled, traced run."""
+    sink = io.StringIO()
+    _job(point).run(tracer=Tracer(sample_every=TRACE_SAMPLE_EVERY,
+                                  sink=sink))
+    return hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+
+
+class _RecordingPulse:
+    every = PULSE_EVERY
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def __call__(self, done, total, instructions, cycles) -> None:
+        self.calls.append((done, total, instructions, cycles))
+
+
+def pulsed_run():
+    """``(pulse calls, document digest)`` of the pulsed, windowed run."""
+    pulse = _RecordingPulse()
+    result = _job(PULSE_POINT, interval=PULSE_INTERVAL).run(pulse=pulse)
+    return pulse.calls, document_digest(result)
+
+
+def reset_digest() -> str:
+    return document_digest(
+        _job(RESET_POINT, reset_stats_after_warmup=True).run())
+
+
+def schedule_digest(mmu: str) -> str:
+    """SHA-256 of a two-workload schedule's per-workload totals."""
+    config = dataclasses.replace(SystemConfig(), cores=1)
+    kernel = Kernel(config)
+    workloads = [lay_out(name, kernel, seed=SEED + i)
+                 for i, name in enumerate(SCHEDULE_WORKLOADS)]
+    result = ScheduledSimulator(build_mmu(mmu, kernel, config), workloads,
+                                quantum=SCHEDULE_QUANTUM).run(
+                                    SCHEDULE_ACCESSES)
+    doc = {
+        "per_workload": {
+            name: [r.instructions, r.accesses, r.cycles, r.cycle_breakdown]
+            for name, r in result.per_workload.items()},
+        "context_switches": result.context_switches,
+        "total_cycles": result.total_cycles,
+    }
+    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN_TRACE))
+def test_trace_events_unchanged(point):
+    assert trace_digest(point) == GOLDEN_TRACE[point]
+
+
+def test_pulse_calls_and_windows_unchanged():
+    calls, digest = pulsed_run()
+    assert calls == GOLDEN_PULSE_CALLS
+    assert digest == GOLDEN_PULSE_DOCUMENT
+
+
+def test_reset_after_warmup_document_unchanged():
+    assert reset_digest() == GOLDEN_RESET_DOCUMENT
+
+
+@pytest.mark.parametrize("mmu", sorted(GOLDEN_SCHEDULE))
+def test_schedule_unchanged(mmu):
+    assert schedule_digest(mmu) == GOLDEN_SCHEDULE[mmu]
+
+
 def test_grid_covers_every_mmu():
     assert {point.split("/")[1] for point in GOLDEN} == set(MMUS)
     assert set(GOLDEN_MULTICORE) == set(MULTICORE_MMUS)
@@ -194,3 +313,14 @@ if __name__ == "__main__":
         digest = document_digest(
             simulate(MULTICORE_WORKLOAD, mmu, MULTICORE_CONFIG))
         print(f'    "{mmu}": "{digest}",')
+    print()
+    for point in GOLDEN_TRACE:
+        print(f'    "{point}": "{trace_digest(point)}",')
+    calls, digest = pulsed_run()
+    print()
+    print(f"GOLDEN_PULSE_CALLS = {calls!r}")
+    print(f'GOLDEN_PULSE_DOCUMENT = "{digest}"')
+    print(f'GOLDEN_RESET_DOCUMENT = "{reset_digest()}"')
+    print()
+    for mmu in GOLDEN_SCHEDULE:
+        print(f'    "{mmu}": "{schedule_digest(mmu)}",')
