@@ -66,6 +66,8 @@ class ScheduledSimulator:
                  costs: Optional[SwitchCosts] = None) -> None:
         if not workloads:
             raise ValueError("at least one workload required")
+        if quantum < 1:
+            raise ValueError(f"quantum must be >= 1, got {quantum}")
         self.mmu = mmu
         self.workloads = workloads
         self.quantum = quantum

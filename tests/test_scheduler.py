@@ -68,6 +68,15 @@ class TestScheduledSimulator:
         with pytest.raises(ValueError):
             ScheduledSimulator(mmu, [])
 
+    @pytest.mark.parametrize("quantum", [0, -3])
+    def test_quantum_below_one_rejected(self, quantum):
+        config = SystemConfig()
+        kernel = Kernel(config)
+        workload = lay_out("stream", kernel, seed=1)
+        with pytest.raises(ValueError, match="quantum"):
+            ScheduledSimulator(HybridMmu(kernel, config), [workload],
+                               quantum=quantum)
+
     def test_filters_survive_switches(self):
         """Per-process filter state must be intact after many switches."""
         config = dataclasses.replace(SystemConfig(), cores=1)
