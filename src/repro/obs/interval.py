@@ -1,11 +1,12 @@
 """Windowed stat snapshots: every counter becomes a time series.
 
-The recorder is driven by the simulator once per *timed* access.  At
-window boundaries it diffs the cumulative :class:`StatRegistry` snapshot
-(and the timing model's cycle/instruction totals) against the previous
-boundary, yielding per-window deltas.  A trailing partial window is
-flushed by :meth:`finish`, so a run of ``A`` accesses with window ``W``
-produces exactly ``ceil(A / W)`` snapshots.
+The simulator advances the recorder by the *timed* accesses it has run,
+cutting its runs at window boundaries.  At each boundary the recorder
+diffs the cumulative :class:`StatRegistry` snapshot (and the timing
+model's cycle/instruction totals) against the previous boundary,
+yielding per-window deltas.  A trailing partial window is flushed by
+:meth:`finish`, so a run of ``A`` accesses with window ``W`` produces
+exactly ``ceil(A / W)`` snapshots.
 
 Deltas — not cumulative values — are stored because phase behavior
 (warm-up transients, working-set shifts) only shows in the derivative;
@@ -33,10 +34,15 @@ class IntervalRecorder:
         self._prev_cycles = timing.total_cycles()
         self._prev_instructions = timing.acct.instructions
 
-    def tick(self) -> None:
-        """Account one timed access; snapshot at window boundaries."""
-        self._in_window += 1
-        if self._in_window >= self.interval:
+    def advance(self, accesses: int) -> None:
+        """Account ``accesses`` timed accesses; snapshot when the window
+        fills.  They must not carry past the window's end."""
+        in_window = self._in_window + accesses
+        if in_window > self.interval:
+            raise ValueError(f"{accesses} accesses overrun the window: "
+                             f"{self.interval - self._in_window} left")
+        self._in_window = in_window
+        if in_window == self.interval:
             self._snap()
 
     def finish(self) -> None:

@@ -15,6 +15,7 @@ switches need no flushes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, starmap
 from typing import Dict, List, Optional
 
 from repro.common.stats import StatGroup
@@ -83,12 +84,13 @@ class ScheduledSimulator:
     def run(self, accesses_per_workload: int) -> ScheduledResult:
         """Run every workload for the given reference count, time-sliced."""
         cores = self.mmu.config.cores
+        access = self.mmu.access
         timings: Dict[str, TimingModel] = {}
-        traces = []
+        streams = []
         for workload in self.workloads:
             timings[workload.spec.name] = TimingModel(self.mmu.config.core,
                                                       mlp=workload.spec.mlp)
-            traces.append(iter(workload.trace(accesses_per_workload)))
+            streams.append(workload.references(accesses_per_workload))
         remaining = [accesses_per_workload] * len(self.workloads)
 
         switch_cycles = 0.0
@@ -111,20 +113,13 @@ class ScheduledSimulator:
                     self.stats.add("switch_cycles", cost)
                     self._load_filter_state(index)
                 core_occupant[core] = index
-            workload = self.workloads[index]
-            timing = timings[workload.spec.name]
+            spec = self.workloads[index].spec
             budget = min(self.quantum, remaining[index])
-            ran = 0
-            for record in traces[index]:
-                outcome = self.mmu.access(core, record.asid, record.va,
-                                          record.is_write)
-                timing.record(outcome, instructions_between=1 + record.gap)
-                ran += 1
-                if ran >= budget:
-                    break
-            remaining[index] -= ran
-            if ran < budget:
-                remaining[index] = 0
+            # The slice runs on the core it was scheduled to.
+            refs = ((core, asid, va, is_write) for _core, asid, va, is_write
+                    in islice(streams[index], budget))
+            timings[spec.name].account(starmap(access, refs), 1 + spec.gap)
+            remaining[index] -= budget
 
         per_workload = {}
         total = switch_cycles

@@ -1,7 +1,9 @@
 """Trace-driven simulation driver.
 
 Wires a laid-out workload into an MMU front-end and a timing model:
-each trace record becomes one ``mmu.access`` plus cycle accounting.  A
+each reference ``(core, asid, va, is_write)`` the workload's
+:meth:`~repro.workloads.spec.LaidOutWorkload.references` yields becomes
+one ``mmu.access`` call, and the timing model accounts the outcomes.  A
 warm-up prefix exercises the structures without being timed (the paper
 simulates 500 M–1 B instructions; our traces are shorter, so warm-up
 matters proportionally more).
@@ -10,24 +12,40 @@ Observability (``repro.obs``) threads through here: an attached
 :class:`~repro.obs.tracer.Tracer` records per-access pipeline events, an
 ``interval`` turns every stat counter into a windowed time series, and
 each result carries a :class:`~repro.obs.manifest.RunManifest` plus the
-latency histograms collected by the timing model and the MMU.  All of it
-is inert by default — the disabled path adds two branch checks per
-access.
+latency histograms collected by the timing model and the MMU.  None of
+it is checked per access: the timed phase is one loop that stops only at
+window and pulse boundaries, and a live tracer wraps the access call.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from datetime import datetime, timezone
+from itertools import islice, starmap
 from typing import Optional
 
-from repro.core.mmu_base import MmuBase
+from repro.core.mmu_base import AccessOutcome, MmuBase
 from repro.obs.interval import IntervalRecorder
 from repro.obs.manifest import RunManifest
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.results import SimulationResult
 from repro.timing.model import TimingModel
 from repro.workloads.spec import LaidOutWorkload
+
+
+def _traced(access, tracer: Tracer, timed: bool):
+    """``access`` between the tracer's ``begin_access`` and ``end_access``."""
+    begin_access = tracer.begin_access
+    end_access = tracer.end_access
+
+    def traced_access(core: int, asid: int, va: int,
+                      is_write: bool) -> AccessOutcome:
+        begin_access(core, asid, va, is_write)
+        outcome = access(core, asid, va, is_write)
+        end_access(outcome, timed=timed)
+        return outcome
+    return traced_access
 
 
 class Simulator:
@@ -61,68 +79,72 @@ class Simulator:
         ``pulse`` is the live-telemetry hook: a callable with an
         ``every`` attribute (e.g. :class:`~repro.obs.heartbeat.
         HeartbeatPulse`) invoked as ``pulse(done, total, instructions,
-        cycles)`` every ``pulse.every`` timed accesses.  The disabled
-        path costs one branch per timed access; pulses themselves are
-        rare, so live progress never perturbs the simulation.
+        cycles)`` every ``pulse.every`` timed accesses.  Pulses are rare,
+        so live progress never perturbs the simulation.
+
+        The warm-up and the timed accesses run as ``mmu.access`` mapped
+        over the reference stream; the timed ones are accounted in runs
+        that end at the next window or pulse boundary.
         """
         spec = workload.spec
-        timing = self.timing or TimingModel(self.mmu.config.core, mlp=spec.mlp)
-        trace = workload.trace(warmup + accesses, seed=seed)
+        mmu = self.mmu
+        timing = self.timing or TimingModel(mmu.config.core, mlp=spec.mlp)
+        refs = workload.references(warmup + accesses, seed=seed)
 
         tracer = tracer if tracer is not None else self.tracer
-        tracing = tracer.active
-        if tracing:
-            self.mmu.attach_tracer(tracer)
-        recorder = (IntervalRecorder(self.mmu.stats, timing, interval)
+        warmup_access = timed_access = mmu.access
+        if tracer.active:
+            mmu.attach_tracer(tracer)
+            warmup_access = _traced(mmu.access, tracer, timed=False)
+            timed_access = _traced(mmu.access, tracer, timed=True)
+        recorder = (IntervalRecorder(mmu.stats, timing, interval)
                     if interval else None)
         pulse_every = getattr(pulse, "every", 0) if pulse is not None else 0
-        pulsing = pulse_every > 0
-        pulse_countdown = pulse_every
         started_at = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
 
-        for i, record in enumerate(trace):
-            if i == warmup and reset_stats_after_warmup:
-                self.mmu.stats.reset()
-            if tracing:
-                tracer.begin_access(record.core, record.asid, record.va,
-                                    record.is_write)
-            outcome = self.mmu.access(record.core, record.asid, record.va,
-                                      record.is_write)
-            if tracing:
-                tracer.end_access(outcome, timed=i >= warmup)
-            if i >= warmup:
-                timing.record(outcome, instructions_between=1 + record.gap)
-                if recorder is not None:
-                    recorder.tick()
-                if pulsing:
-                    pulse_countdown -= 1
-                    if pulse_countdown == 0:
-                        pulse_countdown = pulse_every
-                        pulse(i - warmup + 1, accesses,
-                              timing.acct.instructions, timing.total_cycles())
+        deque(starmap(warmup_access, islice(refs, warmup)), maxlen=0)
+        # A run with no timed accesses never reaches the reset.
+        if reset_stats_after_warmup and accesses:
+            mmu.stats.reset()
+        instructions_between = 1 + spec.gap
+        done = 0
+        while done < accesses:
+            step = accesses - done
+            if recorder is not None:
+                step = min(step, interval - done % interval)
+            if pulse_every > 0:
+                step = min(step, pulse_every - done % pulse_every)
+            timing.account(starmap(timed_access, islice(refs, step)),
+                           instructions_between)
+            done += step
+            if recorder is not None:
+                recorder.advance(step)
+            if pulse_every > 0 and done % pulse_every == 0:
+                pulse(done, accesses, timing.acct.instructions,
+                      timing.total_cycles())
 
         if recorder is not None:
             recorder.finish()
-        if tracing:
-            self.mmu.attach_tracer(NULL_TRACER)
+        if tracer.active:
+            mmu.attach_tracer(NULL_TRACER)
 
         manifest = RunManifest.collect(
-            workload=spec.name, mmu=self.mmu.name, config=self.mmu.config,
+            workload=spec.name, mmu=mmu.name, config=mmu.config,
             seed=seed, accesses=accesses, warmup=warmup,
             started_at=started_at, duration_s=time.perf_counter() - t0)
         histograms = dict(timing.histogram_snapshots())
-        histograms.update(self.mmu.histogram_snapshots())
+        histograms.update(mmu.histogram_snapshots())
 
         return SimulationResult(
             workload=spec.name,
-            mmu=self.mmu.name,
+            mmu=mmu.name,
             instructions=timing.acct.instructions,
             accesses=timing.acct.memory_accesses,
             cycles=timing.total_cycles(),
             ipc=timing.ipc(),
             cycle_breakdown=timing.breakdown(),
-            stats=self.mmu.snapshot(),
+            stats=mmu.snapshot(),
             manifest=manifest,
             interval=interval,
             intervals=list(recorder.snapshots) if recorder is not None else [],

@@ -20,7 +20,7 @@ how many misses each scheme takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.common.params import CoreConfig
 from repro.obs.histogram import Histogram
@@ -66,24 +66,61 @@ class TimingModel:
         self.front_hist = Histogram("front_translation_cycles")
         self.delayed_hist = Histogram("delayed_translation_cycles")
 
+    def account(self, outcomes: Iterable["AccessOutcome"],
+                instructions_between: int = 1) -> None:
+        """Account memory accesses, each with the instructions preceding it.
+
+        ``outcomes`` is consumed here, so the simulator passes its access
+        stream straight in.  The stall sums and the access histogram are
+        kept in locals and written back once per call, also when the
+        stream raises.
+        """
+        pipelined = self.l1_hit_pipelined_cycles
+        access_counts = self.access_hist.counts
+        front_record = self.front_hist.record
+        delayed_record = self.delayed_hist.record
+        n = front = cache = delayed = dram = total = 0
+        try:
+            for outcome in outcomes:
+                front_cycles = outcome.front_cycles
+                cache_cycles = outcome.cache_cycles
+                delayed_cycles = outcome.delayed_cycles
+                dram_cycles = outcome.dram_cycles
+                n += 1
+                front += front_cycles
+                if cache_cycles > pipelined:
+                    cache += cache_cycles - pipelined
+                delayed += delayed_cycles
+                dram += dram_cycles
+                # Histogram.record inlined: a non-positive total lands in
+                # bucket 0 and adds nothing.
+                cycles = (front_cycles + cache_cycles + delayed_cycles
+                          + dram_cycles)
+                if cycles > 0:
+                    access_counts[cycles.bit_length()] += 1
+                    total += cycles
+                else:
+                    access_counts[0] += 1
+                # Zero-cost stages are the common case; keep their
+                # histograms to the accesses where the stage actually ran.
+                if front_cycles:
+                    front_record(front_cycles)
+                if delayed_cycles:
+                    delayed_record(delayed_cycles)
+        finally:
+            acct = self.acct
+            acct.instructions += n * instructions_between
+            acct.memory_accesses += n
+            acct.front_stall_cycles += front
+            acct.cache_stall_cycles += cache
+            acct.delayed_stall_cycles += delayed
+            acct.dram_stall_cycles += dram
+            self.access_hist.count += n
+            self.access_hist.total += total
+
     def record(self, outcome: "AccessOutcome", instructions_between: int = 1) -> None:
         """Account one memory access plus the instructions preceding it."""
-        acct = self.acct
-        acct.instructions += instructions_between
-        acct.memory_accesses += 1
-        acct.front_stall_cycles += outcome.front_cycles
-        exposed_cache = max(0, outcome.cache_cycles - self.l1_hit_pipelined_cycles)
-        acct.cache_stall_cycles += exposed_cache
-        acct.delayed_stall_cycles += outcome.delayed_cycles
-        acct.dram_stall_cycles += outcome.dram_cycles
-        self.access_hist.record(outcome.front_cycles + outcome.cache_cycles
-                                + outcome.delayed_cycles + outcome.dram_cycles)
-        # Zero-cost stages are the common case; keep their histograms to
-        # the accesses where the stage actually ran.
-        if outcome.front_cycles:
-            self.front_hist.record(outcome.front_cycles)
-        if outcome.delayed_cycles:
-            self.delayed_hist.record(outcome.delayed_cycles)
+        self.account((outcome,), instructions_between)
 
     def record_compute(self, instructions: int) -> None:
         """Account trailing non-memory instructions."""

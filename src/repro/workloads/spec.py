@@ -5,7 +5,8 @@ pattern mix, memory-op ratio, allocation profile, sharing behaviour —
 calibrated per benchmark in ``catalog.py``.  Instantiating a spec against
 a :class:`Kernel` performs the allocations (creating the segment/VMA
 layout that Table III measures) and returns a :class:`LaidOutWorkload`
-whose ``trace()`` lazily generates the reference stream.
+whose ``references()`` lazily generates the reference stream (and
+``trace()`` its :class:`TraceRecord` view).
 """
 
 from __future__ import annotations
@@ -149,8 +150,14 @@ class LaidOutWorkload:
     # Trace generation
     # ------------------------------------------------------------------ #
 
-    def trace(self, accesses: int, seed: Optional[int] = None) -> Iterator[TraceRecord]:
-        """Generate ``accesses`` references, round-robin across processes."""
+    def references(self, accesses: int, seed: Optional[int] = None
+                   ) -> Iterator[Tuple[int, int, int, bool]]:
+        """Generate ``accesses`` references, round-robin across processes.
+
+        Each is ``(core, asid, va, is_write)``, the argument tuple of
+        :meth:`~repro.core.mmu_base.MmuBase.access`; every reference is
+        preceded by ``spec.gap`` non-memory instructions.
+        """
         spec = self.spec
         rng = make_rng(seed if seed is not None else self.seed,
                        f"{spec.name}-access")
@@ -158,11 +165,18 @@ class LaidOutWorkload:
                  for i, p in enumerate(self.processes)]
         draw = rng.random
         write_fraction = spec.write_fraction
-        gap = spec.gap
         for next_va, asid, core in itertools.islice(itertools.cycle(slots),
                                                     accesses):
-            va = next_va()  # the address draws come before the write draw
-            yield TraceRecord(asid, core, va, draw() < write_fraction, gap)
+            # A tuple evaluates left to right: the address draws come
+            # before the write draw.
+            yield core, asid, next_va(), draw() < write_fraction
+
+    def trace(self, accesses: int, seed: Optional[int] = None) -> Iterator[TraceRecord]:
+        """The :meth:`references` stream as :class:`TraceRecord` objects,
+        for trace files and trace analysis."""
+        gap = self.spec.gap
+        for core, asid, va, is_write in self.references(accesses, seed):
+            yield TraceRecord(asid, core, va, is_write, gap)
 
     def _process_generator(self, process: Process, rng: random.Random):
         spec = self.spec

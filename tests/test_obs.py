@@ -288,8 +288,8 @@ class TestIntervals:
                 return 0
 
         recorder = IntervalRecorder(_Registry(), _Timing(), 2)
-        for _ in range(4):
-            recorder.tick()
+        for _ in range(2):
+            recorder.advance(2)
         recorder.finish()
         assert len(recorder.snapshots) == 2
         # A group or counter that never appeared yields an all-zero
@@ -330,10 +330,26 @@ class TestIntervalCoarsening:
             timing.acct.instructions += 1
             timing.cycles += 2
             registry.counters["g"]["c"] += 3
-            recorder.tick()
+            recorder.advance(1)
         recorder.finish()
         assert len(recorder.snapshots) == 50
         assert recorder.interval == 1
+
+    def test_advance_fills_windows_in_parts(self):
+        registry, timing = _FakeRegistry(), _FakeTiming()
+        recorder = IntervalRecorder(registry, timing, 5)
+        for step in (2, 3, 5, 4):
+            registry.counters["g"]["c"] += step
+            recorder.advance(step)
+        recorder.finish()
+        assert [s["accesses"] for s in recorder.snapshots] == [5, 5, 4]
+        assert recorder.series("g", "c") == [5, 5, 4]
+
+    def test_advance_rejects_an_overrun_window(self):
+        recorder = IntervalRecorder(_FakeRegistry(), _FakeTiming(), 5)
+        recorder.advance(3)
+        with pytest.raises(ValueError, match="overrun"):
+            recorder.advance(3)
 
 
 # --------------------------------------------------------------------- #
