@@ -72,7 +72,8 @@ class Simulator:
         (cache/TLB contents) is kept either way.
 
         ``interval`` (timed accesses per window) records delta snapshots
-        of every counter, yielding ``ceil(accesses / interval)`` windows.
+        of every counter, yielding ``ceil(accesses / interval)`` windows
+        that together cover the timed accesses only.
         ``tracer`` overrides the one given at construction; tracing never
         alters simulated behavior, only records it.
 
@@ -97,8 +98,6 @@ class Simulator:
             mmu.attach_tracer(tracer)
             warmup_access = _traced(mmu.access, tracer, timed=False)
             timed_access = _traced(mmu.access, tracer, timed=True)
-        recorder = (IntervalRecorder(mmu.stats, timing, interval)
-                    if interval else None)
         pulse_every = getattr(pulse, "every", 0) if pulse is not None else 0
         started_at = datetime.now(timezone.utc).isoformat()
         t0 = time.perf_counter()
@@ -107,6 +106,9 @@ class Simulator:
         # A run with no timed accesses never reaches the reset.
         if reset_stats_after_warmup and accesses:
             mmu.stats.reset()
+        # Windows diff against the counters as the timed phase starts.
+        recorder = (IntervalRecorder(mmu.stats, timing, interval)
+                    if interval else None)
         instructions_between = 1 + spec.gap
         done = 0
         while done < accesses:

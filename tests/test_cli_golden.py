@@ -37,11 +37,11 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "run": "aab8ba3925be4fe82fc632274fea32f6589fb4f4ef35492091477aff35ba5a41",
-    "compare": "e2d7a5065c23424bb7d1f5c42200451f50da88b3dd30f13332d0a2e60e3a10af",
-    "sweep": "58da714e1f6ea0ef2f6577c99f86e9eb7210c1569104b908cee709b4d7c9bbfb",
-    "profile": "907199c912aaa5d8f5861d9fee240a5f902860f2f33031ec41958177f18b6de5",
-    "profile_sizes": "8647474f6b3625055a2799f79ad884e0f8bba06c594c276f76af47b128caaa18",
+    "run": "1a261aa1182b7eff8a18d514847e037093233a84136e29475f8f40f055c45820",
+    "compare": "82f53d6d7cdad7dd44ab0b73898dae1da64f3d669b12c70f6d22473f46bfff5b",
+    "sweep": "1f71798a5d1d79823da9c7d7af9d5d3719a00f2896bc6d7d9c8467a086984172",
+    "profile": "481aea5fe946b6b09c073c779503fa5526d996824d42413a2ca7144347a5e6d2",
+    "profile_sizes": "ef884961d57dd2c22b4b82399baa5ca06155ce985773d54a4775c31061b7881d",
 }
 
 

@@ -164,7 +164,7 @@ PULSE_INTERVAL = 150
 GOLDEN_PULSE_CALLS = [
     (70, 400, 140, 453.0), (140, 400, 280, 932.0), (210, 400, 420, 1386.0),
     (280, 400, 560, 1839.0), (350, 400, 700, 2212.0)]
-GOLDEN_PULSE_DOCUMENT = "9f8898e5d258a0163239cde894a96ef9d3eaf6846482c06d61627741eaf37273"
+GOLDEN_PULSE_DOCUMENT = "74cd2d250699d70c300c745188c5cd5a280ae2ec833297ba068bc67d9e001b00"
 
 #: Counters zeroed once warm-up completes.
 RESET_POINT = "gups/hybrid_tlb"
