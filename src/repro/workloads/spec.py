@@ -229,13 +229,14 @@ class LaidOutWorkload:
         total = cum_weights[-1] + 0.0
         last = len(pattern_fns) - 1
 
+        bases = [base for base, _vma in spans]
+
         def resolve_private(offset: int) -> int:
-            # Binary search is overkill for the handful of VMAs most specs
-            # have; linear scan from a cached hint would be noise here.
-            for base, vma in reversed(spans):
-                if offset >= base:
-                    return vma.vbase + min(offset - base, vma.length - 8)
-            return spans[0][1].vbase
+            i = bisect(bases, offset) - 1  # the last span starting at or below
+            if i < 0:
+                return spans[0][1].vbase
+            base, vma = spans[i]
+            return vma.vbase + min(offset - base, vma.length - 8)
 
         def next_va() -> int:
             nonlocal stack_cursor
