@@ -1,16 +1,20 @@
 """``import repro`` loads the simulator and nothing else.
 
 Each check runs in a fresh interpreter, so a module some earlier test
-imported cannot hide a regression.
+imported cannot hide a regression.  The names perfbench wraps from
+outside the package must also stay defined where it looks for them.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: Modules no simulation needs: ``import repro`` plus one run must not
 #: load any of them.
@@ -66,3 +70,25 @@ def test_serve_and_metrics_server_load_no_stdlib_http_stack():
         "print(json.dumps([m for m in ('http.server', 'http.client', "
         "'email.parser') if m in sys.modules]))\n")
     assert loaded == []
+
+
+def test_perfbench_entry_points_resolve():
+    """Every name in perfbench/spans.py's ENTRY_POINTS and COUNTED
+    resolves the way ``spans._patch`` resolves it: a method through its
+    own class's ``__dict__``, a function as a module attribute.  A rename
+    otherwise surfaces only when a traced benchmark run crashes."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for _layer, module_name, qualname in spans.ENTRY_POINTS + spans.COUNTED:
+        module = importlib.import_module(module_name)
+        if "." in qualname:
+            class_name, attr = qualname.split(".")
+            found = attr in vars(getattr(module, class_name, object))
+        else:
+            found = callable(getattr(module, qualname, None))
+        if not found:
+            missing.append(f"{module_name}.{qualname}")
+    assert not missing
