@@ -22,7 +22,7 @@ The script demonstrates:
 import dataclasses
 
 from repro.common import SystemConfig
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 from repro.sim import Simulator, lay_out
 
@@ -64,8 +64,8 @@ def main() -> None:
     p0, p1 = workload.processes[0], workload.processes[1]
     va0 = workload.shared_vmas[p0.asid].vbase
     va1 = workload.shared_vmas[p1.asid].vbase
-    out0 = mmu.access(0, p0.asid, va0, is_write=True)
-    out1 = mmu.access(1, p1.asid, va1, is_write=False)
+    out0 = AccessOutcome._make(mmu.access(0, p0.asid, va0, is_write=True))
+    out1 = AccessOutcome._make(mmu.access(1, p1.asid, va1, is_write=False))
     assert out0.translated_pa == out1.translated_pa, "synonyms must share a PA"
     print(f"process {p0.asid} wrote PA {out0.translated_pa:#x} via VA {va0:#x}")
     print(f"process {p1.asid} read  PA {out1.translated_pa:#x} via VA {va1:#x}")

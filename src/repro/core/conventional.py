@@ -10,10 +10,12 @@ proceeds until the translation resolves.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.common.address import physical_block_key, virtual_page_key
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.kernel import Kernel
 from repro.tlb.base import TlbEntry
 from repro.tlb.hierarchy import TlbHierarchy
@@ -32,7 +34,7 @@ class ConventionalMmu(MmuBase):
                      for c in range(cfg.cores)]
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
+                       partial(self.charge_physical_read, c),
                        stats=StatGroup(f"walker_core{c}"))
             for c in range(cfg.cores)
         ]
@@ -62,29 +64,22 @@ class ConventionalMmu(MmuBase):
     # The access path
     # ------------------------------------------------------------------ #
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access: TLB hierarchy, walk on miss, physical caches."""
         self._accesses += 1
         page_key = virtual_page_key(asid, va)
         tlb = self.tlbs[core]
-        lookup = tlb.lookup(page_key)
+        entry, level = tlb.lookup(page_key)
         front = 0
-        if lookup.level == "l1":
-            entry = lookup.entry
-        elif lookup.level == "l2":
-            entry = lookup.entry
+        if level == "l2":
             front = self.config.l2_tlb.latency
-        else:
-            walk = self.walkers[core].walk(asid, va)
-            front = self.config.l2_tlb.latency + walk.cycles
-            translation = walk.translation
-            entry = TlbEntry(page_key, translation.pa >> 12, True,
-                             translation.permissions)
+        elif entry is None:
+            cycles, walked_pa, permissions, _ = self.walkers[core].walk(asid, va)
+            front = self.config.l2_tlb.latency + cycles
+            entry = TlbEntry(page_key, walked_pa >> 12, True, permissions)
             tlb.fill(entry)
 
-        assert entry is not None
         pa = (entry.pfn << 12) | (va & 0xFFF)
         result = self.caches.access(core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return front, result.latency, 0, dram, result.hit_level, pa

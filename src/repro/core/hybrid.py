@@ -20,6 +20,7 @@ Per-access flow (Figure 1):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Protocol, Tuple
 
 from repro.common.address import (
@@ -31,7 +32,7 @@ from repro.common.address import (
 )
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.obs.events import (
     STAGE_DELAYED_TLB,
     STAGE_FILTER,
@@ -67,7 +68,7 @@ class DelayedTlbEngine:
         self.mmu = mmu
         self.tlb = DelayedTlb(mmu.config.delayed_tlb)
         self.walker = PageWalker(mmu.config.walker, kernel.pte_path,
-                                 lambda pa: mmu.charge_physical_read(0, pa),
+                                 partial(mmu.charge_physical_read, 0),
                                  stats=StatGroup("delayed_walker"))
         mmu.stats.register(self.tlb.stats)
         mmu.stats.register(self.walker.stats)
@@ -81,11 +82,9 @@ class DelayedTlbEngine:
         cycles = self.tlb.latency
         hit = entry is not None
         if entry is None:
-            walk = self.walker.walk(asid, va)
-            cycles += walk.cycles
-            translation = walk.translation
-            entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
-                             translation.permissions)
+            walk_cycles, pa, permissions, _ = self.walker.walk(asid, va)
+            cycles += walk_cycles
+            entry = TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions)
             self.tlb.fill(entry)
         self.latency_hist.record(cycles)
         if self.mmu.tracer.recording:
@@ -112,12 +111,12 @@ class ManySegmentEngine:
         self.mmu = mmu
         self.translator = ManySegmentTranslator(
             kernel, mmu.config.segments,
-            memory_charge=lambda pa: mmu.charge_physical_read(0, pa),
+            memory_charge=partial(mmu.charge_physical_read, 0),
             use_segment_cache=use_segment_cache,
             index_cache_size=index_cache_size)
         self.fallback_walker = PageWalker(
             mmu.config.walker, kernel.pte_path,
-            lambda pa: mmu.charge_physical_read(0, pa),
+            partial(mmu.charge_physical_read, 0),
             stats=StatGroup("fallback_walker"))
         self.stats = StatGroup("many_segment_engine")
         mmu.stats.register(self.translator.stats)
@@ -132,20 +131,19 @@ class ManySegmentEngine:
 
     def translate(self, asid: int, va: int) -> Tuple[int, int, int]:
         try:
-            result = self.translator.translate(asid, va)
-            if self.mmu.tracer.recording:
-                self.mmu.tracer.stage(STAGE_SEGMENT_WALK, cycles=result.cycles,
-                                      sc_hit=result.sc_hit,
-                                      nodes_read=result.index_nodes_read)
-            return result.pa, result.cycles, result.permissions
+            pa, cycles, permissions, sc_hit, nodes_read = self.translator.translate(
+                asid, va)
         except SegmentFault:
-            self.stats.add("paging_fallbacks")
-            walk = self.fallback_walker.walk(asid, va)
-            translation = walk.translation
+            self.stats.counts["paging_fallbacks"] += 1
+            cycles, pa, permissions, _ = self.fallback_walker.walk(asid, va)
             if self.mmu.tracer.recording:
-                self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=walk.cycles,
+                self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=cycles,
                                       fallback=True)
-            return translation.pa, walk.cycles, translation.permissions
+            return pa, cycles, permissions
+        if self.mmu.tracer.recording:
+            self.mmu.tracer.stage(STAGE_SEGMENT_WALK, cycles=cycles,
+                                  sc_hit=sc_hit, nodes_read=nodes_read)
+        return pa, cycles, permissions
 
     def shootdown(self, asid: int, page_va: int) -> None:
         # Segment translations are invalidated via the segment-table
@@ -175,7 +173,7 @@ class HybridMmu(MmuBase):
         self.stats.register(self.synonym_tlb.stats)
         self.synonym_walker = PageWalker(
             self.config.walker, kernel.pte_path,
-            lambda pa: self.charge_physical_read(0, pa),
+            partial(self.charge_physical_read, 0),
             stats=StatGroup("synonym_walker"))
         self.stats.register(self.synonym_walker.stats)
         self.register_histogram(self.synonym_walker.cycles_hist)
@@ -219,7 +217,7 @@ class HybridMmu(MmuBase):
     # The access path
     # ------------------------------------------------------------------ #
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access through the hybrid virtual-caching datapath."""
         self._accesses += 1
         counts = self._hybrid_counts
@@ -237,14 +235,12 @@ class HybridMmu(MmuBase):
             # Synonym path: the TLB checks permissions *before* the cache
             # access (Section III-A "Permission Support").
             if pa is not None and is_write and not (permissions or 0) & 0x2:
-                self.hybrid_stats.add("permission_faults")
+                counts["permission_faults"] += 1
                 self.kernel.handle_cow_fault(process, va)
-                retry = self.access(core, asid, va, is_write=True)
-                return AccessOutcome(
-                    front + COW_FAULT_CYCLES + retry.front_cycles,
-                    retry.cache_cycles, retry.delayed_cycles,
-                    retry.dram_cycles, retry.hit_level,
-                    translated_pa=retry.translated_pa)
+                r_front, r_cache, r_delayed, r_dram, r_level, r_pa = self.access(
+                    core, asid, va, is_write=True)
+                return (front + COW_FAULT_CYCLES + r_front, r_cache,
+                        r_delayed, r_dram, r_level, r_pa)
         else:
             counts["tlb_bypasses"] += 1
             key = virtual_block_key(asid, va)
@@ -261,25 +257,23 @@ class HybridMmu(MmuBase):
         entry = self.synonym_tlb.lookup(page_key)
         hit = entry is not None
         if entry is None:
-            walk = self.synonym_walker.walk(asid, va)
-            front += walk.cycles
-            translation = walk.translation
-            entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT,
-                             translation.shared, translation.permissions)
+            cycles, pa, permissions, shared = self.synonym_walker.walk(asid, va)
+            front += cycles
+            entry = TlbEntry(page_key, pa >> PAGE_SHIFT, shared, permissions)
             self.synonym_tlb.fill(entry)
         if self.tracer.recording:
             self.tracer.stage(STAGE_SYNONYM_TLB, cycles=front, hit=hit,
                               is_synonym=entry.is_synonym)
         if entry.is_synonym:
-            self.hybrid_stats.add("true_synonym_accesses")
+            self._hybrid_counts["true_synonym_accesses"] += 1
             pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
             return physical_block_key(pa), front, entry.permissions, pa
         # False positive: the marker entry redirects to the ASID+VA path.
-        self.hybrid_stats.add("false_positive_accesses")
+        self._hybrid_counts["false_positive_accesses"] += 1
         return virtual_block_key(asid, va), front, None, None
 
     def _finish_access(self, core: int, asid: int, va: int, is_write: bool,
-                       key: int, front: int, permissions, pa) -> AccessOutcome:
+                       key: int, front: int, permissions, pa) -> Outcome:
         is_virtual_key = pa is None
         fill_permissions = 0x3
         delayed_cycles = 0
@@ -292,7 +286,7 @@ class HybridMmu(MmuBase):
             # Parallel mode translates speculatively on every L2 miss;
             # an LLC hit wastes the probe (energy, no latency).
             pa_spec, spec_cycles, _p = self.delayed.translate(asid, va)
-            self.hybrid_stats.add("wasted_parallel_translations")
+            self._hybrid_counts["wasted_parallel_translations"] += 1
             pa = pa_spec if pa is None else pa
         if result.llc_miss and is_virtual_key:
             pa, delayed_cycles, perms = self.delayed.translate(asid, va)
@@ -322,25 +316,19 @@ class HybridMmu(MmuBase):
                 return self._handle_permission_fault(core, asid, va, front,
                                                      result, delayed_cycles,
                                                      dram)
-        return AccessOutcome(front, result.latency, delayed_cycles, dram,
-                             result.hit_level, translated_pa=pa)
+        return front, result.latency, delayed_cycles, dram, result.hit_level, pa
 
     def _handle_permission_fault(self, core: int, asid: int, va: int,
                                  front: int, result, delayed_cycles: int,
-                                 dram: int) -> AccessOutcome:
+                                 dram: int) -> Outcome:
         """Write to a r/o non-synonym line: OS copy-on-write, then retry."""
-        self.hybrid_stats.add("permission_faults")
+        self._hybrid_counts["permission_faults"] += 1
         process = self.kernel.process(asid)
         self.kernel.handle_cow_fault(process, va)
-        retry = self.access(core, asid, va, is_write=True)
-        return AccessOutcome(
-            front + COW_FAULT_CYCLES + retry.front_cycles,
-            result.latency + retry.cache_cycles,
-            delayed_cycles + retry.delayed_cycles,
-            dram + retry.dram_cycles,
-            retry.hit_level,
-            translated_pa=retry.translated_pa,
-        )
+        r_front, r_cache, r_delayed, r_dram, r_level, r_pa = self.access(
+            core, asid, va, is_write=True)
+        return (front + COW_FAULT_CYCLES + r_front, result.latency + r_cache,
+                delayed_cycles + r_delayed, dram + r_dram, r_level, r_pa)
 
     # ------------------------------------------------------------------ #
     # Reporting helpers (Table II inputs)

@@ -10,7 +10,7 @@ translation overhead the proposed schemes try to recover.
 from __future__ import annotations
 
 from repro.common.address import physical_block_key
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 
 
 class IdealMmu(MmuBase):
@@ -18,11 +18,10 @@ class IdealMmu(MmuBase):
 
     name = "ideal"
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access with free, never-missing translation."""
         self._accesses += 1
         pa = self.kernel.translate(asid, va).pa
         result = self.caches.access(core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(0, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return 0, result.latency, 0, dram, result.hit_level, pa

@@ -5,8 +5,9 @@ TLB or many-segment translation, ideal TLB) exposes one entry point:
 
     outcome = mmu.access(core, asid, va, is_write)
 
-and returns a :class:`AccessOutcome` that decomposes the access into the
-phases the paper's timing argument is about:
+and returns a plain tuple ``(front_cycles, cache_cycles, delayed_cycles,
+dram_cycles, hit_level, translated_pa)`` that decomposes the access into
+the phases the paper's timing argument is about:
 
 * ``front_cycles``    — translation cycles *blocking* the L1 access
   (the baseline's TLB-miss walks live here; the hybrid's non-synonym path
@@ -15,15 +16,22 @@ phases the paper's timing argument is about:
 * ``delayed_cycles``  — translation performed *after* an LLC miss
   (delayed TLB / many-segment walk; serial with the LLC per Section IV-C's
   energy-conscious design choice);
-* ``dram_cycles``     — main-memory access time on an LLC miss.
+* ``dram_cycles``     — main-memory access time on an LLC miss;
+* ``hit_level``       — the level that served the data (``"memory"`` on
+  an LLC miss);
+* ``translated_pa``   — the physical (machine) address the access used.
+
+No layer builds an object per access: the MMU, its walkers and its
+lookups hand plain tuples upward.  :class:`AccessOutcome` is the named
+view of the outcome tuple (``AccessOutcome._make(outcome)``) for tests,
+examples and analysis.
 
 The cycle model in ``repro.timing`` combines these with per-workload MLP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.address import physical_block_key
@@ -35,9 +43,17 @@ from repro.osmodel.kernel import Kernel
 from repro.timing.dram import DramModel
 
 
-@dataclass(slots=True)
-class AccessOutcome:
-    """Phase-by-phase cost of one memory access."""
+#: What ``MmuBase.access`` returns: (front_cycles, cache_cycles,
+#: delayed_cycles, dram_cycles, hit_level, translated_pa).
+Outcome = Tuple[int, int, int, int, str, Optional[int]]
+
+
+class AccessOutcome(NamedTuple):
+    """Named view of one access's outcome tuple, phase by phase.
+
+    ``MmuBase.access`` returns the plain tuple; ``AccessOutcome._make``
+    names its fields where a reader wants them.
+    """
 
     front_cycles: int
     cache_cycles: int
@@ -117,7 +133,7 @@ class MmuBase:
         """DRAM cycles for an LLC-missing data access."""
         return self.dram.access(pa, is_write)
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         raise NotImplementedError
 
     @property

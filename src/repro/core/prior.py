@@ -24,6 +24,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from repro.common.address import (
@@ -34,7 +35,7 @@ from repro.common.address import (
 )
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.address_space import POLICY_SHARED
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.segments import SegmentFault
@@ -59,7 +60,7 @@ class DirectSegmentMmu(MmuBase):
                      for c in range(cfg.cores)]
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
+                       partial(self.charge_physical_read, c),
                        stats=StatGroup(f"walker_core{c}"))
             for c in range(cfg.cores)
         ]
@@ -86,7 +87,7 @@ class DirectSegmentMmu(MmuBase):
             self.segment.configure_from_segment(
                 max(segments, key=lambda s: s.length))
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One access: direct-segment check, then the conventional TLB path."""
         self._accesses += 1
         self._ensure_configured(asid)
@@ -95,24 +96,19 @@ class DirectSegmentMmu(MmuBase):
         if pa is None:
             # Fallback paging: conventional TLB path.
             page_key = virtual_page_key(asid, va)
-            lookup = self.tlbs[core].lookup(page_key)
-            if lookup.level == "l2":
+            entry, level = self.tlbs[core].lookup(page_key)
+            if level == "l2":
                 front = self.config.l2_tlb.latency
-            elif lookup.level == "miss":
-                walk = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + walk.cycles
-                translation = walk.translation
-                self.tlbs[core].fill(TlbEntry(page_key,
-                                              translation.pa >> PAGE_SHIFT,
-                                              True, translation.permissions))
-                pa = translation.pa
-            if pa is None:
-                assert lookup.entry is not None
-                pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
+            if entry is None:
+                cycles, pa, permissions, _ = self.walkers[core].walk(asid, va)
+                front = self.config.l2_tlb.latency + cycles
+                self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT,
+                                              True, permissions))
+            else:
+                pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
         result = self.caches.access(core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return front, result.latency, 0, dram, result.hit_level, pa
 
 
 class RmmMmu(MmuBase):
@@ -131,7 +127,7 @@ class RmmMmu(MmuBase):
                      for c in range(cfg.cores)]
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
+                       partial(self.charge_physical_read, c),
                        stats=StatGroup(f"walker_core{c}"))
             for c in range(cfg.cores)
         ]
@@ -145,17 +141,17 @@ class RmmMmu(MmuBase):
         for tlb in self.tlbs:
             tlb.invalidate(key)
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One access: TLB hierarchy with the range TLB backing L2 misses."""
         self._accesses += 1
         page_key = virtual_page_key(asid, va)
-        lookup = self.tlbs[core].lookup(page_key)
+        entry, level = self.tlbs[core].lookup(page_key)
         front = 0
-        if lookup.level == "l1":
-            pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        elif lookup.level == "l2":
+        if level == "l1":
+            pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
+        elif level == "l2":
             front = self.config.l2_tlb.latency
-            pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
+            pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
         else:
             # L1+L2 TLB miss: the range TLB (probed in parallel with the
             # L2 TLB) usually saves the walk.
@@ -165,17 +161,13 @@ class RmmMmu(MmuBase):
                 pa = range_result.pa
                 translation_perms = 0x3
             except SegmentFault:
-                walk = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + walk.cycles
-                translation = walk.translation
-                pa = translation.pa
-                translation_perms = translation.permissions
+                cycles, pa, translation_perms, _ = self.walkers[core].walk(asid, va)
+                front = self.config.l2_tlb.latency + cycles
             self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
                                           translation_perms))
         result = self.caches.access(core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return front, result.latency, 0, dram, result.hit_level, pa
 
 
 class EnigmaMmu(MmuBase):
@@ -189,7 +181,7 @@ class EnigmaMmu(MmuBase):
         self.delayed_tlb = DelayedTlb(self.config.delayed_tlb)
         self.stats.register(self.delayed_tlb.stats)
         self.walker = PageWalker(self.config.walker, kernel.pte_path,
-                                 lambda pa: self.charge_physical_read(0, pa),
+                                 partial(self.charge_physical_read, 0),
                                  stats=StatGroup("delayed_walker"))
         self.stats.register(self.walker.stats)
         kernel.on_shootdown(self._shootdown)
@@ -234,10 +226,10 @@ class EnigmaMmu(MmuBase):
         self._next_shared_id += 1
         return 0xF000 + self._next_shared_id
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One access: first-level segment, intermediate-named caches, delayed TLB."""
         self._accesses += 1
-        self.enigma_stats.add("accesses")
+        self.enigma_stats.counts["accesses"] += 1
         intermediate_asid, iva = self._intermediate(asid, va)
         front = self.FIRST_LEVEL_CYCLES
         key = virtual_block_key(intermediate_asid, iva)
@@ -249,15 +241,13 @@ class EnigmaMmu(MmuBase):
             entry = self.delayed_tlb.lookup(page_key)
             delayed = self.delayed_tlb.latency
             if entry is None:
-                walk = self.walker.walk(asid, va)
-                delayed += walk.cycles
-                translation = walk.translation
-                entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
-                                 translation.permissions)
+                cycles, walked_pa, permissions, _ = self.walker.walk(asid, va)
+                delayed += cycles
+                entry = TlbEntry(page_key, walked_pa >> PAGE_SHIFT, True,
+                                 permissions)
                 self.delayed_tlb.fill(entry)
             pa = (entry.pfn << PAGE_SHIFT) | (iva & 0xFFF)
         if pa is None:
             pa = self.kernel.translate(asid, va).pa
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, delayed, dram,
-                             result.hit_level, translated_pa=pa)
+        return front, result.latency, delayed, dram, result.hit_level, pa

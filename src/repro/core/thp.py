@@ -17,6 +17,7 @@ be compared against the *stronger* baseline:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.common.address import (
@@ -27,7 +28,7 @@ from repro.common.address import (
 )
 from repro.common.params import SystemConfig, TlbConfig
 from repro.common.stats import StatGroup
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.pagetable import HUGE_PAGE_SHIFT
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
@@ -55,7 +56,7 @@ class ThpBaselineMmu(MmuBase):
                    for c in range(cfg.cores)]
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
+                       partial(self.charge_physical_read, c),
                        stats=StatGroup(f"walker_core{c}"))
             for c in range(cfg.cores)
         ]
@@ -89,7 +90,7 @@ class ThpBaselineMmu(MmuBase):
             return (entry.pfn << PAGE_SHIFT) | (va & HUGE_OFFSET_MASK)
         return (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access through split 4 KB / 2 MB TLBs and physical caches."""
         self._accesses += 1
         small_key = virtual_page_key(asid, va)
@@ -121,7 +122,7 @@ class ThpBaselineMmu(MmuBase):
                     self.l1_huge[core].fill(entry)
 
         if pa is None:
-            front += self.walkers[core].walk(asid, va).cycles
+            front += self.walkers[core].walk(asid, va)[0]
             leaf = self.kernel.process(asid).page_table.entry(va)
             if leaf.is_huge:
                 entry = TlbEntry(huge_key, leaf.pfn, True, leaf.permissions)
@@ -135,8 +136,7 @@ class ThpBaselineMmu(MmuBase):
 
         result = self.caches.access(core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return front, result.latency, 0, dram, result.hit_level, pa
 
     def tlb_misses(self) -> int:
         """Full-hierarchy misses (walks)."""

@@ -37,6 +37,7 @@ class SynonymFilter:
                  stats: StatGroup | None = None) -> None:
         self.config = config or SynonymFilterConfig()
         self.stats = stats or StatGroup("synonym_filter")
+        self._counts = self.stats.counts
         self.fine = BloomFilter(self.config.bits,
                                 make_hash_pair(self.config.fine_grain_shift),
                                 self.config.fine_grain_shift)
@@ -105,10 +106,11 @@ class SynonymFilter:
 
     def is_synonym_candidate(self, va: int) -> bool:
         """Probe both filters; candidate iff all four probed bits are set."""
-        self.stats.add("lookups")
+        counts = self._counts
+        counts["lookups"] += 1
         candidate = self.coarse.query(va) and self.fine.query(va)
         if candidate:
-            self.stats.add("candidates")
+            counts["candidates"] += 1
         return candidate
 
     # ------------------------------------------------------------------ #

@@ -41,11 +41,12 @@ class VirtualizedSynonymFilter:
 
     def is_synonym_candidate(self, gva: int) -> bool:
         """Candidate when either the guest or the host filter reports a hit."""
-        self.stats.add("lookups")
+        counts = self.stats.counts
+        counts["lookups"] += 1
         candidate = (self.guest.is_synonym_candidate(gva)
                      or self.host.is_synonym_candidate(gva))
         if candidate:
-            self.stats.add("candidates")
+            counts["candidates"] += 1
         return candidate
 
     def switch_guest_process(self, fine_bits: int, coarse_bits: int) -> None:

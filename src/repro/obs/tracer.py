@@ -98,20 +98,25 @@ class Tracer:
         self._emit(TraceEvent(self._seq, stage, cycles, detail))
 
     def end_access(self, outcome: Any, timed: bool = True) -> None:
-        """Close the current access with its phase-decomposed summary."""
+        """Close the current access with its phase-decomposed summary.
+
+        ``outcome`` is the ``mmu.access`` tuple ``(front_cycles,
+        cache_cycles, delayed_cycles, dram_cycles, hit_level,
+        translated_pa)``.
+        """
         if not self.recording:
             return
+        front, cache, delayed, dram, hit_level, _pa = outcome
         detail = dict(self._pending)
         detail.update(
-            hit_level=outcome.hit_level,
-            front_cycles=outcome.front_cycles,
-            cache_cycles=outcome.cache_cycles,
-            delayed_cycles=outcome.delayed_cycles,
-            dram_cycles=outcome.dram_cycles,
+            hit_level=hit_level,
+            front_cycles=front,
+            cache_cycles=cache,
+            delayed_cycles=delayed,
+            dram_cycles=dram,
             timed=timed,
         )
-        total = (outcome.front_cycles + outcome.cache_cycles
-                 + outcome.delayed_cycles + outcome.dram_cycles)
+        total = front + cache + delayed + dram
         self._emit(TraceEvent(self._seq, STAGE_ACCESS, total, detail))
         self.recording = False
 

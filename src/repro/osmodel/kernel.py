@@ -459,10 +459,11 @@ class Kernel:
         if vma is None:
             raise SegmentationViolation(process.asid, va)
         page_va = page_base(va)
+        counts = self.stats.counts
         if vma.policy == POLICY_DEMAND:
             frame = self.frames.alloc_frame()
             process.page_table.map(page_va, frame, vma.permissions, shared=False)
-            self.stats.add("demand_faults")
+            counts["demand_faults"] += 1
         elif vma.policy == POLICY_EAGER:
             segment = vma.segment_for(va)
             if segment is None:
@@ -470,17 +471,17 @@ class Kernel:
             segment.touch(page_va)
             pa = segment.translate(page_va)
             if self.thp and self._try_map_huge(process, segment, va):
-                self.stats.add("huge_first_touches")
+                counts["huge_first_touches"] += 1
             else:
                 process.page_table.map(page_va, pa >> PAGE_SHIFT,
                                        vma.permissions, shared=False)
-            self.stats.add("eager_first_touches")
+            counts["eager_first_touches"] += 1
         else:  # POLICY_SHARED
             assert vma.shared_pbase is not None
             pa = vma.shared_pbase + (page_va - vma.vbase)
             process.page_table.map(page_va, pa >> PAGE_SHIFT, vma.permissions,
                                    shared=True)
-            self.stats.add("shared_first_touches")
+            counts["shared_first_touches"] += 1
 
     def _try_map_huge(self, process: Process, segment, va: int) -> bool:
         """Install a 2 MB leaf when alignment and coverage permit."""
@@ -500,20 +501,22 @@ class Kernel:
             segment.touch(huge_base + offset)
         return True
 
-    def pte_path(self, asid: int, va: int) -> Tuple[List[int], Translation]:
-        """One hardware page walk: the physical addresses of the PTEs it
-        reads (root→leaf) and the translation its leaf yields.
+    def pte_path(self, asid: int, va: int) -> Tuple[List[int], int, int, bool]:
+        """One hardware page walk: ``(path, pa, permissions, shared)``.
 
-        A first touch is faulted in before the walk completes, so the
-        walker always sees a full path — the fault cost itself is
-        accounted by the caller via kernel stats.
+        ``path`` holds the physical addresses of the PTEs the walk reads
+        (root→leaf); the rest is what the leaf yields for ``va``, as in
+        :meth:`translate`.  A first touch is faulted in before the walk
+        completes, so the walker always sees a full path — the fault cost
+        itself is accounted by the caller via kernel stats.
         """
         process = self._processes[asid]
         path, entry = process.page_table.walk(va)
         if entry is None:
             self._handle_fault(process, va)
             path, entry = process.page_table.walk(va)
-        return path, _translation(entry, va)
+        pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << entry.page_shift) - 1))
+        return path, pa, entry.permissions, entry.shared
 
     def is_synonym_page(self, asid: int, va: int) -> bool:
         """Ground truth for filter false-positive accounting."""

@@ -5,14 +5,13 @@ imported by module path.
 """
 
 from repro.segtrans.index_cache import IndexCache
-from repro.segtrans.many_segment import ManySegmentTranslator, SegmentTranslation
+from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.segtrans.segment_cache import SegmentCache, SegmentCacheEntry
 from repro.segtrans.segment_table import HwSegmentTable
 
 __all__ = [
     "IndexCache",
     "ManySegmentTranslator",
-    "SegmentTranslation",
     "SegmentCache",
     "SegmentCacheEntry",
     "HwSegmentTable",

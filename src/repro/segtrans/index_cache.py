@@ -34,6 +34,7 @@ class IndexCache:
         self._cache = SetAssociativeCache(
             self.config.index_cache_geometry(size_bytes), "index_cache")
         self.stats = stats or StatGroup("index_cache")
+        self._counts = self.stats.counts
         self._memory_charge = memory_charge or (lambda pa: 200)
 
     @property
@@ -47,11 +48,12 @@ class IndexCache:
     def read_node(self, node_pa: int) -> int:
         """Read one tree node; returns cycles (hit latency or miss+fill)."""
         key = node_pa >> 6
-        self.stats.add("reads")
+        counts = self._counts
+        counts["reads"] += 1
         if self._cache.lookup(key) is not None:
-            self.stats.add("hits")
+            counts["hits"] += 1
             return self.latency
-        self.stats.add("misses")
+        counts["misses"] += 1
         cycles = self.latency + self._memory_charge(node_pa)
         self._cache.insert(key)
         return cycles

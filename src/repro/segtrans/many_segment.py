@@ -21,8 +21,7 @@ reach memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.common.params import SegmentTranslationConfig
 from repro.common.stats import StatGroup
@@ -32,17 +31,6 @@ from repro.osmodel.segments import SegmentFault
 from repro.segtrans.index_cache import IndexCache
 from repro.segtrans.segment_cache import SegmentCache
 from repro.segtrans.segment_table import HwSegmentTable
-
-
-@dataclass(slots=True)
-class SegmentTranslation:
-    """Outcome of one delayed many-segment translation."""
-
-    pa: int
-    cycles: int
-    sc_hit: bool
-    index_nodes_read: int
-    permissions: int
 
 
 class ManySegmentTranslator:
@@ -56,6 +44,7 @@ class ManySegmentTranslator:
         self.config = config or SegmentTranslationConfig()
         self.kernel = kernel
         self.stats = StatGroup("many_segment")
+        self._counts = self.stats.counts
         self.segment_cache = SegmentCache(self.config) if use_segment_cache else None
         self.index_cache = IndexCache(self.config, memory_charge,
                                       size_bytes=index_cache_size)
@@ -78,23 +67,29 @@ class ManySegmentTranslator:
             self._tree_generation = self.kernel.segment_table.generation
         return tree
 
-    def translate(self, asid: int, va: int) -> SegmentTranslation:
-        """Translate an LLC-missing ASID+VA to PA (Figure 5)."""
-        self.stats.add("translations")
+    def translate(self, asid: int, va: int) -> Tuple[int, int, int, bool, int]:
+        """Translate an LLC-missing ASID+VA to PA (Figure 5).
+
+        Returns ``(pa, cycles, permissions, sc_hit, index_nodes_read)``;
+        raises :class:`SegmentFault` when no segment covers the address.
+        """
+        counts = self._counts
+        counts["translations"] += 1
         cycles = 0
         if self.segment_cache is not None:
             cycles += self.segment_cache.latency
             pa = self.segment_cache.lookup(asid, va)
             if pa is not None:
-                self.stats.add("sc_hits")
+                counts["sc_hits"] += 1
                 self.latency_hist.record(cycles)
-                return SegmentTranslation(pa, cycles, True, 0, 0x3)
+                return pa, cycles, 0x3, True, 0
 
         tree = self._refresh_tree()
         lookup = tree.lookup(asid, va)
+        nodes_read = len(lookup.node_addresses)
         for node_pa in lookup.node_addresses:
             cycles += self.index_cache.read_node(node_pa)
-        self.stats.add("index_nodes_read", len(lookup.node_addresses))
+        counts["index_nodes_read"] += nodes_read
 
         segment = None
         if lookup.seg_id is not None:
@@ -102,18 +97,17 @@ class ManySegmentTranslator:
             cycles += table_cycles
         if segment is None or segment.asid != asid or not segment.contains(va):
             # Not covered: raise to the OS (cold allocation, stale tree).
-            self.stats.add("segment_faults")
+            counts["segment_faults"] += 1
             raise SegmentFault(asid, va)
 
         pa = va + segment.offset
         if self.segment_cache is not None:
             self.segment_cache.fill(asid, va, segment.vbase, segment.vlimit,
                                     segment.offset, segment.seg_id)
-        self.stats.add("full_walks")
-        self.depth_hist.record(len(lookup.node_addresses))
+        counts["full_walks"] += 1
+        self.depth_hist.record(nodes_read)
         self.latency_hist.record(cycles)
-        return SegmentTranslation(pa, cycles, False, len(lookup.node_addresses),
-                                  segment.permissions)
+        return pa, cycles, segment.permissions, False, nodes_read
 
     def sc_hit_rate(self) -> float:
         if self.segment_cache is None:

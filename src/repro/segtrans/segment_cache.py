@@ -38,6 +38,7 @@ class SegmentCache:
                  stats: StatGroup | None = None) -> None:
         self.config = config or SegmentTranslationConfig()
         self.stats = stats or StatGroup("segment_cache")
+        self._counts = self.stats.counts
         self._entries: Dict[tuple[int, int], SegmentCacheEntry] = {}
 
     @property
@@ -53,15 +54,16 @@ class SegmentCache:
 
     def lookup(self, asid: int, va: int) -> Optional[int]:
         """Return the translated PA on a valid hit, else None."""
-        self.stats.add("lookups")
+        counts = self._counts
+        counts["lookups"] += 1
         key = self._region_of(asid, va)
         entry = self._entries.get(key)
         if entry is None or not entry.valid_start <= va < entry.valid_end:
-            self.stats.add("misses")
+            counts["misses"] += 1
             return None
         del self._entries[key]
         self._entries[key] = entry
-        self.stats.add("hits")
+        counts["hits"] += 1
         return va + entry.offset
 
     def fill(self, asid: int, va: int, seg_vbase: int, seg_vlimit: int,
@@ -81,9 +83,9 @@ class SegmentCache:
         elif len(self._entries) >= self.config.segment_cache_entries:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
-            self.stats.add("evictions")
+            self._counts["evictions"] += 1
         self._entries[key] = entry
-        self.stats.add("fills")
+        self._counts["fills"] += 1
 
     def invalidate_segment(self, seg_id: int) -> int:
         """Drop every region cached from one segment (OS remap)."""

@@ -29,6 +29,7 @@ class HwSegmentTable:
         self.config = config or SegmentTranslationConfig()
         self.os_table = os_table
         self.stats = stats or StatGroup("hw_segment_table")
+        self._counts = self.stats.counts
         self._loaded: Set[int] = set()
 
     @property
@@ -42,12 +43,13 @@ class HwSegmentTable:
         interrupt on top of the table access; a stale ID (segment removed
         by the OS) returns ``None`` so the caller can re-walk.
         """
-        self.stats.add("reads")
+        counts = self._counts
+        counts["reads"] += 1
         cycles = self.latency
         try:
             segment = self.os_table.get(seg_id)
         except KeyError:
-            self.stats.add("stale_ids")
+            counts["stale_ids"] += 1
             return None, cycles
         if seg_id not in self._loaded:
             if len(self._loaded) >= self.config.segment_table_entries:
@@ -55,7 +57,7 @@ class HwSegmentTable:
                                   "the OS table must stay within 2048 entries")
             self._loaded.add(seg_id)
             cycles += self.FILL_INTERRUPT_CYCLES
-            self.stats.add("cold_fills")
+            counts["cold_fills"] += 1
         return segment, cycles
 
     def invalidate(self, seg_id: int) -> None:

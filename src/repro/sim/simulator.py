@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from itertools import islice, starmap
 from typing import Optional
 
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.obs.interval import IntervalRecorder
 from repro.obs.manifest import RunManifest
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -40,7 +40,7 @@ def _traced(access, tracer: Tracer, timed: bool):
     end_access = tracer.end_access
 
     def traced_access(core: int, asid: int, va: int,
-                      is_write: bool) -> AccessOutcome:
+                      is_write: bool) -> Outcome:
         begin_access(core, asid, va, is_write)
         outcome = access(core, asid, va, is_write)
         end_access(outcome, timed=timed)

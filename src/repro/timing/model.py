@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Iterable
 from repro.common.params import CoreConfig
 from repro.obs.histogram import Histogram
 
-if TYPE_CHECKING:  # avoid a circular import; outcomes are duck-typed here
-    from repro.core.mmu_base import AccessOutcome
+if TYPE_CHECKING:  # avoid a circular import
+    from repro.core.mmu_base import Outcome
 
 
 @dataclass
@@ -66,14 +66,15 @@ class TimingModel:
         self.front_hist = Histogram("front_translation_cycles")
         self.delayed_hist = Histogram("delayed_translation_cycles")
 
-    def account(self, outcomes: Iterable["AccessOutcome"],
+    def account(self, outcomes: Iterable["Outcome"],
                 instructions_between: int = 1) -> None:
         """Account memory accesses, each with the instructions preceding it.
 
-        ``outcomes`` is consumed here, so the simulator passes its access
-        stream straight in.  The stall sums and the access histogram are
-        kept in locals and written back once per call, also when the
-        stream raises.
+        ``outcomes`` yields ``mmu.access`` outcome tuples (or their
+        :class:`~repro.core.mmu_base.AccessOutcome` views) and is consumed
+        here, so the simulator passes its access stream straight in.  The
+        stall sums and the access histogram are kept in locals and written
+        back once per call, also when the stream raises.
         """
         pipelined = self.l1_hit_pipelined_cycles
         access_counts = self.access_hist.counts
@@ -81,11 +82,8 @@ class TimingModel:
         delayed_record = self.delayed_hist.record
         n = front = cache = delayed = dram = total = 0
         try:
-            for outcome in outcomes:
-                front_cycles = outcome.front_cycles
-                cache_cycles = outcome.cache_cycles
-                delayed_cycles = outcome.delayed_cycles
-                dram_cycles = outcome.dram_cycles
+            for (front_cycles, cache_cycles, delayed_cycles, dram_cycles,
+                 _level, _pa) in outcomes:
                 n += 1
                 front += front_cycles
                 if cache_cycles > pipelined:
@@ -118,7 +116,7 @@ class TimingModel:
             self.access_hist.count += n
             self.access_hist.total += total
 
-    def record(self, outcome: "AccessOutcome", instructions_between: int = 1) -> None:
+    def record(self, outcome: "Outcome", instructions_between: int = 1) -> None:
         """Account one memory access plus the instructions preceding it."""
         self.account((outcome,), instructions_between)
 

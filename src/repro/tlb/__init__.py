@@ -2,8 +2,8 @@
 
 from repro.tlb.base import PERM_READ, PERM_RW, PERM_WRITE, SetAssociativeTlb, TlbEntry
 from repro.tlb.delayed import DelayedTlb
-from repro.tlb.hierarchy import TlbHierarchy, TlbLookupResult
-from repro.tlb.walker import PageWalker, WalkResult
+from repro.tlb.hierarchy import TlbHierarchy
+from repro.tlb.walker import PageWalker
 
 __all__ = [
     "PERM_READ",
@@ -13,7 +13,5 @@ __all__ = [
     "TlbEntry",
     "DelayedTlb",
     "TlbHierarchy",
-    "TlbLookupResult",
     "PageWalker",
-    "WalkResult",
 ]

@@ -8,21 +8,11 @@ which invokes the page walker and fills both levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.common.params import TlbConfig
 from repro.common.stats import StatGroup
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
-
-
-@dataclass(slots=True)
-class TlbLookupResult:
-    """Outcome of a hierarchy probe: the entry (or None) and exposed latency."""
-
-    entry: Optional[TlbEntry]
-    latency: int
-    level: str  # "l1", "l2", or "miss"
 
 
 class TlbHierarchy:
@@ -35,21 +25,24 @@ class TlbHierarchy:
         self.l1 = SetAssociativeTlb(l1_config, f"{name}_l1")
         self.l2 = SetAssociativeTlb(l2_config, f"{name}_l2")
 
-    def lookup(self, page_key: int) -> TlbLookupResult:
-        """Probe L1 then L2; a miss costs both probe latencies."""
+    def lookup(self, page_key: int) -> Tuple[Optional[TlbEntry], str]:
+        """Probe L1 then L2; returns ``(entry, level)``.
+
+        ``level`` is ``"l1"``, ``"l2"`` or ``"miss"`` (entry ``None``).
+        """
         counts = self._counts
         counts["lookups"] += 1
         entry = self.l1.lookup(page_key)
         if entry is not None:
             counts["l1_hits"] += 1
-            return TlbLookupResult(entry, self.l1.latency, "l1")
+            return entry, "l1"
         entry = self.l2.lookup(page_key)
         if entry is not None:
             counts["l2_hits"] += 1
             self.l1.fill(entry)
-            return TlbLookupResult(entry, self.l1.latency + self.l2.latency, "l2")
+            return entry, "l2"
         counts["misses"] += 1
-        return TlbLookupResult(None, self.l1.latency + self.l2.latency, "miss")
+        return None, "miss"
 
     def fill(self, entry: TlbEntry) -> None:
         """Install a walked translation into both levels."""

@@ -8,7 +8,7 @@ PTE read.
 
 The walker is decoupled from both the page table (a ``resolve`` callable
 that performs the radix walk once, returning the PTE physical addresses
-it touches and the translation its leaf yields) and the memory system (a
+it touches and what its leaf yields) and the memory system (a
 ``charge`` callable that returns the cycles for one PTE read, letting the
 simulator route PTE reads through the cache hierarchy — this is what lets
 large on-chip caches absorb walk traffic, a first-order effect in the
@@ -17,31 +17,17 @@ paper's Figure 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.common.params import WalkerConfig
 from repro.common.stats import StatGroup
 from repro.obs.histogram import Histogram
 
-if TYPE_CHECKING:
-    from repro.osmodel.kernel import Translation
-
 # Resolve callback: (asid, va) -> (PTE physical addresses ordered root ->
-# leaf, the leaf's translation); see ``Kernel.pte_path``.
-ResolveFn = Callable[[int, int], Tuple[Sequence[int], "Translation"]]
+# leaf, pa, permissions, shared) of the leaf; see ``Kernel.pte_path``.
+ResolveFn = Callable[[int, int], Tuple[Sequence[int], int, int, bool]]
 # Charge callback: (pte_physical_address) -> cycles for the read.
 ChargeFn = Callable[[int], int]
-
-
-@dataclass(slots=True)
-class WalkResult:
-    """Cost summary of one page walk and the translation it found."""
-
-    cycles: int
-    memory_accesses: int
-    walk_cache_hit: bool
-    translation: Translation
 
 
 class PageWalker:
@@ -77,15 +63,17 @@ class PageWalker:
             del self._walk_cache[oldest]
         self._walk_cache[key] = True
 
-    def walk(self, asid: int, va: int) -> WalkResult:
+    def walk(self, asid: int, va: int) -> Tuple[int, int, int, bool]:
         """Walk the page table for (asid, va), charging each PTE read.
 
-        A walk-cache hit reads only the leaf PTE; a miss reads every level
-        and refills the walk cache.
+        Returns ``(cycles, pa, permissions, shared)``.  A walk-cache hit
+        reads only the leaf PTE; a miss reads every level and refills the
+        walk cache.  The ``pte_reads`` and ``walk_cache_hits`` counters
+        record what each walk read.
         """
         counts = self._counts
         counts["walks"] += 1
-        pte_addresses, translation = self.resolve(asid, va)
+        pte_addresses, pa, permissions, shared = self.resolve(asid, va)
         hit = self._walk_cache_lookup(asid, va)
         if hit:
             counts["walk_cache_hits"] += 1
@@ -99,8 +87,7 @@ class PageWalker:
         counts["pte_reads"] += len(touched)
         counts["walk_cycles"] += cycles
         self.cycles_hist.record(cycles)
-        return WalkResult(cycles=cycles, memory_accesses=len(touched),
-                          walk_cache_hit=hit, translation=translation)
+        return cycles, pa, permissions, shared
 
     def flush(self) -> None:
         """Drop walk-cache contents (address-space teardown / remap storms)."""

@@ -7,7 +7,7 @@ from repro.virt.hybrid_virt import (
     VirtHybridMmu,
 )
 from repro.virt.hypervisor import HostSegment, Hypervisor, VirtualMachine
-from repro.virt.twod_walker import NestedTlb, TwoDWalker, TwoDWalkResult
+from repro.virt.twod_walker import NestedTlb, TwoDWalker
 
 __all__ = [
     "Delayed2dTlbEngine",
@@ -19,5 +19,4 @@ __all__ = [
     "VirtualMachine",
     "NestedTlb",
     "TwoDWalker",
-    "TwoDWalkResult",
 ]

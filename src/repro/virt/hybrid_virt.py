@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.common.address import (
@@ -27,7 +28,7 @@ from repro.common.address import (
 )
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
-from repro.core.mmu_base import AccessOutcome, MmuBase
+from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.segtrans.segment_cache import SegmentCache
@@ -67,7 +68,7 @@ class VirtConventionalMmu(_VirtMmuBase):
         self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"vtlb_core{c}")
                      for c in range(cfg.cores)]
         self.walker = TwoDWalker(vm, cfg.walker,
-                                 lambda ma: self.charge_physical_read(0, ma))
+                                 partial(self.charge_physical_read, 0))
         for c in range(cfg.cores):
             self.stats.register(self.tlbs[c].stats)
         self.stats.register(self.walker.stats)
@@ -79,28 +80,22 @@ class VirtConventionalMmu(_VirtMmuBase):
         for tlb in self.tlbs:
             tlb.invalidate(key)
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         self._accesses += 1
         page_key = virtual_page_key(self.asid_of(asid), va)
-        lookup = self.tlbs[core].lookup(page_key)
+        entry, level = self.tlbs[core].lookup(page_key)
         front = 0
-        if lookup.level == "l1":
-            entry = lookup.entry
-        elif lookup.level == "l2":
-            entry = lookup.entry
+        if level == "l2":
             front = self.config.l2_tlb.latency
-        else:
-            walk = self.walker.walk(asid, va)
-            front = self.config.l2_tlb.latency + walk.cycles
-            entry = TlbEntry(page_key, walk.ma >> PAGE_SHIFT, True,
-                             walk.permissions)
+        elif entry is None:
+            walked_ma, permissions, _, cycles, _ = self.walker.walk(asid, va)
+            front = self.config.l2_tlb.latency + cycles
+            entry = TlbEntry(page_key, walked_ma >> PAGE_SHIFT, True, permissions)
             self.tlbs[core].fill(entry)
-        assert entry is not None
         ma = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
         result = self.caches.access(core, physical_block_key(ma), is_write)
         dram = self.memory_fill(ma, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=ma)
+        return front, result.latency, 0, dram, result.hit_level, ma
 
 
 class Delayed2dTlbEngine:
@@ -116,10 +111,9 @@ class Delayed2dTlbEngine:
         entry = self.tlb.lookup(page_key)
         cycles = self.tlb.latency
         if entry is None:
-            walk = self.mmu.walker.walk(guest_asid, gva)
-            cycles += walk.cycles
-            entry = TlbEntry(page_key, walk.ma >> PAGE_SHIFT, True,
-                             walk.permissions)
+            ma, permissions, _, walk_cycles, _ = self.mmu.walker.walk(guest_asid, gva)
+            cycles += walk_cycles
+            entry = TlbEntry(page_key, ma >> PAGE_SHIFT, True, permissions)
             self.tlb.fill(entry)
         ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
         return ma, cycles, entry.permissions
@@ -140,7 +134,7 @@ class DelayedSegment2dEngine:
         self.stats = StatGroup("delayed_2d_segments")
         self.guest_translator = ManySegmentTranslator(
             mmu.vm.guest_kernel, mmu.config.segments,
-            memory_charge=lambda ma: mmu.charge_physical_read(0, ma),
+            memory_charge=partial(mmu.charge_physical_read, 0),
             use_segment_cache=False)
         self.segment_cache = SegmentCache(mmu.config.segments)
         mmu.stats.register(self.guest_translator.stats)
@@ -152,23 +146,24 @@ class DelayedSegment2dEngine:
         global_asid = self.mmu.asid_of(guest_asid)
         cycles = self.segment_cache.latency
         ma = self.segment_cache.lookup(global_asid, gva)
+        counts = self.stats.counts
         if ma is not None:
-            self.stats.add("sc_hits")
+            counts["sc_hits"] += 1
             return ma, cycles, 0x3
 
         try:
-            guest = self.guest_translator.translate(guest_asid, gva)
+            gpa, guest_cycles, _, _, _ = self.guest_translator.translate(
+                guest_asid, gva)
         except SegmentFault:
             # Uncovered gVA (demand mapping): full nested walk fallback.
-            self.stats.add("nested_fallbacks")
-            walk = self.mmu.walker.walk(guest_asid, gva)
-            return walk.ma, cycles + walk.cycles, walk.permissions
-        gpa = guest.pa
-        cycles += guest.cycles
+            counts["nested_fallbacks"] += 1
+            ma, permissions, _, walk_cycles, _ = self.mmu.walker.walk(guest_asid, gva)
+            return ma, cycles + walk_cycles, permissions
+        cycles += guest_cycles
         host_segment = self.mmu.vm.host_segment_for(gpa)
         cycles += self.mmu.config.segments.segment_table_latency
         ma = gpa + host_segment.offset
-        self.stats.add("two_step_walks")
+        counts["two_step_walks"] += 1
 
         # Compose the clipped validity window in gVA space.
         guest_seg = self.mmu.vm.guest_kernel.segment_table.find(guest_asid, gva)
@@ -196,7 +191,7 @@ class VirtHybridMmu(_VirtMmuBase):
                                              "synonym_tlb")
         self.stats.register(self.synonym_tlb.stats)
         self.walker = TwoDWalker(vm, self.config.walker,
-                                 lambda ma: self.charge_physical_read(0, ma))
+                                 partial(self.charge_physical_read, 0))
         self.stats.register(self.walker.stats)
         self.stats.register(self.walker.nested_tlb.stats)
         if delayed == "tlb":
@@ -237,17 +232,18 @@ class VirtHybridMmu(_VirtMmuBase):
     # The access path
     # ------------------------------------------------------------------ #
 
-    def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
+    def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         self._accesses += 1
-        self.hybrid_stats.add("accesses")
+        counts = self.hybrid_stats.counts
+        counts["accesses"] += 1
         front = self.config.synonym_filter.latency
 
         if self._is_candidate(asid, va):
-            self.hybrid_stats.add("synonym_candidates")
+            counts["synonym_candidates"] += 1
             key, extra, ma = self._resolve_candidate(asid, va)
             front += extra
         else:
-            self.hybrid_stats.add("tlb_bypasses")
+            counts["tlb_bypasses"] += 1
             key = virtual_block_key(self.asid_of(asid), va)
             ma = None
 
@@ -261,19 +257,15 @@ class VirtHybridMmu(_VirtMmuBase):
                 # inverse map knowing the new name.  The delayed 2-D walk
                 # just exposed it: raise to the hypervisor, which marks
                 # the host filter, and retry through the synonym path.
-                retry = self.access(core, asid, va, is_write)
-                return AccessOutcome(
-                    front + self.LATE_SYNONYM_TRAP_CYCLES
-                    + retry.front_cycles,
-                    result.latency + retry.cache_cycles,
-                    delayed_cycles + retry.delayed_cycles,
-                    retry.dram_cycles, retry.hit_level,
-                    translated_pa=retry.translated_pa)
+                r_front, r_cache, r_delayed, r_dram, r_level, r_ma = self.access(
+                    core, asid, va, is_write)
+                return (front + self.LATE_SYNONYM_TRAP_CYCLES + r_front,
+                        result.latency + r_cache, delayed_cycles + r_delayed,
+                        r_dram, r_level, r_ma)
         if ma is None:
             ma = self.vm.translate_2d(asid, va)[0]
         dram = self.memory_fill(ma, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, delayed_cycles, dram,
-                             result.hit_level, translated_pa=ma)
+        return front, result.latency, delayed_cycles, dram, result.hit_level, ma
 
     #: OS/hypervisor trap cost for a late hypervisor-synonym discovery.
     LATE_SYNONYM_TRAP_CYCLES = 1500
@@ -284,7 +276,7 @@ class VirtHybridMmu(_VirtMmuBase):
         frame is hypervisor-shared; mark the host filter and purge the
         wrongly (virtually) named lines."""
         if self._host_shared(asid, va):
-            self.hybrid_stats.add("late_synonym_detections")
+            self.hybrid_stats.counts["late_synonym_detections"] += 1
             self.vm.host_filter.mark_shared(va)
             self.caches.flush_blocks(key + i for i in range(64))
             return True
@@ -295,17 +287,16 @@ class VirtHybridMmu(_VirtMmuBase):
         front = self.synonym_tlb.latency
         entry = self.synonym_tlb.lookup(page_key)
         if entry is None:
-            walk = self.walker.walk(guest_asid, gva)
-            front += walk.cycles
-            is_synonym = walk.is_guest_shared or self._host_shared(guest_asid, gva)
-            entry = TlbEntry(page_key, walk.ma >> PAGE_SHIFT, is_synonym,
-                             walk.permissions)
+            ma, permissions, guest_shared, cycles, _ = self.walker.walk(guest_asid, gva)
+            front += cycles
+            is_synonym = guest_shared or self._host_shared(guest_asid, gva)
+            entry = TlbEntry(page_key, ma >> PAGE_SHIFT, is_synonym, permissions)
             self.synonym_tlb.fill(entry)
         if entry.is_synonym:
-            self.hybrid_stats.add("true_synonym_accesses")
+            self.hybrid_stats.counts["true_synonym_accesses"] += 1
             ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
             return physical_block_key(ma), front, ma
-        self.hybrid_stats.add("false_positive_accesses")
+        self.hybrid_stats.counts["false_positive_accesses"] += 1
         return virtual_block_key(self.asid_of(guest_asid), gva), front, None
 
     def _host_shared(self, guest_asid: int, gva: int) -> bool:

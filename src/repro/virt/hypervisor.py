@@ -102,7 +102,7 @@ class VirtualMachine:
         page = page_base(gpa)
         ma_page = self.host_segment_for(page).offset + page
         self.host_page_table.map(page, ma_page >> PAGE_SHIFT, PERM_RW)
-        self.stats.add("host_first_touches")
+        self.stats.counts["host_first_touches"] += 1
 
     def host_translate(self, gpa: int) -> int:
         """gPA → MA, populating the host page table on first touch."""

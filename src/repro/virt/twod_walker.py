@@ -20,8 +20,7 @@ addresses via the injected ``charge`` callback, as in the native walker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.common.address import PAGE_SHIFT, page_base
 from repro.common.params import WalkerConfig
@@ -31,35 +30,26 @@ from repro.virt.hypervisor import VirtualMachine
 ChargeFn = Callable[[int], int]
 
 
-@dataclass(slots=True)
-class TwoDWalkResult:
-    """Cost and outcome of one nested walk."""
-
-    ma: int
-    permissions: int
-    is_guest_shared: bool
-    cycles: int
-    memory_reads: int
-
-
 class NestedTlb:
     """Small gPA→MA TLB used by the walker (not by data accesses)."""
 
     def __init__(self, entries: int = 64, stats: StatGroup | None = None) -> None:
         self.entries = entries
         self.stats = stats or StatGroup("nested_tlb")
+        self._counts = self.stats.counts
         self._map: Dict[int, int] = {}
 
     def lookup(self, gpa_page: int):
         """Probe the nested TLB; returns the MA page or None."""
-        self.stats.add("lookups")
+        counts = self._counts
+        counts["lookups"] += 1
         ma_page = self._map.get(gpa_page)
         if ma_page is None:
-            self.stats.add("misses")
+            counts["misses"] += 1
             return None
         del self._map[gpa_page]
         self._map[gpa_page] = ma_page
-        self.stats.add("hits")
+        counts["hits"] += 1
         return ma_page
 
     def fill(self, gpa_page: int, ma_page: int) -> None:
@@ -82,6 +72,7 @@ class TwoDWalker:
         self.config = config
         self.charge = charge
         self.stats = stats or StatGroup("twod_walker")
+        self._counts = self.stats.counts
         self.nested_tlb = NestedTlb()
         self._walk_cache: Dict[tuple[int, int], bool] = {}
 
@@ -126,16 +117,21 @@ class TwoDWalker:
     # The nested walk
     # ------------------------------------------------------------------ #
 
-    def walk(self, guest_asid: int, gva: int) -> TwoDWalkResult:
-        """Perform one 2-D walk, charging every PTE read."""
-        self.stats.add("walks")
+    def walk(self, guest_asid: int, gva: int) -> Tuple[int, int, bool, int, int]:
+        """Perform one 2-D walk, charging every PTE read.
+
+        Returns ``(ma, permissions, is_guest_shared, cycles, reads)``.
+        """
+        counts = self._counts
+        counts["walks"] += 1
         cycles = 0
         reads = 0
 
-        guest_pte_gpas, guest = self.vm.guest_kernel.pte_path(guest_asid, gva)
+        guest_pte_gpas, gpa, guest_permissions, guest_shared = (
+            self.vm.guest_kernel.pte_path(guest_asid, gva))
         if self._guest_cache_lookup(guest_asid, gva):
             guest_pte_gpas = guest_pte_gpas[-1:]
-            self.stats.add("walk_cache_hits")
+            counts["walk_cache_hits"] += 1
         else:
             self._guest_cache_fill(guest_asid, gva)
 
@@ -148,12 +144,12 @@ class TwoDWalker:
             reads += 1
 
         # Finally translate the leaf gPA.
-        ma, host_cycles, host_reads = self._host_resolve(guest.pa)
+        ma, host_cycles, host_reads = self._host_resolve(gpa)
         cycles += host_cycles
         reads += host_reads
 
-        host_entry = self.vm.host_page_table.entry(page_base(guest.pa))
-        permissions = guest.permissions & host_entry.permissions
-        self.stats.add("memory_reads", reads)
-        self.stats.add("walk_cycles", cycles)
-        return TwoDWalkResult(ma, permissions, guest.shared, cycles, reads)
+        host_entry = self.vm.host_page_table.entry(page_base(gpa))
+        permissions = guest_permissions & host_entry.permissions
+        counts["memory_reads"] += reads
+        counts["walk_cycles"] += cycles
+        return ma, permissions, guest_shared, cycles, reads

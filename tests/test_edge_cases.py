@@ -12,7 +12,7 @@ from repro.common.params import (
     TlbConfig,
 )
 from repro.common.rng import make_rng, zipf_sampler
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 from repro.sim import Simulator, build_mmu, lay_out
 from repro.tlb import SetAssociativeTlb, TlbEntry
@@ -80,7 +80,7 @@ class TestTinyStructures:
         p = kernel.create_process("p")
         vma = kernel.mmap(p, 4 * PAGE_SIZE, policy="eager")
         mmu = HybridMmu(kernel, config)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.translated_pa == kernel.translate(p.asid, vma.vbase).pa
 
 
@@ -110,7 +110,7 @@ class TestHybridVariants:
         mmu = HybridMmu(kernel, config, delayed="segments",
                         index_cache_size=1024)
         assert mmu.delayed.translator.index_cache.size_bytes == 1024
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.translated_pa == kernel.translate(p.asid, vma.vbase).pa
 
     def test_unknown_delayed_engine(self):

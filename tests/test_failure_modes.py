@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.address import PAGE_SIZE, physical_block_key, virtual_block_key
 from repro.common.params import SystemConfig
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 
 MB = 1024 * 1024
@@ -83,7 +83,7 @@ class TestMissingFlushFailure:
 
         # The stale ASID+VA copy is still resident while new accesses go
         # through the PA path: two names live simultaneously.
-        out = mmu.access(0, p.asid, vma.vbase, is_write=False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, is_write=False))
         stale = mmu.caches.probe_line(0, key)
         physical = mmu.caches.probe_line(
             0, physical_block_key(out.translated_pa))

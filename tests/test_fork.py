@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.address import PAGE_SIZE, page_base, virtual_block_key
 from repro.common.params import SystemConfig
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.filters import SynonymFilter
 from repro.osmodel import Kernel
 from tests.test_filters import filter_state
@@ -101,7 +101,7 @@ class TestForkThroughHybridMmu:
         config, kernel, parent, vma = system
         mmu = HybridMmu(kernel, config, delayed="tlb")
         # Parent caches a line r/w before the fork...
-        before = mmu.access(0, parent.asid, vma.vbase, True)
+        before = AccessOutcome._make(mmu.access(0, parent.asid, vma.vbase, True))
         child = kernel.fork(parent)
         # ...fork downgraded the cached copies in place.
         from repro.common.address import virtual_block_key
@@ -110,22 +110,24 @@ class TestForkThroughHybridMmu:
         if line is not None:
             assert not line.permissions & 0x2
         # Child read sees the shared frame.
-        read = mmu.access(1, child.asid, vma.vbase, False)
+        read = AccessOutcome._make(mmu.access(1, child.asid, vma.vbase, False))
         assert page_base(read.translated_pa) == page_base(before.translated_pa)
         # Child write triggers the CoW permission fault and privatizes.
-        write = mmu.access(1, child.asid, vma.vbase, True)
+        write = AccessOutcome._make(mmu.access(1, child.asid, vma.vbase, True))
         assert mmu.hybrid_stats["permission_faults"] >= 1
         assert page_base(write.translated_pa) != page_base(before.translated_pa)
         # Parent's data is unaffected.
-        again = mmu.access(0, parent.asid, vma.vbase, False)
+        again = AccessOutcome._make(mmu.access(0, parent.asid, vma.vbase, False))
         assert page_base(again.translated_pa) == page_base(before.translated_pa)
 
     def test_both_sides_can_privatize(self, system):
         config, kernel, parent, vma = system
         mmu = HybridMmu(kernel, config, delayed="tlb")
         child = kernel.fork(parent)
-        pa_child = mmu.access(1, child.asid, vma.vbase, True).translated_pa
-        pa_parent = mmu.access(0, parent.asid, vma.vbase, True).translated_pa
+        pa_child = AccessOutcome._make(
+            mmu.access(1, child.asid, vma.vbase, True)).translated_pa
+        pa_parent = AccessOutcome._make(
+            mmu.access(0, parent.asid, vma.vbase, True)).translated_pa
         assert page_base(pa_child) != page_base(pa_parent)
 
     @pytest.mark.parametrize("delayed", ["tlb", "segments"])
@@ -152,7 +154,7 @@ class TestForkThroughHybridMmu:
         assert mmu.caches.l1[0].probe(key) is None
         assert mmu.caches.l2[0].probe(key) is not None
 
-        write = mmu.access(0, child.asid, va, True)
+        write = AccessOutcome._make(mmu.access(0, child.asid, va, True))
         assert mmu.hybrid_stats["permission_faults"] == 1
         assert kernel.stats["cow_faults"] == 1
         translation = kernel.translate(child.asid, va)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.address import align_up
 from repro.common.params import SystemConfig
+from repro.core.mmu_base import AccessOutcome
 from repro.core.thp import ThpBaselineMmu
 from repro.osmodel import FrameAllocator, Kernel, PageTable
 from repro.osmodel.pagetable import HUGE_PAGE_SIZE, PageFault
@@ -152,14 +153,15 @@ class TestThpBaselineMmu:
     def test_translation_correct(self):
         kernel, p, vma, mmu = self._system()
         for off in (0, 5 * MB + 7, 16 * MB - 8):
-            out = mmu.access(0, p.asid, vma.vbase + off, False)
+            out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + off, False))
             assert out.translated_pa == kernel.translate(p.asid,
                                                          vma.vbase + off).pa
 
     def test_huge_tlb_covers_whole_2mb(self):
         _k, p, vma, mmu = self._system()
         mmu.access(0, p.asid, vma.vbase, False)          # walk + huge fill
-        out = mmu.access(0, p.asid, vma.vbase + MB, False)  # same 2 MB page
+        out = AccessOutcome._make(
+            mmu.access(0, p.asid, vma.vbase + MB, False))  # same 2 MB page
         assert out.front_cycles == 0
         assert mmu.walkers[0].stats["walks"] == 1
 
@@ -182,9 +184,9 @@ class TestThpBaselineMmu:
     def test_small_pages_still_work(self):
         kernel, p, _vma, mmu = self._system()
         stack = kernel.mmap(p, 8 * 4096, policy="demand")
-        out = mmu.access(0, p.asid, stack.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, stack.vbase, False))
         assert out.translated_pa == kernel.translate(p.asid, stack.vbase).pa
-        warm = mmu.access(0, p.asid, stack.vbase, False)
+        warm = AccessOutcome._make(mmu.access(0, p.asid, stack.vbase, False))
         assert warm.front_cycles == 0
 
     def test_shootdown_covers_both_sizes(self):

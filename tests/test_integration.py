@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
-from repro.core import ConventionalMmu, HybridMmu, IdealMmu
+from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
 from repro.energy import EnergyModel
 from repro.osmodel import Kernel
 from repro.sim import Simulator, compare_configs, lay_out, run_workload
@@ -81,10 +81,12 @@ class TestSynonymClaims:
         rng = make_rng(13)
         for _ in range(500):
             offset = rng.randrange(0, 32 * 4096) & ~7
-            pa_a = mmu.access(0, a.asid, vmas[a.asid].vbase + offset,
-                              rng.random() < 0.5).translated_pa
-            pa_b = mmu.access(1, b.asid, vmas[b.asid].vbase + offset,
-                              rng.random() < 0.5).translated_pa
+            pa_a = AccessOutcome._make(mmu.access(
+                0, a.asid, vmas[a.asid].vbase + offset,
+                rng.random() < 0.5)).translated_pa
+            pa_b = AccessOutcome._make(mmu.access(
+                1, b.asid, vmas[b.asid].vbase + offset,
+                rng.random() < 0.5)).translated_pa
             assert pa_a == pa_b
 
 
@@ -155,10 +157,11 @@ class TestOsIntegration:
         mmu = HybridMmu(kernel, config, delayed="tlb")
         vma = kernel.mmap(p, 16 * 4096, policy="demand")
         va = vma.vbase
-        pa_before = mmu.access(0, p.asid, va, True).translated_pa
+        pa_before = AccessOutcome._make(mmu.access(0, p.asid, va, True)).translated_pa
         kernel.munmap(p, vma)
         vma2 = kernel.mmap(p, 16 * 4096, policy="demand")
-        pa_after = mmu.access(0, p.asid, vma2.vbase, False).translated_pa
+        pa_after = AccessOutcome._make(
+            mmu.access(0, p.asid, vma2.vbase, False)).translated_pa
         assert pa_after == kernel.translate(p.asid, vma2.vbase).pa
         assert mmu.caches.probe_line(
             0, __import__("repro.common.address", fromlist=["virtual_block_key"])

@@ -215,5 +215,5 @@ class TestSegmentServices:
     def test_pte_path_resolves_faults(self, kernel):
         p = kernel.create_process("p")
         vma = kernel.mmap(p, MB, policy=POLICY_DEMAND)
-        path, _translation = kernel.pte_path(p.asid, vma.vbase)
+        path, _pa, _permissions, _shared = kernel.pte_path(p.asid, vma.vbase)
         assert len(path) == 4

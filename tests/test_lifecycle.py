@@ -8,7 +8,7 @@ from repro.common.address import (
     virtual_block_key,
 )
 from repro.common.params import SystemConfig
-from repro.core import ConventionalMmu, HybridMmu
+from repro.core import AccessOutcome, ConventionalMmu, HybridMmu
 from repro.osmodel import Kernel
 
 MB = 1024 * 1024
@@ -49,14 +49,15 @@ class TestDestroyProcess:
         mmu = HybridMmu(kernel, config, delayed="tlb")
         p = kernel.create_process("p")
         vma = kernel.mmap(p, 8 * PAGE_SIZE, policy="demand")
-        old_pa = mmu.access(0, p.asid, vma.vbase, True).translated_pa
+        old_pa = AccessOutcome._make(
+            mmu.access(0, p.asid, vma.vbase, True)).translated_pa
         old_asid = p.asid
         kernel.destroy_process(p)
 
         q = kernel.create_process("q")
         assert q.asid == old_asid  # recycled
         vma_q = kernel.mmap(q, 8 * PAGE_SIZE, policy="demand")
-        out = mmu.access(0, q.asid, vma_q.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, q.asid, vma_q.vbase, False))
         assert out.translated_pa == kernel.translate(q.asid, vma_q.vbase).pa
         # The old mapping's lines were flushed during teardown, so even
         # at identical VAs the new process misses and refetches.
@@ -83,7 +84,7 @@ class TestMunmap:
         else:
             vma = kernel.mmap(a, 4 * PAGE_SIZE, policy="demand")
         pages = range(vma.vbase, vma.vlimit, PAGE_SIZE)
-        frames = [mmu.access(0, a.asid, va, True).translated_pa
+        frames = [AccessOutcome._make(mmu.access(0, a.asid, va, True)).translated_pa
                   for va in pages]
         faults = ("demand_faults", "shared_first_touches")
         faults_before = [kernel.stats[name] for name in faults]

@@ -12,7 +12,7 @@ import pytest
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
-from repro.core import ConventionalMmu, HybridMmu, IdealMmu
+from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
 from repro.osmodel import Kernel
 
 MB = 1024 * 1024
@@ -34,14 +34,14 @@ def build(mmu_cls, sharing=False, **mmu_kwargs):
 class TestConventionalMmu:
     def test_translation_correct(self):
         kernel, p, vma, _s, mmu = build(ConventionalMmu)
-        out = mmu.access(0, p.asid, vma.vbase + 0x1234, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 0x1234, False))
         assert out.translated_pa == kernel.translate(p.asid,
                                                      vma.vbase + 0x1234).pa
 
     def test_tlb_miss_blocks_front(self):
         _k, p, vma, _s, mmu = build(ConventionalMmu)
-        cold = mmu.access(0, p.asid, vma.vbase, False)
-        warm = mmu.access(0, p.asid, vma.vbase, False)
+        cold = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
+        warm = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert cold.front_cycles > 0      # walk blocked the access
         assert warm.front_cycles == 0     # L1 TLB hit overlaps with L1
 
@@ -51,20 +51,20 @@ class TestConventionalMmu:
         # Touch 100 pages to push the first out of the 64-entry L1 TLB.
         for i in range(100):
             mmu.access(0, p.asid, vma.vbase + i * PAGE_SIZE, False)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles == config.l2_tlb.latency
 
     def test_shootdown_invalidates(self):
         kernel, p, vma, _s, mmu = build(ConventionalMmu)
         mmu.access(0, p.asid, vma.vbase, False)
         kernel.shootdown_page(p.asid, vma.vbase)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles > 0  # walked again
 
     def test_cache_hit_after_fill(self):
         _k, p, vma, _s, mmu = build(ConventionalMmu)
         mmu.access(0, p.asid, vma.vbase, False)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.hit_level == "l1"
         assert out.dram_cycles == 0
 
@@ -73,28 +73,29 @@ class TestIdealMmu:
     def test_no_translation_cost_ever(self):
         _k, p, vma, _s, mmu = build(IdealMmu)
         for i in range(50):
-            out = mmu.access(0, p.asid, vma.vbase + i * PAGE_SIZE, False)
+            out = AccessOutcome._make(
+                mmu.access(0, p.asid, vma.vbase + i * PAGE_SIZE, False))
             assert out.front_cycles == 0
             assert out.delayed_cycles == 0
 
     def test_translation_correct(self):
         kernel, p, vma, _s, mmu = build(IdealMmu)
         va = vma.vbase + 0x4321
-        out = mmu.access(0, p.asid, va, True)
+        out = AccessOutcome._make(mmu.access(0, p.asid, va, True))
         assert out.translated_pa == kernel.translate(p.asid, va).pa
 
 
 class TestHybridMmuNonSynonym:
     def test_bypass_has_zero_front_cost(self):
         _k, p, vma, _s, mmu = build(HybridMmu, delayed="tlb")
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles == 0       # no TLB before the caches
         assert out.delayed_cycles > 0      # translation after LLC miss
 
     def test_cached_data_needs_no_translation(self):
         _k, p, vma, _s, mmu = build(HybridMmu, delayed="tlb")
         mmu.access(0, p.asid, vma.vbase, False)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.delayed_cycles == 0
         assert out.hit_level == "l1"
 
@@ -110,7 +111,7 @@ class TestHybridMmuNonSynonym:
         for engine in ("tlb", "segments"):
             kernel, p, vma, _s, mmu = build(HybridMmu, delayed=engine)
             va = vma.vbase + 3 * MB + 77
-            out = mmu.access(0, p.asid, va, False)
+            out = AccessOutcome._make(mmu.access(0, p.asid, va, False))
             assert out.translated_pa == kernel.translate(p.asid, va).pa
 
     def test_homonyms_do_not_collide(self):
@@ -125,8 +126,8 @@ class TestHybridMmuNonSynonym:
         vma_b = kernel.mmap(b, MB, policy="eager")
         assert vma_a.vbase == vma_b.vbase  # same VA, different ASID
         mmu = HybridMmu(kernel, config)
-        out_a = mmu.access(0, a.asid, vma_a.vbase, False)
-        out_b = mmu.access(1, b.asid, vma_b.vbase, False)
+        out_a = AccessOutcome._make(mmu.access(0, a.asid, vma_a.vbase, False))
+        out_b = AccessOutcome._make(mmu.access(1, b.asid, vma_b.vbase, False))
         assert out_a.translated_pa != out_b.translated_pa
 
     def test_bypass_counting(self):
@@ -140,7 +141,7 @@ class TestHybridMmuNonSynonym:
 class TestHybridMmuSynonyms:
     def test_synonym_cached_physically(self):
         kernel, a, _vma, shared, mmu = build(HybridMmu, sharing=True)
-        out = mmu.access(0, a.asid, shared.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, a.asid, shared.vbase, False))
         assert out.translated_pa is not None
         from repro.common.address import physical_block_key
         line = mmu.caches.probe_line(0, physical_block_key(out.translated_pa))
@@ -156,15 +157,17 @@ class TestHybridMmuSynonyms:
         kernel.mmap(b, MB, policy="eager")
         vmas = kernel.mmap_shared([a, b], 64 * PAGE_SIZE)
         mmu = HybridMmu(kernel, config)
-        out_a = mmu.access(0, a.asid, vmas[a.asid].vbase + 0x100, True)
-        out_b = mmu.access(1, b.asid, vmas[b.asid].vbase + 0x100, False)
+        out_a = AccessOutcome._make(
+            mmu.access(0, a.asid, vmas[a.asid].vbase + 0x100, True))
+        out_b = AccessOutcome._make(
+            mmu.access(1, b.asid, vmas[b.asid].vbase + 0x100, False))
         assert out_a.translated_pa == out_b.translated_pa
         # The second access hit in the shared LLC (one physical name).
         assert out_b.hit_level in ("llc", "l1", "l2")
 
     def test_synonym_pays_front_translation(self):
         _k, a, _vma, shared, mmu = build(HybridMmu, sharing=True)
-        out = mmu.access(0, a.asid, shared.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, a.asid, shared.vbase, False))
         assert out.front_cycles >= mmu.synonym_tlb.latency
 
     def test_candidate_accounting(self):
@@ -186,13 +189,14 @@ class TestHybridMmuSynonyms:
                                   permissions=PERM_READ)
         mmu = HybridMmu(kernel, config, delayed="tlb")
         va = vmas[a.asid].vbase
-        read = mmu.access(0, a.asid, va, is_write=False)  # fine
+        read = AccessOutcome._make(mmu.access(0, a.asid, va, is_write=False))  # fine
         shared_pa = read.translated_pa
-        write = mmu.access(0, a.asid, va, is_write=True)
+        write = AccessOutcome._make(mmu.access(0, a.asid, va, is_write=True))
         assert mmu.hybrid_stats["permission_faults"] == 1
         assert write.translated_pa != shared_pa  # CoW: private page
         # Process b still reads the original shared page.
-        again = mmu.access(0, b.asid, vmas[b.asid].vbase, is_write=False)
+        again = AccessOutcome._make(
+            mmu.access(0, b.asid, vmas[b.asid].vbase, is_write=False))
         assert again.translated_pa == shared_pa
 
     def test_share_transition_flushes_virtual_lines(self):
@@ -205,7 +209,7 @@ class TestHybridMmuSynonyms:
         # Stale ASID+VA line must be gone...
         assert mmu.caches.probe_line(0, key) is None
         # ...and the next access goes through the synonym (PA) path.
-        out = mmu.access(0, a.asid, va, False)
+        out = AccessOutcome._make(mmu.access(0, a.asid, va, False))
         assert mmu.hybrid_stats["true_synonym_accesses"] >= 1
         assert out.translated_pa == kernel.translate(a.asid, va).pa
 
@@ -227,7 +231,8 @@ class TestCrossMmuAgreement:
             vma = kernel.mmap(p, 8 * MB, policy="eager")
             mmu = cls(kernel, config, **kw)
             pas[name] = [
-                mmu.access(0, p.asid, vma.vbase + off, False).translated_pa
+                AccessOutcome._make(
+                    mmu.access(0, p.asid, vma.vbase + off, False)).translated_pa
                 - vma.segments[0].pbase
                 for off in offsets
             ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.params import SystemConfig
+from repro.core.mmu_base import AccessOutcome
 from repro.osmodel.kernel import Kernel
 from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
 from tests.test_golden import SEED, VIRT_MMUS, virt_system
@@ -39,8 +40,8 @@ def test_translated_pa_matches_kernel(workload, mmu):
     laid_out, system, oracle = _system(workload, mmu)
     wrong = []
     for record in laid_out.trace(ACCESSES, seed=SEED):
-        outcome = system.access(record.core, record.asid, record.va,
-                                record.is_write)
+        outcome = AccessOutcome._make(
+            system.access(record.core, record.asid, record.va, record.is_write))
         if outcome.translated_pa != oracle(record.asid, record.va):
             wrong.append((record.asid, hex(record.va)))
     assert not wrong, f"{len(wrong)} wrong translations, first {wrong[:3]}"

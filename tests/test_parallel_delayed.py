@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 from repro.sim import Simulator, lay_out
 
@@ -25,9 +25,10 @@ def build(parallel, delayed="segments"):
 class TestParallelDelayedTranslation:
     def test_parallel_hides_latency_under_llc(self):
         _k, p, vma, serial = build(parallel=False)
-        out_serial = serial.access(0, p.asid, vma.vbase, False)
+        out_serial = AccessOutcome._make(serial.access(0, p.asid, vma.vbase, False))
         _k2, p2, vma2, parallel = build(parallel=True)
-        out_parallel = parallel.access(0, p2.asid, vma2.vbase, False)
+        out_parallel = AccessOutcome._make(
+            parallel.access(0, p2.asid, vma2.vbase, False))
         assert out_parallel.delayed_cycles <= out_serial.delayed_cycles
         # Same translation result either way.
         assert (out_parallel.translated_pa - vma2.segments[0].pbase
@@ -42,7 +43,7 @@ class TestParallelDelayedTranslation:
         # Thrash the private levels only (small strides over many sets).
         for i in range(1, 600):
             mmu.access(0, p.asid, vma.vbase + i * 4096 + 64, False)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         if out.hit_level == "llc":
             assert mmu.hybrid_stats["wasted_parallel_translations"] >= 1
 

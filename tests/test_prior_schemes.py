@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
-from repro.core import ConventionalMmu, HybridMmu
+from repro.core import AccessOutcome, ConventionalMmu, HybridMmu
 from repro.core.prior import DirectSegmentMmu, EnigmaMmu, RmmMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PERM_READ, PERM_RW
@@ -30,17 +30,17 @@ def setup(mmu_cls, size=8 * MB, **kw):
 class TestDirectSegmentMmu:
     def test_in_segment_translation_is_free(self):
         kernel, p, vma, mmu = setup(DirectSegmentMmu)
-        out = mmu.access(0, p.asid, vma.vbase + 123, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 123, False))
         assert out.front_cycles == 0
         assert out.translated_pa == kernel.translate(p.asid, vma.vbase + 123).pa
 
     def test_outside_segment_uses_paging(self):
         kernel, p, vma, mmu = setup(DirectSegmentMmu)
         stack = kernel.mmap(p, 16 * PAGE_SIZE, policy="demand")
-        out = mmu.access(0, p.asid, stack.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, stack.vbase, False))
         assert out.front_cycles > 0  # cold TLB walk
         assert out.translated_pa == kernel.translate(p.asid, stack.vbase).pa
-        warm = mmu.access(0, p.asid, stack.vbase, False)
+        warm = AccessOutcome._make(mmu.access(0, p.asid, stack.vbase, False))
         assert warm.front_cycles == 0  # L1 TLB hit now
 
     def test_largest_segment_selected(self):
@@ -59,9 +59,9 @@ class TestDirectSegmentMmu:
 class TestRmmMmu:
     def test_range_hit_avoids_walk(self):
         kernel, p, vma, mmu = setup(RmmMmu)
-        cold = mmu.access(0, p.asid, vma.vbase, False)
+        cold = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         # Range fill happened; another page in the same range needs no walk.
-        far = mmu.access(0, p.asid, vma.vbase + 4 * MB, False)
+        far = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 4 * MB, False))
         assert far.front_cycles == mmu.range_tlb.latency
         assert far.translated_pa == kernel.translate(p.asid,
                                                      vma.vbase + 4 * MB).pa
@@ -70,14 +70,14 @@ class TestRmmMmu:
     def test_translation_matches_kernel(self):
         kernel, p, vma, mmu = setup(RmmMmu)
         for off in (0, 1 * MB, 8 * MB - 64):
-            out = mmu.access(0, p.asid, vma.vbase + off, False)
+            out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + off, False))
             assert out.translated_pa == kernel.translate(p.asid,
                                                          vma.vbase + off).pa
 
     def test_demand_pages_fall_back_to_walks(self):
         kernel, p, _vma, mmu = setup(RmmMmu)
         stack = kernel.mmap(p, 4 * PAGE_SIZE, policy="demand")
-        out = mmu.access(0, p.asid, stack.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, stack.vbase, False))
         assert out.translated_pa == kernel.translate(p.asid, stack.vbase).pa
         assert mmu.walkers[0].stats["walks"] == 1
 
@@ -85,16 +85,16 @@ class TestRmmMmu:
 class TestEnigmaMmu:
     def test_first_level_always_charged(self):
         kernel, p, vma, mmu = setup(EnigmaMmu)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles == EnigmaMmu.FIRST_LEVEL_CYCLES
-        warm = mmu.access(0, p.asid, vma.vbase, False)
+        warm = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert warm.front_cycles == EnigmaMmu.FIRST_LEVEL_CYCLES
         assert warm.delayed_cycles == 0  # cache hit: no delayed translation
 
     def test_translation_matches_kernel(self):
         kernel, p, vma, mmu = setup(EnigmaMmu)
         for off in (5, 3 * MB, 8 * MB - 8):
-            out = mmu.access(0, p.asid, vma.vbase + off, False)
+            out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + off, False))
             assert out.translated_pa == kernel.translate(p.asid,
                                                          vma.vbase + off).pa
 
@@ -110,8 +110,8 @@ class TestEnigmaMmu:
         ia = mmu._intermediate(a.asid, vmas[a.asid].vbase + 100)
         ib = mmu._intermediate(b.asid, vmas[b.asid].vbase + 100)
         assert ia == ib  # one name -> coherence without a filter
-        out_a = mmu.access(0, a.asid, vmas[a.asid].vbase, True)
-        out_b = mmu.access(1, b.asid, vmas[b.asid].vbase, False)
+        out_a = AccessOutcome._make(mmu.access(0, a.asid, vmas[a.asid].vbase, True))
+        out_b = AccessOutcome._make(mmu.access(1, b.asid, vmas[b.asid].vbase, False))
         assert out_a.translated_pa == out_b.translated_pa
         assert out_b.hit_level in ("llc", "l1", "l2")
 
@@ -140,7 +140,7 @@ class TestDmaRegistration:
         key = virtual_block_key(p.asid, buffer_va)
         assert mmu.caches.probe_line(0, key) is None
         # ...and the next access is cached physically.
-        out = mmu.access(0, p.asid, buffer_va, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, buffer_va, False))
         from repro.common.address import physical_block_key
         assert mmu.caches.probe_line(
             0, physical_block_key(out.translated_pa)) is not None
@@ -172,7 +172,7 @@ class TestPermissionChange:
         mmu.access(0, p.asid, va, False)
         old_pa = kernel.translate(p.asid, va).pa
         kernel.change_permissions(p, va, PAGE_SIZE, PERM_READ)
-        out = mmu.access(0, p.asid, va, True)
+        out = AccessOutcome._make(mmu.access(0, p.asid, va, True))
         assert mmu.hybrid_stats["permission_faults"] == 1
         assert out.translated_pa != old_pa  # CoW gave a fresh page
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.address import PAGE_SIZE, VA_MASK
 from repro.common.params import CacheConfig, SystemConfig
 from repro.common.rng import make_rng
-from repro.core import ConventionalMmu, HybridMmu
+from repro.core import AccessOutcome, ConventionalMmu, HybridMmu
 from repro.osmodel import FrameAllocator, IndexTree, Kernel, OsSegmentTable
 from repro.cache.hierarchy import CacheHierarchy
 
@@ -85,7 +85,8 @@ class TestTranslationEquivalence:
             for i, frac in enumerate(probes):
                 vma = vmas[i % len(vmas)]
                 va = vma.vbase + int(frac * (vma.length - 8))
-                pas.append(mmu.access(0, p.asid, va, i % 3 == 0).translated_pa)
+                pas.append(AccessOutcome._make(
+                    mmu.access(0, p.asid, va, i % 3 == 0)).translated_pa)
                 truth.append(kernel.translate(p.asid, va).pa)
             # Every MMU must agree with its own kernel's functional
             # translation at every step.  (Raw PAs can differ *between*
@@ -116,10 +117,12 @@ class TestSynonymSingleName:
         rng = make_rng(seed)
         for _ in range(60):
             offset = rng.randrange(0, 16 * PAGE_SIZE) & ~7
-            pa_a = mmu.access(0, a.asid, vmas[a.asid].vbase + offset,
-                              rng.random() < 0.5).translated_pa
-            pa_b = mmu.access(1, b.asid, vmas[b.asid].vbase + offset,
-                              rng.random() < 0.5).translated_pa
+            pa_a = AccessOutcome._make(mmu.access(
+                0, a.asid, vmas[a.asid].vbase + offset,
+                rng.random() < 0.5)).translated_pa
+            pa_b = AccessOutcome._make(mmu.access(
+                1, b.asid, vmas[b.asid].vbase + offset,
+                rng.random() < 0.5)).translated_pa
             assert pa_a == pa_b
         # And no ASID+VA copies of shared blocks exist anywhere.
         from repro.common.address import virtual_block_key

@@ -145,24 +145,27 @@ class TestManySegmentTranslator:
         ms = ManySegmentTranslator(kernel)
         for offset in (0, 123, 5 * MB, 8 * MB - 1):
             va = vma.vbase + offset
-            assert ms.translate(p.asid, va).pa == kernel.translate(p.asid, va).pa
+            assert ms.translate(p.asid, va)[0] == kernel.translate(p.asid, va).pa
 
     def test_sc_hit_fast_path(self):
         kernel, p, vma = self._kernel_with_segments()
         ms = ManySegmentTranslator(kernel)
-        first = ms.translate(p.asid, vma.vbase)
-        second = ms.translate(p.asid, vma.vbase + 64)
-        assert not first.sc_hit
-        assert second.sc_hit
-        assert second.cycles < first.cycles
+        _pa, first_cycles, _perms, first_sc_hit, _nodes = ms.translate(
+            p.asid, vma.vbase)
+        _pa, second_cycles, _perms, second_sc_hit, _nodes = ms.translate(
+            p.asid, vma.vbase + 64)
+        assert not first_sc_hit
+        assert second_sc_hit
+        assert second_cycles < first_cycles
 
     def test_no_sc_configuration(self):
         kernel, p, vma = self._kernel_with_segments()
         ms = ManySegmentTranslator(kernel, use_segment_cache=False)
-        a = ms.translate(p.asid, vma.vbase)
-        b = ms.translate(p.asid, vma.vbase + 64)
-        assert not a.sc_hit and not b.sc_hit
-        assert b.index_nodes_read >= 1
+        _pa, _cycles, _perms, a_sc_hit, _nodes = ms.translate(p.asid, vma.vbase)
+        _pa, _cycles, _perms, b_sc_hit, b_nodes = ms.translate(
+            p.asid, vma.vbase + 64)
+        assert not a_sc_hit and not b_sc_hit
+        assert b_nodes >= 1
 
     def test_uncovered_address_faults(self):
         kernel, p, _vma = self._kernel_with_segments()
@@ -176,10 +179,10 @@ class TestManySegmentTranslator:
         ms.translate(p.asid, vma.vbase)
         # New allocation changes the segment table generation.
         vma2 = kernel.mmap(p, 2 * MB, policy="eager")
-        result = ms.translate(p.asid, vma2.vbase)
-        assert result.pa == kernel.translate(p.asid, vma2.vbase).pa
+        pa = ms.translate(p.asid, vma2.vbase)[0]
+        assert pa == kernel.translate(p.asid, vma2.vbase).pa
         # Old address still translates correctly after the rebuild.
-        assert (ms.translate(p.asid, vma.vbase).pa
+        assert (ms.translate(p.asid, vma.vbase)[0]
                 == kernel.translate(p.asid, vma.vbase).pa)
 
 

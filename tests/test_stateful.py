@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.common.address import PAGE_SIZE, page_base, virtual_block_key
 from repro.common.params import CacheConfig, SystemConfig
-from repro.core import HybridMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PERM_READ
 
@@ -136,7 +136,7 @@ class HybridSystemMachine(RuleBasedStateMachine):
             return
         vma = private[index]
         va = (vma.vbase + int(frac * vma.length)) & ~0x7
-        out = self.mmu.access(which, p.asid, va, write)
+        out = AccessOutcome._make(self.mmu.access(which, p.asid, va, write))
         assert out.translated_pa == self.kernel.translate(p.asid, va).pa
 
     @precondition(lambda self: self.shared)
@@ -146,7 +146,7 @@ class HybridSystemMachine(RuleBasedStateMachine):
         asid, vma = self.shared[pick % len(self.shared)]
         core = 0 if asid == self.a.asid else 1
         va = (vma.vbase + int(frac * vma.length)) & ~0x7
-        out = self.mmu.access(core, asid, va, write)
+        out = AccessOutcome._make(self.mmu.access(core, asid, va, write))
         assert out.translated_pa == self.kernel.translate(asid, va).pa
 
     # ------------------------------------------------------------------ #

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.address import virtual_page_key
 from repro.common.params import TlbConfig, WalkerConfig
 from repro.tlb import (
+    PERM_RW,
     DelayedTlb,
     PageWalker,
     SetAssociativeTlb,
@@ -111,18 +112,19 @@ class TestTlbHierarchy:
 
     def test_miss_reports_combined_latency(self):
         h = self._hier()
-        res = h.lookup(virtual_page_key(1, 0x1000))
-        assert res.entry is None
-        assert res.level == "miss"
-        assert res.latency == 8
+        found, level = h.lookup(virtual_page_key(1, 0x1000))
+        assert found is None
+        assert level == "miss"
+        # A miss probed both levels; the caller charges their latencies.
+        assert h.l1.latency + h.l2.latency == 8
 
     def test_l1_hit(self):
         h = self._hier()
         e = entry(1, 1)
         h.fill(e)
-        res = h.lookup(e.page_key)
-        assert res.level == "l1"
-        assert res.latency == 1
+        found, level = h.lookup(e.page_key)
+        assert level == "l1"
+        assert h.l1.latency == 1
 
     def test_l2_hit_refills_l1(self):
         h = self._hier()
@@ -132,8 +134,8 @@ class TestTlbHierarchy:
             h.fill(e)
         victim_key = entries[0].page_key
         if h.l1.probe(victim_key) is None:
-            res = h.lookup(victim_key)
-            assert res.level == "l2"
+            _found, level = h.lookup(victim_key)
+            assert level == "l2"
             assert h.l1.probe(victim_key) is not None
 
     def test_invalidate_both_levels(self):
@@ -175,41 +177,49 @@ class TestDelayedTlb:
 
 class TestPageWalker:
     def _walker(self, per_read=10):
-        resolved = {}
-
         def resolve(asid, va):
-            return [0x1000, 0x2000, 0x3000, 0x4000 + (va >> 12) * 8], None
+            return ([0x1000, 0x2000, 0x3000, 0x4000 + (va >> 12) * 8],
+                    va, PERM_RW, False)
 
         return PageWalker(WalkerConfig(walk_cache_entries=2), resolve,
                           lambda pa: per_read)
 
+    @staticmethod
+    def _walk(w, asid, va):
+        """``(cycles, PTE reads, walk-cache hit)`` of one walk; the reads
+        and the hit come from the walker's counters."""
+        reads, hits = w.stats["pte_reads"], w.stats["walk_cache_hits"]
+        cycles = w.walk(asid, va)[0]
+        return (cycles, w.stats["pte_reads"] - reads,
+                w.stats["walk_cache_hits"] > hits)
+
     def test_cold_walk_reads_all_levels(self):
         w = self._walker()
-        res = w.walk(1, 0x1234_5000)
-        assert res.memory_accesses == 4
-        assert not res.walk_cache_hit
-        assert res.cycles == 4 * (10 + 2)
+        cycles, reads, hit = self._walk(w, 1, 0x1234_5000)
+        assert reads == 4
+        assert not hit
+        assert cycles == 4 * (10 + 2)
 
     def test_walk_cache_hit_reads_leaf_only(self):
         w = self._walker()
         w.walk(1, 0x1234_5000)
-        res = w.walk(1, 0x1234_6000)  # same 2 MB region
-        assert res.walk_cache_hit
-        assert res.memory_accesses == 1
+        _cycles, reads, hit = self._walk(w, 1, 0x1234_6000)  # same 2 MB region
+        assert hit
+        assert reads == 1
 
     def test_walk_cache_capacity(self):
         w = self._walker()
         w.walk(1, 0 << 21)
         w.walk(1, 1 << 21)
         w.walk(1, 2 << 21)  # evicts region 0
-        res = w.walk(1, 0)
-        assert not res.walk_cache_hit
+        _cycles, _reads, hit = self._walk(w, 1, 0)
+        assert not hit
 
     def test_flush(self):
         w = self._walker()
         w.walk(1, 0x1000)
         w.flush()
-        assert not w.walk(1, 0x1000).walk_cache_hit
+        assert not self._walk(w, 1, 0x1000)[2]
 
     def test_stats(self):
         w = self._walker()

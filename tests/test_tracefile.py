@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import SystemConfig
+from repro.core.mmu_base import AccessOutcome
 from repro.osmodel import Kernel
 from repro.sim import lay_out
 from repro.workloads import tracefile
@@ -183,7 +184,8 @@ class TestWorkloadIntegration:
         tracefile.save(path, workload.trace(500))
 
         mmu = IdealMmu(kernel, kernel.config)
-        pas = [mmu.access(r.core, r.asid, r.va, r.is_write).translated_pa
+        pas = [AccessOutcome._make(
+            mmu.access(r.core, r.asid, r.va, r.is_write)).translated_pa
                for r in tracefile.load(path)]
         assert len(pas) == 500
         for record, pa in zip(tracefile.load(path), pas):

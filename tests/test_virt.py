@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.address import PAGE_SIZE, page_base
 from repro.common.params import SystemConfig
+from repro.core.mmu_base import AccessOutcome
 from repro.osmodel.pagetable import PERM_READ, PageFault
 from repro.sim import Simulator, lay_out
 from repro.virt import (
@@ -110,22 +111,22 @@ class TestTwoDWalker:
     def test_worst_case_bounded_by_24_reads(self, vm):
         p, vma = guest_with_memory(vm)
         walker = TwoDWalker(vm, SystemConfig().walker, charge=lambda ma: 1)
-        result = walker.walk(p.asid, vma.vbase)
-        assert 1 <= result.memory_reads <= 24
+        reads = walker.walk(p.asid, vma.vbase)[4]
+        assert 1 <= reads <= 24
 
     def test_caches_shrink_second_walk(self, vm):
         p, vma = guest_with_memory(vm)
         walker = TwoDWalker(vm, SystemConfig().walker, charge=lambda ma: 1)
-        cold = walker.walk(p.asid, vma.vbase)
-        warm = walker.walk(p.asid, vma.vbase + PAGE_SIZE)  # same 2 MB region
-        assert warm.memory_reads < cold.memory_reads
+        cold_reads = walker.walk(p.asid, vma.vbase)[4]
+        warm_reads = walker.walk(p.asid, vma.vbase + PAGE_SIZE)[4]  # same 2 MB region
+        assert warm_reads < cold_reads
 
     def test_walk_result_matches_2d_translation(self, vm):
         p, vma = guest_with_memory(vm)
         walker = TwoDWalker(vm, SystemConfig().walker, charge=lambda ma: 1)
         gva = vma.vbase + 0x777
-        result = walker.walk(p.asid, gva)
-        assert result.ma == vm.translate_2d(p.asid, gva)[0]
+        ma, _permissions, _shared, _cycles, _reads = walker.walk(p.asid, gva)
+        assert ma == vm.translate_2d(p.asid, gva)[0]
 
 
 class TestVirtMmus:
@@ -143,7 +144,8 @@ class TestVirtMmus:
             seg = vma.segments[0]
             host = vm.host_segments[0]
             mas[kind] = [
-                mmu.access(0, p.asid, vma.vbase + off, False).translated_pa
+                AccessOutcome._make(
+                    mmu.access(0, p.asid, vma.vbase + off, False)).translated_pa
                 - host.ma_base - seg.pbase
                 for off in (0, 4096, 65536, 2 * MB - 64)
             ]
@@ -153,7 +155,7 @@ class TestVirtMmus:
         vm = hv.create_vm("vm")
         p, vma = guest_with_memory(vm)
         mmu = VirtHybridMmu(hv, vm, delayed="segments")
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles == 0
         assert out.delayed_cycles > 0
 
@@ -161,7 +163,7 @@ class TestVirtMmus:
         vm = hv.create_vm("vm")
         p, vma = guest_with_memory(vm)
         mmu = VirtConventionalMmu(hv, vm)
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles > 0
 
     def test_hybrid_outperforms_baseline_on_tlb_hostile(self, hv):
@@ -183,7 +185,7 @@ class TestVirtMmus:
         guest.mmap(b, MB, policy="eager")
         vmas = guest.mmap_shared([a, b], 16 * PAGE_SIZE)
         mmu = VirtHybridMmu(hv, vm, delayed="tlb")
-        out_a = mmu.access(0, a.asid, vmas[a.asid].vbase, True)
-        out_b = mmu.access(0, b.asid, vmas[b.asid].vbase, False)
+        out_a = AccessOutcome._make(mmu.access(0, a.asid, vmas[a.asid].vbase, True))
+        out_b = AccessOutcome._make(mmu.access(0, b.asid, vmas[b.asid].vbase, False))
         assert out_a.translated_pa == out_b.translated_pa
         assert mmu.hybrid_stats["true_synonym_accesses"] == 2

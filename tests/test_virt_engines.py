@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.address import PAGE_SIZE, page_base
+from repro.core.mmu_base import AccessOutcome
 from repro.sim import Simulator, lay_out
 from repro.virt import (
     Hypervisor,
@@ -30,10 +31,10 @@ class TestDelayed2dTlbEngine:
         vm = hv.create_vm("vm")
         p, vma = guest(vm)
         mmu = VirtHybridMmu(hv, vm, delayed="tlb")
-        cold = mmu.access(0, p.asid, vma.vbase, False)
+        cold = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert cold.delayed_cycles > mmu.delayed.tlb.latency  # nested walk
         # Same page, different block: delayed TLB hit, no walk.
-        warm = mmu.access(0, p.asid, vma.vbase + 512, False)
+        warm = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 512, False))
         assert warm.delayed_cycles == mmu.delayed.tlb.latency
 
     def test_unknown_engine_rejected(self, hv):
@@ -47,8 +48,9 @@ class TestDelayedSegment2dEngine:
         vm = hv.create_vm("vm")
         p, vma = guest(vm)
         mmu = VirtHybridMmu(hv, vm, delayed="segments")
-        cold = mmu.access(0, p.asid, vma.vbase, False)
-        warm = mmu.access(0, p.asid, vma.vbase + 4 * PAGE_SIZE, False)
+        cold = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
+        warm = AccessOutcome._make(
+            mmu.access(0, p.asid, vma.vbase + 4 * PAGE_SIZE, False))
         assert warm.delayed_cycles < cold.delayed_cycles
         assert warm.delayed_cycles == mmu.delayed.segment_cache.latency
         assert mmu.delayed.stats["sc_hits"] == 1
@@ -70,7 +72,7 @@ class TestDelayedSegment2dEngine:
         # must equal the functional 2-D translation.
         for off in range(0, 8 * MB, 1 * MB + 4096):
             va = vma.vbase + off
-            out = mmu.access(0, p.asid, va, False)
+            out = AccessOutcome._make(mmu.access(0, p.asid, va, False))
             assert out.translated_pa == vm.translate_2d(p.asid, va)[0]
 
     def test_fallback_for_demand_pages(self, hv):
@@ -79,7 +81,7 @@ class TestDelayedSegment2dEngine:
         p = g.create_process("app")
         vma = g.mmap(p, 8 * PAGE_SIZE, policy="demand")
         mmu = VirtHybridMmu(hv, vm, delayed="segments")
-        out = mmu.access(0, p.asid, vma.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.translated_pa == vm.translate_2d(p.asid, vma.vbase)[0]
         assert mmu.delayed.stats["nested_fallbacks"] == 1
 
@@ -92,8 +94,8 @@ class TestMultiVmIsolation:
         mmu1 = VirtHybridMmu(hv, vm1, delayed="tlb")
         mmu2 = VirtHybridMmu(hv, vm2, delayed="tlb")
         # Same guest layout in both VMs; MAs must differ (VM isolation).
-        out1 = mmu1.access(0, p1.asid, vma1.vbase, True)
-        out2 = mmu2.access(0, p2.asid, vma2.vbase, True)
+        out1 = AccessOutcome._make(mmu1.access(0, p1.asid, vma1.vbase, True))
+        out2 = AccessOutcome._make(mmu2.access(0, p2.asid, vma2.vbase, True))
         assert vma1.vbase == vma2.vbase
         assert out1.translated_pa != out2.translated_pa
 
@@ -152,7 +154,7 @@ class TestLateSynonymDetection:
         assert not vm.host_filter.is_synonym_candidate(gva_b)
 
         mmu = VirtHybridMmu(hv, vm, delayed="tlb")
-        out = mmu.access(0, p.asid, gva_b, False)
+        out = AccessOutcome._make(mmu.access(0, p.asid, gva_b, False))
         # The delayed walk caught it: trap counted, filter updated, and
         # the access completed under the physical (machine) name.
         assert mmu.hybrid_stats["late_synonym_detections"] == 1
@@ -218,7 +220,7 @@ class TestVirtBaselineDetails:
         mmu = VirtHybridMmu(hv, vm, delayed="tlb")
         mmu.access(0, a.asid, vma_a.vbase, False)
         mmu.access(0, b.asid, vma_b.vbase, False)
-        out = mmu.access(0, a.asid, vma_a.vbase, False)
+        out = AccessOutcome._make(mmu.access(0, a.asid, vma_a.vbase, False))
         # Still cache-resident (page-walk traffic may demote it from L1,
         # but nothing flushed it to memory).
         assert out.hit_level in ("l1", "l2", "llc")
