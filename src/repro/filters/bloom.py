@@ -55,13 +55,17 @@ class BloomFilter:
         self._positions[key >> self._grain_shift] = positions
         return positions
 
-    def insert(self, key: int) -> None:
-        """Set every hash position for ``key``."""
+    def insert(self, key: int, times: int = 1) -> None:
+        """Set every hash position for ``key``, counted as ``times`` inserts.
+
+        Keys of one grain set the same bits, so inserting one key of a
+        grain ``times`` times stands for inserting that many of its keys.
+        """
         positions = self._positions.get(key >> self._grain_shift)
         if positions is None:
             positions = self._hash_positions(key)
         self._vector |= positions
-        self._inserted += 1
+        self._inserted += times
 
     def query(self, key: int) -> bool:
         """Return True when every hash position for ``key`` is set."""

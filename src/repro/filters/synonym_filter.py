@@ -72,18 +72,25 @@ class SynonymFilter:
 
         Leaves the same bits, insert counts and occupancy samples as
         :meth:`mark_shared` on each page, but adds ``pages_marked`` once.
+        Every page of one fine grain (and so of one coarse grain) sets the
+        same bits, so each run of pages inside a fine grain is inserted
+        once and its occupancy recorded once per page.
         """
         fine, coarse = self.fine, self.coarse
-        record = self.occupancy_hist.record
+        record_repeated = self.occupancy_hist.record_repeated
+        grain = 1 << min(self.config.fine_grain_shift,
+                         self.config.coarse_grain_shift)
         va = page_base(va_start)
         end = va_start + length
         pages = 0
         while va < end:
-            fine.insert(va)
-            coarse.insert(va)
-            record(max(fine.popcount(), coarse.popcount()))
-            pages += 1
-            va += page_size
+            run_end = min(end, (va | (grain - 1)) + 1)
+            run = (run_end - va + page_size - 1) // page_size
+            fine.insert(va, run)
+            coarse.insert(va, run)
+            record_repeated(max(fine.popcount(), coarse.popcount()), run)
+            pages += run
+            va += run * page_size
         if pages:
             self.stats.add("pages_marked", pages)
 

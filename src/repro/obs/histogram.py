@@ -40,6 +40,12 @@ class Histogram:
         self.count += 1
         self.total += value if value > 0 else 0
 
+    def record_repeated(self, value: int, times: int) -> None:
+        """Record ``times`` samples of ``value`` at once."""
+        self.counts[value.bit_length() if value > 0 else 0] += times
+        self.count += times
+        self.total += value * times if value > 0 else 0
+
     def merge(self, other: "Histogram") -> None:
         """Accumulate another histogram's samples into this one."""
         for i, c in enumerate(other.counts):

@@ -179,6 +179,9 @@ class TestSynonymFilter:
         (0x7F00_0000_0000, 5 * PAGE_SIZE + 100),   # unaligned end
         (0x5000_0FF8, 16),                         # straddles two pages
         (0x5000_0000, 0),                          # empty
+        (0x7F00_0000_6000, 4 * PAGE_SIZE),         # straddles a 32 KB grain
+        (0x7F00_00FF_E000, 4 * PAGE_SIZE),         # straddles a 16 MB grain
+        (0x7F00_0123_4000, 1352 * PAGE_SIZE),      # postgres-sized region
     ])
     def test_range_matches_page_by_page(self, start, length):
         """One range call leaves what marking each page leaves."""
