@@ -103,8 +103,7 @@ class Simulator:
         t0 = time.perf_counter()
 
         deque(starmap(warmup_access, islice(refs, warmup)), maxlen=0)
-        # A run with no timed accesses never reaches the reset.
-        if reset_stats_after_warmup and accesses:
+        if reset_stats_after_warmup:
             mmu.stats.reset()
         # Windows diff against the counters as the timed phase starts.
         recorder = (IntervalRecorder(mmu.stats, timing, interval)

@@ -13,6 +13,7 @@ from repro.common.params import (
 )
 from repro.common.rng import make_rng, zipf_sampler
 from repro.core import AccessOutcome, HybridMmu
+from repro.exec import Job
 from repro.osmodel import Kernel
 from repro.sim import Simulator, build_mmu, lay_out
 from repro.tlb import SetAssociativeTlb, TlbEntry
@@ -144,6 +145,14 @@ class TestSimulatorEdges:
         Simulator(mmu).run(workload, accesses=50, warmup=500,
                            reset_stats_after_warmup=True)
         assert mmu.hybrid_stats["accesses"] == 50
+
+    def test_reset_after_warmup_without_timed_accesses(self):
+        """The counters are zeroed once warm-up completes, also when no
+        timed access follows it."""
+        result = Job(workload="stream", mmu="baseline", accesses=0,
+                     warmup=100, seed=42, reset_stats_after_warmup=True).run()
+        assert result.stats["cache_hierarchy"].get("accesses", 0) == 0
+        assert result.accesses == 0
 
     def test_single_access_simulation(self):
         kernel = Kernel(SystemConfig())
