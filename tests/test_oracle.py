@@ -1,7 +1,8 @@
 """Functional oracle: every MMU translates exactly as the kernel does.
 
-For every access, the ``translated_pa`` an MMU reports must equal the
-kernel's functional translation — ``Kernel.translate`` natively,
+For every access, the ``translated_pa`` an MMU reports, in the plain
+outcome tuple its ``access`` returns, must equal the kernel's functional
+translation — ``Kernel.translate`` natively,
 ``VirtualMachine.translate_2d`` under virtualization.  The workloads run
 several processes with synonym regions, so their address spaces sit side
 by side in the segment index tree: the case where a translation
@@ -40,8 +41,10 @@ def test_translated_pa_matches_kernel(workload, mmu):
     laid_out, system, oracle = _system(workload, mmu)
     wrong = []
     for record in laid_out.trace(ACCESSES, seed=SEED):
-        outcome = AccessOutcome._make(
-            system.access(record.core, record.asid, record.va, record.is_write))
-        if outcome.translated_pa != oracle(record.asid, record.va):
+        outcome = system.access(record.core, record.asid, record.va,
+                                record.is_write)
+        assert type(outcome) is tuple and len(outcome) == 6
+        if AccessOutcome._make(outcome).translated_pa != oracle(record.asid,
+                                                                record.va):
             wrong.append((record.asid, hex(record.va)))
     assert not wrong, f"{len(wrong)} wrong translations, first {wrong[:3]}"

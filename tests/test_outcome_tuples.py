@@ -1,10 +1,11 @@
 """The access path hands plain tuples upward.
 
 Every MMU's ``access`` returns ``(front_cycles, cache_cycles,
-delayed_cycles, dram_cycles, hit_level, translated_pa)``, and the
-lookups and walks under it return plain tuples too; ``AccessOutcome``
-is only the named view of the outcome tuple.  The timing model must
-account a plain tuple exactly as it accounts that view.
+delayed_cycles, dram_cycles, hit_level, translated_pa)`` (tests/test_oracle.py
+checks the type for every MMU on every access), and the lookups and walks
+under it return plain tuples too; ``AccessOutcome`` is only the named view
+of the outcome tuple.  The timing model must account a plain tuple exactly
+as it accounts that view.
 """
 
 from __future__ import annotations
@@ -19,48 +20,23 @@ from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PERM_READ
 from repro.segtrans import ManySegmentTranslator
-from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
+from repro.sim.runner import build_mmu, lay_out
 from repro.timing.model import TimingModel
 from repro.tlb import TlbEntry, TlbHierarchy
 from repro.virt import Hypervisor, TwoDWalker
-from tests.test_golden import SEED, VIRT_MMUS, virt_system
 
 MB = 1024 * 1024
-FIELDS = ("front_cycles", "cache_cycles", "delayed_cycles", "dram_cycles",
-          "hit_level", "translated_pa")
-
-
-def _system(workload: str, mmu: str):
-    if mmu in VIRT_MMUS:
-        laid_out, _vm, system = virt_system(workload, mmu)
-        return laid_out, system
-    kernel = Kernel(SystemConfig(),
-                    transparent_huge_pages=mmu == "baseline_thp")
-    return lay_out(workload, kernel, seed=SEED), build_mmu(mmu, kernel)
-
-
-def _outcomes(workload: str, mmu: str, accesses: int = 300):
-    laid_out, system = _system(workload, mmu)
-    return [system.access(core, asid, va, is_write) for core, asid, va, is_write
-            in laid_out.references(accesses, seed=SEED)]
 
 
 def assert_outcome_tuple(outcome) -> None:
     assert type(outcome) is tuple
     assert len(outcome) == 6
     named = AccessOutcome._make(outcome)
-    assert named._fields == FIELDS
+    assert named._fields == ("front_cycles", "cache_cycles", "delayed_cycles",
+                             "dram_cycles", "hit_level", "translated_pa")
     assert tuple(named) == outcome
     assert named.total_cycles == sum(outcome[:4])
     assert named.llc_miss == (outcome[4] == "memory")
-
-
-@pytest.mark.parametrize("mmu", MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS)
-def test_access_returns_plain_outcome_tuple(mmu):
-    # ferret shares memory between its processes, so the hybrid MMUs
-    # take the synonym path as well as the virtual-key one.
-    for outcome in _outcomes("ferret", mmu):
-        assert_outcome_tuple(outcome)
 
 
 @pytest.mark.parametrize("delayed", ["tlb", "segments"])
@@ -121,7 +97,12 @@ def test_lookups_and_walks_return_plain_tuples():
 
 @pytest.mark.parametrize("mmu", ["baseline", "hybrid_segments"])
 def test_timing_accounts_tuples_and_views_alike(mmu):
-    outcomes = _outcomes("gups", mmu, accesses=500)
+    kernel = Kernel(SystemConfig())
+    workload = lay_out("gups", kernel, seed=42)
+    system = build_mmu(mmu, kernel)
+    outcomes = [system.access(*ref) for ref in workload.references(500, seed=42)]
+    for outcome in outcomes:
+        assert_outcome_tuple(outcome)
     plain, named = TimingModel(mlp=2.0), TimingModel(mlp=2.0)
     plain.account(outcomes, 3)
     named.account(map(AccessOutcome._make, outcomes), 3)
