@@ -4,7 +4,7 @@ The directory-MESI checker (:mod:`repro.cache.coherence`) is imported by
 module path; the simulator does not use it.
 """
 
-from repro.cache.hierarchy import CacheAccessResult, CacheHierarchy
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import (
     CacheLine,
     PERM_READ,
@@ -18,7 +18,6 @@ from repro.cache.line import (
 from repro.cache.setassoc import SetAssociativeCache
 
 __all__ = [
-    "CacheAccessResult",
     "CacheHierarchy",
     "CacheLine",
     "PERM_READ",

@@ -10,15 +10,15 @@ copies keyed by block name invalidates remote copies on writes.  The LLC
 is inclusive; its evictions back-invalidate inner copies so the OS's
 per-page flushes only have to visit the hierarchy once.
 
-The access path allocates nothing: lines are packed ints (see
-:mod:`repro.cache.line`), the directory maps a block to an int bitmask of
-holder cores, and every access returns one of five shared results.
+The access path allocates no object beyond its result tuple: lines are
+packed ints (see :mod:`repro.cache.line`), the directory maps a block to
+an int bitmask of holder cores, and :meth:`CacheHierarchy.access` probes
+the levels' set dicts itself, one probe per level it reaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.line import (
     CacheLine,
@@ -37,14 +37,9 @@ from repro.obs.events import STAGE_CACHE
 from repro.obs.tracer import NULL_TRACER
 
 
-@dataclass(frozen=True, slots=True)
-class CacheAccessResult:
-    """Outcome of one hierarchy access (shared: never mutate one)."""
-
-    hit_level: str          # "l1" | "l2" | "llc" | "memory"
-    latency: int            # cycles spent in the cache levels probed
-    llc_miss: bool          # True when the request must go to memory
-    writeback: bool = False  # a dirty LLC victim went to memory
+#: What :meth:`CacheHierarchy.access` returns: (hit_level, cycles,
+#: line_permissions).
+CacheAccess = Tuple[str, int, int]
 
 
 class CacheHierarchy:
@@ -66,17 +61,11 @@ class CacheHierarchy:
         # cores holding it (bit c for core c).
         self._copies: Dict[int, int] = {}
         self._cores = range(config.cores)
-        # Every access ends in one of these; latencies depend only on
-        # the geometry.
-        l1 = config.l1.latency
-        l2 = l1 + config.l2.latency
-        llc = l2 + config.llc.latency
-        self._l1_hit = CacheAccessResult("l1", l1, llc_miss=False)
-        self._l2_hit = CacheAccessResult("l2", l2, llc_miss=False)
-        self._llc_hit = CacheAccessResult("llc", llc, llc_miss=False)
-        self._memory_fill = CacheAccessResult("memory", llc, llc_miss=True)
-        self._memory_writeback = CacheAccessResult("memory", llc, llc_miss=True,
-                                                   writeback=True)
+        # The cycles of an access served by each level (an LLC miss has
+        # paid every probe); they depend only on the geometry.
+        self._l1_cycles = config.l1.latency
+        self._l2_cycles = self._l1_cycles + config.l2.latency
+        self._llc_cycles = self._l2_cycles + config.llc.latency
         # Installed by MmuBase.attach_tracer; the null tracer never records.
         self.tracer = NULL_TRACER
 
@@ -115,65 +104,112 @@ class CacheHierarchy:
     # ------------------------------------------------------------------ #
 
     def access(self, core: int, key: int, is_write: bool,
-               permissions: int = PERM_RW) -> CacheAccessResult:
+               permissions: int = PERM_RW) -> CacheAccess:
         """Look up a block through L1 → L2 → LLC, filling on the way back.
 
-        ``permissions`` are the page permissions installed on a memory
-        fill.  For non-synonym lines the delayed translation supplies the
-        real ones afterwards (:meth:`install_permissions`, Section III-A).
-        Permission *checking* is the caller's job via
-        :meth:`closest_permissions`, because the fault semantics differ
-        per MMU.
-        """
-        result = self._access(core, key, is_write, permissions)
-        if self.tracer.recording:
-            self.tracer.stage(STAGE_CACHE, cycles=result.latency,
-                              hit_level=result.hit_level, write=is_write)
-        return result
+        Returns ``(hit_level, cycles, line_permissions)``: the level that
+        served the block (``"memory"`` on an LLC miss), the probe cycles
+        down to it, and the permission bits of the copy now in ``core``'s
+        L1 — what :meth:`closest_permissions` reads right after any
+        access.  ``permissions`` are the page permissions installed on a
+        memory fill.  For non-synonym lines the delayed translation
+        supplies the real ones afterwards (:meth:`install_permissions`,
+        Section III-A).  Permission *checking* is the caller's job,
+        because the fault semantics differ per MMU.
 
-    def _access(self, core: int, key: int, is_write: bool,
-                permissions: int) -> CacheAccessResult:
+        Each level is probed in place: its steps are exactly
+        :meth:`SetAssociativeCache.lookup` (pop, then reinsert a hit as
+        most recently used) and, on the way back,
+        :meth:`SetAssociativeCache.fill` (evict the set's oldest line
+        when it is full), bumping the same counters in the same order.
+        Only the LLC has an eviction callback (:meth:`_back_invalidate`).
+        """
         counts = self._counts
         counts["accesses"] += 1
-
         l1 = self.l1[core]
-        meta = l1.lookup(key, is_write)
+        l1_counts = l1._counts
+        l1_counts["lookups"] += 1
+        l1_set = l1._sets[key & l1._set_mask]
+        meta = l1_set.pop(key, None)
         if meta is not None:
+            l1_counts["hits"] += 1
             if is_write:
-                if meta < MODIFIED:
-                    l1.mark_modified(key)
+                # A write hit dirties the line and upgrades it to Modified.
+                l1_set[key] = meta | DIRTY | MODIFIED
                 self._invalidate_remote_copies(key, core)
-            return self._l1_hit
-
-        # The private copies a miss installs: Modified for a write.
-        state = MODIFIED if is_write else SHARED
-        l2 = self.l2[core]
-        meta = l2.lookup(key, is_write)
-        if meta is not None:
-            l1.fill(key, meta & (DIRTY | PERM_MASK) | state)
-            result = self._l2_hit
-        else:
-            meta = self.llc.lookup(key, is_write)
-            if meta is not None:
-                perms = meta & PERM_MASK
-                result = self._llc_hit
             else:
-                # Memory fill: install in all levels (inclusive).
-                counts["llc_misses"] += 1
-                perms = permissions << PERM_SHIFT
-                victim = self.llc.fill(key, EXCLUSIVE | perms | is_write)
-                if victim is not None and victim & DIRTY:
-                    counts["memory_writebacks"] += 1
-                    result = self._memory_writeback
+                l1_set[key] = meta
+            level = "l1"
+            cycles = self._l1_cycles
+        else:
+            l1_counts["misses"] += 1
+            # The private copies a miss installs: Modified for a write.
+            state = MODIFIED if is_write else SHARED
+            l2 = self.l2[core]
+            l2_counts = l2._counts
+            l2_counts["lookups"] += 1
+            l2_set = l2._sets[key & l2._set_mask]
+            meta = l2_set.pop(key, None)
+            if meta is not None:
+                if is_write:
+                    meta |= DIRTY
+                l2_set[key] = meta
+                l2_counts["hits"] += 1
+                level = "l2"
+                cycles = self._l2_cycles
+                meta = meta & (DIRTY | PERM_MASK) | state
+            else:
+                l2_counts["misses"] += 1
+                llc = self.llc
+                llc_counts = llc._counts
+                llc_counts["lookups"] += 1
+                llc_set = llc._sets[key & llc._set_mask]
+                meta = llc_set.pop(key, None)
+                if meta is not None:
+                    if is_write:
+                        meta |= DIRTY
+                    llc_set[key] = meta
+                    llc_counts["hits"] += 1
+                    level = "llc"
+                    perms = meta & PERM_MASK
                 else:
-                    result = self._memory_fill
-            l2.fill(key, perms | state)
-            l1.fill(key, perms | state | is_write)
-        if is_write:
-            self._invalidate_remote_copies(key, core)
-        copies = self._copies
-        copies[key] = copies.get(key, 0) | 1 << core
-        return result
+                    # Memory fill: install in all levels (inclusive).
+                    llc_counts["misses"] += 1
+                    counts["llc_misses"] += 1
+                    level = "memory"
+                    perms = permissions << PERM_SHIFT
+                    if len(llc_set) >= llc._ways:
+                        victim_key = next(iter(llc_set))
+                        victim = llc_set.pop(victim_key)
+                        llc_counts["evictions"] += 1
+                        self._back_invalidate(victim_key, victim)
+                        if victim & DIRTY:
+                            llc_counts["writebacks"] += 1
+                            counts["memory_writebacks"] += 1
+                    llc_set[key] = EXCLUSIVE | perms | is_write
+                    llc_counts["fills"] += 1
+                cycles = self._llc_cycles
+                if len(l2_set) >= l2._ways:
+                    l2_counts["evictions"] += 1
+                    if l2_set.pop(next(iter(l2_set))) & DIRTY:
+                        l2_counts["writebacks"] += 1
+                l2_set[key] = perms | state
+                l2_counts["fills"] += 1
+                meta = perms | state | is_write
+            if len(l1_set) >= l1._ways:
+                l1_counts["evictions"] += 1
+                if l1_set.pop(next(iter(l1_set))) & DIRTY:
+                    l1_counts["writebacks"] += 1
+            l1_set[key] = meta
+            l1_counts["fills"] += 1
+            if is_write:
+                self._invalidate_remote_copies(key, core)
+            copies = self._copies
+            copies[key] = copies.get(key, 0) | 1 << core
+        if self.tracer.recording:
+            self.tracer.stage(STAGE_CACHE, cycles=cycles, hit_level=level,
+                              write=is_write)
+        return level, cycles, (meta & PERM_MASK) >> PERM_SHIFT
 
     def _closest(self, core: int, key: int) -> Optional[int]:
         """Packed metadata of the closest resident copy of a block."""
@@ -198,10 +234,23 @@ class CacheHierarchy:
     def install_permissions(self, core: int, key: int, permissions: int) -> None:
         """Fill-time permission delivery (Section III-A): give every
         resident copy on ``core``'s path — L1, L2 and LLC — the delayed
-        translation's permissions."""
-        self.l1[core].set_permissions(key, permissions)
-        self.l2[core].set_permissions(key, permissions)
-        self.llc.set_permissions(key, permissions)
+        translation's permissions, keeping each copy's LRU position."""
+        bits = permissions << PERM_SHIFT
+        l1 = self.l1[core]
+        cache_set = l1._sets[key & l1._set_mask]
+        meta = cache_set.get(key)
+        if meta is not None:
+            cache_set[key] = meta & ~PERM_MASK | bits
+        l2 = self.l2[core]
+        cache_set = l2._sets[key & l2._set_mask]
+        meta = cache_set.get(key)
+        if meta is not None:
+            cache_set[key] = meta & ~PERM_MASK | bits
+        llc = self.llc
+        cache_set = llc._sets[key & llc._set_mask]
+        meta = cache_set.get(key)
+        if meta is not None:
+            cache_set[key] = meta & ~PERM_MASK | bits
 
     # ------------------------------------------------------------------ #
     # OS-directed maintenance

@@ -80,6 +80,7 @@ class ConventionalMmu(MmuBase):
             tlb.fill(entry)
 
         pa = (entry.pfn << 12) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return front, result.latency, 0, dram, result.hit_level, pa
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, pa

@@ -275,59 +275,54 @@ class HybridMmu(MmuBase):
     def _finish_access(self, core: int, asid: int, va: int, is_write: bool,
                        key: int, front: int, permissions, pa) -> Outcome:
         is_virtual_key = pa is None
-        fill_permissions = 0x3
         delayed_cycles = 0
 
-        result = self.caches.access(core, key, is_write,
-                                    permissions=fill_permissions)
-        parallel_probe = (self.parallel_delayed and is_virtual_key
-                          and result.hit_level == "llc")
-        if parallel_probe:
-            # Parallel mode translates speculatively on every L2 miss;
-            # an LLC hit wastes the probe (energy, no latency).
-            pa_spec, spec_cycles, _p = self.delayed.translate(asid, va)
-            self._hybrid_counts["wasted_parallel_translations"] += 1
-            pa = pa_spec if pa is None else pa
-        if result.llc_miss and is_virtual_key:
-            pa, delayed_cycles, perms = self.delayed.translate(asid, va)
-            if self.parallel_delayed:
-                # The translation ran under the LLC probe; only the part
-                # exceeding the LLC latency is exposed.
-                hidden = self.config.llc.latency
-                delayed_cycles = max(0, delayed_cycles - hidden)
-            # Install the delayed translation's permissions in every copy
-            # just filled (the paper's fill-time permission delivery).
-            self.caches.install_permissions(core, key, perms)
-            permissions = perms
-        elif is_virtual_key:
-            permissions = self.caches.closest_permissions(core, key)
+        hit_level, cache_cycles, line_permissions = self.caches.access(
+            core, key, is_write, 0x3)
+        if is_virtual_key:
+            if hit_level == "memory":
+                pa, delayed_cycles, permissions = self.delayed.translate(asid, va)
+                if self.parallel_delayed:
+                    # The translation ran under the LLC probe; only the
+                    # part exceeding the LLC latency is exposed.
+                    hidden = self.config.llc.latency
+                    delayed_cycles = max(0, delayed_cycles - hidden)
+                # Install the delayed translation's permissions in every
+                # copy just filled (the paper's fill-time permission
+                # delivery).
+                self.caches.install_permissions(core, key, permissions)
+            else:
+                # A hit carries the permission bits of the line it read.
+                permissions = line_permissions
+                if self.parallel_delayed and hit_level == "llc":
+                    # Parallel mode translates speculatively on every L2
+                    # miss; an LLC hit wastes the probe (energy, no
+                    # latency).
+                    pa = self.delayed.translate(asid, va)[0]
+                    self._hybrid_counts["wasted_parallel_translations"] += 1
+                else:
+                    # The functional oracle names the page the hit read.
+                    pa = self.kernel.translate(asid, va).pa
 
-        if pa is None:
-            # Virtual-key hit without any cached permission metadata can
-            # only happen for lines filled before a permission change; use
-            # the functional translation as the authoritative source.
-            pa = self.kernel.translate(asid, va).pa
-
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
 
         # Permission enforcement on the cached copy (Section III-D).
-        if is_virtual_key and is_write and permissions is not None:
-            if not permissions & 0x2:
-                return self._handle_permission_fault(core, asid, va, front,
-                                                     result, delayed_cycles,
-                                                     dram)
-        return front, result.latency, delayed_cycles, dram, result.hit_level, pa
+        if is_virtual_key and is_write and not permissions & 0x2:
+            return self._handle_permission_fault(core, asid, va, front,
+                                                 cache_cycles, delayed_cycles,
+                                                 dram)
+        return front, cache_cycles, delayed_cycles, dram, hit_level, pa
 
     def _handle_permission_fault(self, core: int, asid: int, va: int,
-                                 front: int, result, delayed_cycles: int,
-                                 dram: int) -> Outcome:
+                                 front: int, cache_cycles: int,
+                                 delayed_cycles: int, dram: int) -> Outcome:
         """Write to a r/o non-synonym line: OS copy-on-write, then retry."""
         self._hybrid_counts["permission_faults"] += 1
         process = self.kernel.process(asid)
         self.kernel.handle_cow_fault(process, va)
         r_front, r_cache, r_delayed, r_dram, r_level, r_pa = self.access(
             core, asid, va, is_write=True)
-        return (front + COW_FAULT_CYCLES + r_front, result.latency + r_cache,
+        return (front + COW_FAULT_CYCLES + r_front, cache_cycles + r_cache,
                 delayed_cycles + r_delayed, dram + r_dram, r_level, r_pa)
 
     # ------------------------------------------------------------------ #

@@ -22,6 +22,7 @@ class IdealMmu(MmuBase):
         """One memory access with free, never-missing translation."""
         self._accesses += 1
         pa = self.kernel.translate(asid, va).pa
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return 0, result.latency, 0, dram, result.hit_level, pa
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return 0, cache_cycles, 0, dram, hit_level, pa

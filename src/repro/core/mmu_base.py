@@ -123,9 +123,9 @@ class MmuBase:
     def charge_physical_read(self, core: int, pa: int) -> int:
         """Route a hardware metadata read (PTE, tree node) through the
         cache hierarchy under its physical key; returns cycles."""
-        result = self.caches.access(core, physical_block_key(pa), is_write=False)
-        cycles = result.latency
-        if result.llc_miss:
+        hit_level, cycles, _ = self.caches.access(core, physical_block_key(pa),
+                                                  False)
+        if hit_level == "memory":
             cycles += self.dram.access(pa, is_write=False)
         return cycles
 

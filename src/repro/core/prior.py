@@ -106,9 +106,10 @@ class DirectSegmentMmu(MmuBase):
                                               True, permissions))
             else:
                 pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return front, result.latency, 0, dram, result.hit_level, pa
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, pa
 
 
 class RmmMmu(MmuBase):
@@ -165,9 +166,10 @@ class RmmMmu(MmuBase):
                 front = self.config.l2_tlb.latency + cycles
             self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
                                           translation_perms))
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return front, result.latency, 0, dram, result.hit_level, pa
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, pa
 
 
 class EnigmaMmu(MmuBase):
@@ -233,10 +235,10 @@ class EnigmaMmu(MmuBase):
         intermediate_asid, iva = self._intermediate(asid, va)
         front = self.FIRST_LEVEL_CYCLES
         key = virtual_block_key(intermediate_asid, iva)
-        result = self.caches.access(core, key, is_write)
+        hit_level, cache_cycles, _ = self.caches.access(core, key, is_write)
         delayed = 0
         pa = None
-        if result.llc_miss:
+        if hit_level == "memory":
             page_key = virtual_page_key(intermediate_asid, iva)
             entry = self.delayed_tlb.lookup(page_key)
             delayed = self.delayed_tlb.latency
@@ -249,5 +251,5 @@ class EnigmaMmu(MmuBase):
             pa = (entry.pfn << PAGE_SHIFT) | (iva & 0xFFF)
         if pa is None:
             pa = self.kernel.translate(asid, va).pa
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return front, result.latency, delayed, dram, result.hit_level, pa
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, delayed, dram, hit_level, pa

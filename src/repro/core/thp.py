@@ -134,9 +134,10 @@ class ThpBaselineMmu(MmuBase):
                 pa = self._pa_of(entry, va, huge=False)
             self.l2[core].fill(entry)
 
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return front, result.latency, 0, dram, result.hit_level, pa
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, pa
 
     def tlb_misses(self) -> int:
         """Full-hierarchy misses (walks)."""

@@ -93,9 +93,10 @@ class VirtConventionalMmu(_VirtMmuBase):
             entry = TlbEntry(page_key, walked_ma >> PAGE_SHIFT, True, permissions)
             self.tlbs[core].fill(entry)
         ma = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(ma), is_write)
-        dram = self.memory_fill(ma, is_write) if result.llc_miss else 0
-        return front, result.latency, 0, dram, result.hit_level, ma
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(ma), is_write)
+        dram = self.memory_fill(ma, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, ma
 
 
 class Delayed2dTlbEngine:
@@ -247,9 +248,9 @@ class VirtHybridMmu(_VirtMmuBase):
             key = virtual_block_key(self.asid_of(asid), va)
             ma = None
 
-        result = self.caches.access(core, key, is_write)
+        hit_level, cache_cycles, _ = self.caches.access(core, key, is_write)
         delayed_cycles = 0
-        if result.llc_miss and ma is None:
+        if hit_level == "memory" and ma is None:
             ma, delayed_cycles, _perms = self.delayed.translate(asid, va)
             if self._detect_late_synonym(core, asid, va, key):
                 # Section V-A special case: the guest remapped this gVA
@@ -260,12 +261,12 @@ class VirtHybridMmu(_VirtMmuBase):
                 r_front, r_cache, r_delayed, r_dram, r_level, r_ma = self.access(
                     core, asid, va, is_write)
                 return (front + self.LATE_SYNONYM_TRAP_CYCLES + r_front,
-                        result.latency + r_cache, delayed_cycles + r_delayed,
+                        cache_cycles + r_cache, delayed_cycles + r_delayed,
                         r_dram, r_level, r_ma)
         if ma is None:
             ma = self.vm.translate_2d(asid, va)[0]
-        dram = self.memory_fill(ma, is_write) if result.llc_miss else 0
-        return front, result.latency, delayed_cycles, dram, result.hit_level, ma
+        dram = self.memory_fill(ma, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, delayed_cycles, dram, hit_level, ma
 
     #: OS/hypervisor trap cost for a late hypervisor-synonym discovery.
     LATE_SYNONYM_TRAP_CYCLES = 1500

@@ -18,6 +18,14 @@ from repro.common.rng import make_rng
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu
 from repro.osmodel import FrameAllocator, IndexTree, Kernel, OsSegmentTable
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.line import (
+    DIRTY,
+    EXCLUSIVE,
+    MODIFIED,
+    PERM_MASK,
+    PERM_SHIFT,
+    SHARED,
+)
 
 MB = 1024 * 1024
 
@@ -61,6 +69,109 @@ class TestInclusionInvariant:
         for key in set(h.l1[0].resident_keys()) & set(h.l1[1].resident_keys()):
             states = [h.l1[c].probe(key).state for c in range(2)]
             assert states.count(STATE_MODIFIED) <= 1, key
+
+
+def _reference_access(h, core, key, is_write, permissions):
+    """One hierarchy access composed from per-level calls
+    (:meth:`SetAssociativeCache.lookup`, ``fill`` and ``mark_modified``):
+    the steps :meth:`CacheHierarchy.access` runs in place.  Returns
+    ``(hit_level, cycles)``."""
+    l1_cycles = h.config.l1.latency
+    l2_cycles = l1_cycles + h.config.l2.latency
+    llc_cycles = l2_cycles + h.config.llc.latency
+    counts = h.stats.counts
+    counts["accesses"] += 1
+    l1 = h.l1[core]
+    meta = l1.lookup(key, is_write)
+    if meta is not None:
+        if is_write:
+            if meta < MODIFIED:
+                l1.mark_modified(key)
+            h._invalidate_remote_copies(key, core)
+        return "l1", l1_cycles
+    state = MODIFIED if is_write else SHARED
+    l2 = h.l2[core]
+    meta = l2.lookup(key, is_write)
+    if meta is not None:
+        l1.fill(key, meta & (DIRTY | PERM_MASK) | state)
+        result = "l2", l2_cycles
+    else:
+        meta = h.llc.lookup(key, is_write)
+        if meta is not None:
+            perms = meta & PERM_MASK
+            result = "llc", llc_cycles
+        else:
+            counts["llc_misses"] += 1
+            perms = permissions << PERM_SHIFT
+            victim = h.llc.fill(key, EXCLUSIVE | perms | is_write)
+            if victim is not None and victim & DIRTY:
+                counts["memory_writebacks"] += 1
+            result = "memory", llc_cycles
+        l2.fill(key, perms | state)
+        l1.fill(key, perms | state | is_write)
+    if is_write:
+        h._invalidate_remote_copies(key, core)
+    h._copies[key] = h._copies.get(key, 0) | 1 << core
+    return result
+
+
+def _reference_install_permissions(h, core, key, permissions):
+    for cache in (h.l1[core], h.l2[core], h.llc):
+        cache.set_permissions(key, permissions)
+
+
+def _hierarchy_state(h):
+    """Every set's lines in LRU order, the copy directory and every
+    counter, each in its order."""
+    caches = [*h.l1, *h.l2, h.llc]
+    return ([[list(cache_set.items()) for cache_set in cache._sets]
+             for cache in caches],
+            list(h._copies.items()),
+            [list(group.counts.items()) for group in (h.stats, *(
+                cache.stats for cache in caches))])
+
+
+#: (kind, core, block, write, permissions, blocks flushed or downgraded);
+#: blocks are hot, spread past the LLC's capacity, or all in set 0 of
+#: every level (so the LLC evicts and back-invalidates).
+_HIERARCHY_OPS = st.lists(st.tuples(
+    st.sampled_from(("access",) * 6 + ("flush", "downgrade", "install")),
+    st.integers(0, 1),
+    st.one_of(st.integers(0, 15), st.integers(0, 400),
+              st.integers(0, 63).map(lambda block: block << 4)),
+    st.booleans(),
+    st.integers(0, 3),
+    st.integers(1, 8),
+), min_size=50, max_size=300)
+
+
+class TestInPlaceProbe:
+    @settings(max_examples=50, deadline=None)
+    @given(_HIERARCHY_OPS)
+    def test_matches_per_level_composition(self, ops):
+        """CacheHierarchy.access and install_permissions probe the sets
+        in place; results, LRU order, the copy directory and every
+        counter (with its key order) match the per-level composition,
+        and the returned line permissions are the closest copy's."""
+        h = CacheHierarchy(tiny_config(cores=2))
+        ref = CacheHierarchy(tiny_config(cores=2))
+        for kind, core, key, is_write, perms, n in ops:
+            if kind == "access":
+                level, cycles, line_permissions = h.access(core, key,
+                                                           is_write, perms)
+                assert (level, cycles) == _reference_access(
+                    ref, core, key, is_write, perms)
+                assert line_permissions == h.closest_permissions(core, key)
+            elif kind == "flush":
+                assert (h.flush_blocks(range(key, key + n))
+                        == ref.flush_blocks(range(key, key + n)))
+            elif kind == "downgrade":
+                assert (h.downgrade_blocks(range(key, key + n), perms)
+                        == ref.downgrade_blocks(range(key, key + n), perms))
+            else:
+                h.install_permissions(core, key, perms)
+                _reference_install_permissions(ref, core, key, perms)
+            assert _hierarchy_state(h) == _hierarchy_state(ref)
 
 
 class TestTranslationEquivalence:
