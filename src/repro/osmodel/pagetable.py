@@ -9,6 +9,16 @@ Each leaf PTE records the frame number, permission bits, and the *sharing
 bit* the paper adds to page-table entries (Section III-A footnote): the
 bit that tells a false-positive TLB fill that the page is in fact a
 non-synonym.
+
+The radix nodes are the source of truth.  Beside them the table indexes
+its leaf-level nodes (the tables of 4 KB leaves) by ``vpn >> 9``, each
+with the three PTE addresses a walk reads above it, so a lookup or a
+walk of a 4 KB page is one dict probe instead of a four-level descent.
+A node's frame never moves, so an entry stays valid until its node goes:
+:meth:`PageTable.map` adds one when it creates a leaf-level node,
+:meth:`PageTable.map_huge` drops the one whose empty node a 2 MB leaf
+replaces, and :meth:`PageTable.release` clears them all.  Addresses with
+no leaf-level node (2 MB leaves, unmapped upper levels) still descend.
 """
 
 from __future__ import annotations
@@ -73,6 +83,11 @@ class _Node:
         self.slots: Dict[int, object] = {}
 
 
+#: One indexed leaf-level node: the PTE addresses a walk reads above it,
+#: root first, and the node.
+_Leaf = Tuple[Tuple[int, ...], _Node]
+
+
 class PageTable:
     """Per-address-space 4-level radix table."""
 
@@ -80,6 +95,8 @@ class PageTable:
         self._frames = frames
         self._node_frames: List[int] = []
         self._root = self._new_node()
+        #: ``vpn >> 9`` -> the leaf-level node covering it (module docstring).
+        self._leaves: Dict[int, _Leaf] = {}
         self._mapped_pages = 0
         self._released = False
 
@@ -101,6 +118,7 @@ class PageTable:
         released = len(self._node_frames)
         self._node_frames = []
         self._root = _Node(0)
+        self._leaves.clear()
         self._mapped_pages = 0
         self._released = True
         return released
@@ -118,6 +136,25 @@ class PageTable:
             node = child  # type: ignore[assignment]
         return node
 
+    def _new_leaf(self, va: int, vpn: int) -> _Leaf:
+        """Create and index the leaf-level node covering ``vpn``, creating
+        missing nodes above it on the way."""
+        upper = []
+        node = self._root
+        for shift in _UPPER_SHIFTS:
+            index = (vpn >> shift) & _INDEX_MASK
+            upper.append(node.pa + index * PTE_SIZE)
+            child = node.slots.get(index)
+            if child is None:
+                child = self._new_node()
+                node.slots[index] = child
+            elif not isinstance(child, _Node):
+                raise ValueError(f"4 KB mapping at {va:#x} inside a 2 MB leaf")
+            node = child  # type: ignore[assignment]
+        leaf = (tuple(upper), node)
+        self._leaves[vpn >> BITS_PER_LEVEL] = leaf
+        return leaf
+
     # ------------------------------------------------------------------ #
     # Mapping
     # ------------------------------------------------------------------ #
@@ -126,11 +163,14 @@ class PageTable:
             shared: bool = False) -> None:
         """Install a leaf mapping for the page containing ``va``."""
         vpn = (va & VA_MASK) >> PAGE_SHIFT
-        node = self._descend(vpn, _UPPER_SHIFTS)
+        leaf = self._leaves.get(vpn >> BITS_PER_LEVEL)
+        if leaf is None:
+            leaf = self._new_leaf(va, vpn)
+        slots = leaf[1].slots
         index = vpn & _INDEX_MASK
-        if index not in node.slots:
+        if index not in slots:
             self._mapped_pages += 1
-        node.slots[index] = PageTableEntry(pfn, permissions, shared)
+        slots[index] = PageTableEntry(pfn, permissions, shared)
 
     def map_huge(self, va: int, pfn: int, permissions: int = PERM_RW,
                  shared: bool = False) -> None:
@@ -152,6 +192,9 @@ class PageTable:
                              f"existing 4 KB mappings")
         if not isinstance(existing, PageTableEntry):
             self._mapped_pages += HUGE_PAGE_SIZE // (1 << PAGE_SHIFT)
+        if isinstance(existing, _Node):
+            # The 2 MB leaf replaces an empty leaf-level node.
+            del self._leaves[vpn >> BITS_PER_LEVEL]
         node.slots[index] = PageTableEntry(pfn, permissions, shared,
                                            page_shift=HUGE_PAGE_SHIFT)
 
@@ -190,6 +233,13 @@ class PageTable:
     def entry(self, va: int) -> PageTableEntry:
         """Return the leaf PTE (4 KB or 2 MB) or raise :class:`PageFault`."""
         vpn = (va & VA_MASK) >> PAGE_SHIFT
+        leaf = self._leaves.get(vpn >> BITS_PER_LEVEL)
+        if leaf is not None:
+            entry = leaf[1].slots.get(vpn & _INDEX_MASK)
+            if entry is None:
+                raise PageFault(va)
+            return entry  # type: ignore[return-value]
+        # No leaf-level node: a 2 MB leaf or a fault, found by descending.
         node = self._root
         for shift in _UPPER_SHIFTS:
             child = node.slots.get((vpn >> shift) & _INDEX_MASK)
@@ -223,6 +273,13 @@ class PageTable:
         read (the walk discovers the fault by reading it).
         """
         vpn = (va & VA_MASK) >> PAGE_SHIFT
+        leaf = self._leaves.get(vpn >> BITS_PER_LEVEL)
+        if leaf is not None:
+            upper, node = leaf
+            index = vpn & _INDEX_MASK
+            return ([*upper, node.pa + index * PTE_SIZE],
+                    node.slots.get(index))  # type: ignore[return-value]
+        # No leaf-level node: descend to the 2 MB leaf or the fault.
         path: List[int] = []
         node = self._root
         for shift in _UPPER_SHIFTS:

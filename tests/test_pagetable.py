@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.address import PAGE_SIZE, VA_MASK
 from repro.osmodel import FrameAllocator, PageFault, PageTable
-from repro.osmodel.pagetable import PERM_READ, PERM_RW
+from repro.osmodel.pagetable import (
+    HUGE_PAGE_SIZE,
+    PERM_READ,
+    PERM_RW,
+    PageTableEntry,
+)
 
 MB = 1024 * 1024
 
@@ -110,3 +115,102 @@ class TestIteration:
             table.map(va, pfn)
         found = {va: e.pfn for va, e in table.iter_mappings()}
         assert found == expected
+
+
+# --------------------------------------------------------------------- #
+# The leaf-table index against the radix tree
+# --------------------------------------------------------------------- #
+
+def _descend_walk(table, va):
+    """PageTable.walk by a four-level descent of the radix nodes alone."""
+    vpn = (va & VA_MASK) >> 12
+    path = []
+    node = table._root
+    for shift in (27, 18, 9):
+        index = (vpn >> shift) & 511
+        path.append(node.pa + index * 8)
+        slot = node.slots.get(index)
+        if slot is None or isinstance(slot, PageTableEntry):
+            return path, slot
+        node = slot
+    index = vpn & 511
+    path.append(node.pa + index * 8)
+    return path, node.slots.get(index)
+
+
+def _assert_matches_descent(table, addresses):
+    for va in addresses:
+        path, leaf = _descend_walk(table, va)
+        assert table.walk(va) == (path, leaf)
+        if leaf is None:
+            with pytest.raises(PageFault):
+                table.entry(va)
+            assert not table.is_mapped(va)
+        else:
+            assert table.entry(va) is leaf
+
+
+#: 2 MB regions under distinct root, upper and leaf-table slots; the last
+#: is never touched.
+_REGIONS = (0, 1, 2, 512, 512 * 512, 3 * 512 * 512)
+_TOUCHED = st.integers(0, len(_REGIONS) - 2)
+_PAGES = st.sampled_from((0, 1, 7, 300, 511))
+_TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("map"), _TOUCHED, _PAGES, st.integers(0, 2 ** 20)),
+    st.tuples(st.just("map_huge"), _TOUCHED, st.integers(0, 64)),
+    st.tuples(st.just("unmap"), _TOUCHED, _PAGES),
+    st.tuples(st.just("empty"), _TOUCHED),
+), min_size=1, max_size=40)
+
+
+class TestLeafTableIndex:
+    @staticmethod
+    def _probes():
+        return [r * HUGE_PAGE_SIZE + page * PAGE_SIZE + 0x123
+                for r in _REGIONS for page in (0, 1, 7, 8, 300, 511)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_TABLE_OPS)
+    def test_entry_and_walk_match_the_descent(self, ops):
+        """Random map, map_huge (also over an emptied leaf table), unmap
+        and release: entry() and walk() answer as the radix descent does
+        for mapped, unmapped, 2 MB and never-touched addresses."""
+        table = PageTable(FrameAllocator(64 * MB))
+        probes = self._probes()
+        for op in ops:
+            base = _REGIONS[op[1]] * HUGE_PAGE_SIZE
+            if op[0] == "map":
+                try:
+                    table.map(base + op[2] * PAGE_SIZE, op[3])
+                except ValueError:
+                    pass  # 4 KB inside a 2 MB leaf
+            elif op[0] == "map_huge":
+                try:
+                    table.map_huge(base, op[2] * 512)
+                except ValueError:
+                    pass  # would shadow 4 KB leaves
+            elif op[0] == "unmap":
+                table.unmap(base + op[2] * PAGE_SIZE)
+            else:
+                # Unmap every 4 KB page, leaving an empty leaf table that
+                # a later map_huge replaces.
+                for page in range(512):
+                    table.unmap(base + page * PAGE_SIZE)
+            _assert_matches_descent(table, probes)
+        table.release()
+        _assert_matches_descent(table, probes)
+
+    def test_huge_leaf_over_an_emptied_leaf_table(self, table):
+        table.map(0x4000_0000, 7)
+        table.unmap(0x4000_0000)
+        table.map_huge(0x4000_0000, pfn=512)
+        _assert_matches_descent(table, [0x4000_0000, 0x4000_1234,
+                                        0x401F_F000])
+        assert table.entry(0x4000_1234).is_huge
+        assert len(table.walk(0x4000_1234)[0]) == 3
+
+    def test_four_kb_inside_a_huge_leaf_rejected(self, table):
+        table.map_huge(0x4000_0000, pfn=512)
+        with pytest.raises(ValueError):
+            table.map(0x4000_1000, 9)
+        assert table.entry(0x4000_1000).is_huge
