@@ -303,8 +303,7 @@ class VirtHybridMmu(_VirtMmuBase):
     def _host_shared(self, guest_asid: int, gva: int) -> bool:
         """Ground truth for hypervisor-induced sharing of this gVA."""
         guest = self.vm.guest_kernel.translate(guest_asid, gva)
-        gvas = self.vm.gvas_of(guest.pa)
-        return len(gvas) > 1
+        return self.vm.gva_count(guest.pa) > 1
 
     def tlb_access_reduction(self) -> float:
         return self.hybrid_stats.ratio("tlb_bypasses", "accesses")

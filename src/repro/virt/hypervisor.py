@@ -147,6 +147,10 @@ class VirtualMachine:
         """Every (guest ASID, gVA page) known to name this gPA page."""
         return list(self._gpa_to_gva.get(page_base(gpa), []))
 
+    def gva_count(self, gpa: int) -> int:
+        """How many (guest ASID, gVA page) pairs name this gPA page."""
+        return len(self._gpa_to_gva.get(page_base(gpa), ()))
+
 
 class Hypervisor:
     """Machine-memory owner and VM manager."""
