@@ -90,6 +90,14 @@ class TestContentSharing:
         assert vm.host_filter.is_synonym_candidate(gva_a)
         assert vm.host_filter.is_synonym_candidate(gva_b)
 
+    def test_gva_count_counts_the_inverse_map(self, vm):
+        p, vma = guest_with_memory(vm)
+        gpa = vm.guest_kernel.translate(p.asid, vma.vbase).pa
+        assert vm.gva_count(gpa) == 0
+        vm.record_gva(p.asid, vma.vbase, gpa)
+        vm.record_gva(p.asid, vma.vbase + 4 * PAGE_SIZE, gpa + 8)
+        assert vm.gva_count(gpa) == 2 == len(vm.gvas_of(gpa))
+
     def test_readonly_virtual_skips_filter(self, hv, vm):
         p, vma = guest_with_memory(vm)
         gva = vma.vbase
