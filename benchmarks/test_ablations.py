@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.address import PAGE_SIZE
-from repro.common.params import SegmentTranslationConfig, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.core import HybridMmu
 from repro.filters import SynonymFilter

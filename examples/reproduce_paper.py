@@ -14,8 +14,7 @@ import dataclasses
 import time
 
 from repro.common.params import SystemConfig
-from repro.common.stats import mpki
-from repro.core import ConventionalMmu, HybridMmu
+from repro.core import HybridMmu
 from repro.energy import EnergyModel
 from repro.osmodel import Kernel
 from repro.sim import Simulator, geometric_mean, lay_out, run_workload

@@ -39,7 +39,6 @@ class EnergyModel:
         breakdown = {"l1_tlb": 0.0, "l2_tlb": 0.0, "page_walks": 0.0,
                      "itlb": instruction_fetches * p.l1_tlb_pj}
         for core in range(cores):
-            tlb = stats.get(f"tlb_core{core}", {})
             l1 = stats.get(f"tlb_core{core}_l1", {})
             l2 = stats.get(f"tlb_core{core}_l2", {})
             breakdown["l1_tlb"] += l1.get("lookups", 0) * p.l1_tlb_pj

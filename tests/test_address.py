@@ -1,6 +1,5 @@
 """Unit tests for address arithmetic and block-key namespaces."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import address as addr

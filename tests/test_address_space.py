@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.address import PAGE_SIZE
-from repro.common.params import SystemConfig
 from repro.energy import EnergyModel, EnergyParams
 from repro.osmodel import FrameAllocator, OsSegmentTable
 from repro.osmodel.address_space import POLICY_DEMAND, Process, Vma

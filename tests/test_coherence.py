@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.coherence import (
     CoherenceEngine,
-    CoherenceViolation,
     STATE_E,
     STATE_I,
     STATE_M,

@@ -1,7 +1,5 @@
 """Tests for 2 MB huge-page support (page table, kernel THP, THP MMU)."""
 
-import dataclasses
-
 import pytest
 
 from repro.common.address import align_up

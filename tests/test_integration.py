@@ -7,11 +7,9 @@ numbers (see EXPERIMENTS.md for the quantitative comparison).
 
 import dataclasses
 
-import pytest
-
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
-from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
+from repro.core import AccessOutcome, HybridMmu
 from repro.energy import EnergyModel
 from repro.osmodel import Kernel
 from repro.sim import Simulator, compare_configs, lay_out, run_workload
@@ -157,7 +155,7 @@ class TestOsIntegration:
         mmu = HybridMmu(kernel, config, delayed="tlb")
         vma = kernel.mmap(p, 16 * 4096, policy="demand")
         va = vma.vbase
-        pa_before = AccessOutcome._make(mmu.access(0, p.asid, va, True)).translated_pa
+        mmu.access(0, p.asid, va, True)
         kernel.munmap(p, vma)
         vma2 = kernel.mmap(p, 16 * 4096, policy="demand")
         pa_after = AccessOutcome._make(

@@ -49,8 +49,7 @@ class TestDestroyProcess:
         mmu = HybridMmu(kernel, config, delayed="tlb")
         p = kernel.create_process("p")
         vma = kernel.mmap(p, 8 * PAGE_SIZE, policy="demand")
-        old_pa = AccessOutcome._make(
-            mmu.access(0, p.asid, vma.vbase, True)).translated_pa
+        mmu.access(0, p.asid, vma.vbase, True)
         old_asid = p.asid
         kernel.destroy_process(p)
 

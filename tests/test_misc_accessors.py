@@ -1,9 +1,5 @@
 """Coverage of small public accessors and reporting paths."""
 
-import dataclasses
-
-import pytest
-
 from repro.common.params import SystemConfig
 from repro.core import HybridMmu
 from repro.osmodel import Kernel

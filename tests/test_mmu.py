@@ -7,8 +7,6 @@ they differ only in *where* translation happens.
 
 import dataclasses
 
-import pytest
-
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng

@@ -1,9 +1,5 @@
 """Tests for the parallel-vs-serial delayed translation design choice."""
 
-import dataclasses
-
-import pytest
-
 from repro.common.params import SystemConfig
 from repro.core import AccessOutcome, HybridMmu
 from repro.osmodel import Kernel

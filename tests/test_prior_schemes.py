@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu
@@ -59,7 +57,7 @@ class TestDirectSegmentMmu:
 class TestRmmMmu:
     def test_range_hit_avoids_walk(self):
         kernel, p, vma, mmu = setup(RmmMmu)
-        cold = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
+        mmu.access(0, p.asid, vma.vbase, False)
         # Range fill happened; another page in the same range needs no walk.
         far = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 4 * MB, False))
         assert far.front_cycles == mmu.range_tlb.latency

@@ -12,7 +12,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.address import PAGE_SIZE, VA_MASK
+from repro.common.address import PAGE_SIZE
 from repro.common.params import CacheConfig, SystemConfig
 from repro.common.rng import make_rng
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu

@@ -139,7 +139,7 @@ class TestLateSynonymDetection:
         gva_a = vma.vbase
         gva_b = vma.vbase + 8 * PAGE_SIZE
         gpa_a = vm.guest_kernel.translate(p.asid, gva_a).pa
-        gpa_b = vm.guest_kernel.translate(p.asid, gva_b).pa
+        vm.guest_kernel.translate(p.asid, gva_b)  # faults in the PTE unmapped below
         # The hypervisor folds the two frames; its inverse map knows both
         # gVAs for gpa_a's page but the filter update covers only gva_a
         # (gva_b is the "new mapping the guest made without telling it").

@@ -139,7 +139,6 @@ class TestLaidOutWorkload:
         kernel = Kernel(SystemConfig())
         s = spec("postgres")
         w = LaidOutWorkload(s, kernel)
-        shared_bases = {v.vbase: v for v in w.shared_vmas.values()}
         hits = 0
         n = 3000
         for record in w.trace(n):
