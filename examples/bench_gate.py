@@ -21,6 +21,7 @@ from repro.bench import (
     run_suite,
     suite_jobs,
 )
+from repro.exec import ExperimentPlan
 
 ACCESSES = 3_000
 WARMUP = 1_000
@@ -28,9 +29,14 @@ POINTS = [("stream/baseline", "stream", "baseline"),
           ("stream/hybrid_tlb", "stream", "hybrid_tlb")]
 
 
+def run(jobs):
+    """Run the suite's ``(name, job)`` pairs as one plan; the v2 entries."""
+    return run_suite(jobs, ExperimentPlan(job for _, job in jobs).run())
+
+
 def main() -> None:
     print("-- recording the baseline --")
-    baseline = make_baseline(run_suite(
+    baseline = make_baseline(run(
         suite_jobs(points=POINTS, accesses=ACCESSES, warmup=WARMUP)))
     for entry in baseline["benchmarks"]:
         metrics = "  ".join(f"{k}={v:.4g}"
@@ -38,7 +44,7 @@ def main() -> None:
         print(f"{entry['name']:<22} {metrics}")
 
     print("\n-- re-running the suite the baseline describes --")
-    current = make_baseline(run_suite(jobs_from_baseline(baseline)))
+    current = make_baseline(run(jobs_from_baseline(baseline)))
     report = compare_baselines(baseline, current, threshold_pct=10.0)
     print(f"verdict: {'PASS' if report.ok else 'FAIL'} "
           f"({len(report.deltas)} metric deltas, "

@@ -16,11 +16,10 @@ between what was recorded and what is re-measured.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.exec.cache import ResultCache
 from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
+from repro.exec.plan import PlanResults
 
 #: ``(name, workload, mmu)`` points of the canonical suite.
 SUITE_POINTS: Tuple[Tuple[str, str, str], ...] = (
@@ -83,21 +82,18 @@ def jobs_from_baseline(doc: Dict[str, Any]) -> List[Tuple[str, Job]]:
 
 
 def run_suite(jobs: Sequence[Tuple[str, Job]],
-              executor=None,
-              cache: Optional[ResultCache] = None,
-              progress: Optional[ProgressCallback] = None
-              ) -> List[Dict[str, Any]]:
-    """Execute the suite and return v2 benchmark entries.
+              results: PlanResults) -> List[Dict[str, Any]]:
+    """The v2 benchmark entries of the suite ``jobs``, from the
+    ``results`` of running them as one plan (``ExperimentPlan(job for
+    _, job in jobs).run(...)``; the CLI runs it like every command).
 
     Seconds come from each result's manifest (per-run wall-clock);
     metrics from :func:`metrics_from_result`.  A failed point raises —
     a baseline must never silently record a partial suite.
     """
-    plan = ExperimentPlan(job for _, job in jobs)
-    outcomes = plan.run(executor=executor, cache=cache, progress=progress)
     entries: List[Dict[str, Any]] = []
     for name, job in jobs:
-        result = outcomes.result(job)
+        result = results.result(job)
         entries.append({
             "name": name,
             "workload": job.workload_name,

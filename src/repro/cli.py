@@ -28,11 +28,12 @@ Subcommands:
   in-flight jobs before exit (see ``docs/serving.md``);
 * ``experiments``— map paper artifacts to their benchmark modules.
 
-``run``/``compare``/``sweep``/``profile`` each build their frozen jobs
-from the flags and hand them to one plan runner, :func:`_run_plan`,
-which owns the run's lifecycle: telemetry, tracing, executor, cache and
-progress are set up from the flags and torn down when the plan ends.
-They share the observability flags:
+``run``/``compare``/``sweep``/``profile`` and ``bench record|check``
+each build their frozen jobs from the flags and hand them to one plan
+runner, :func:`_run_plan`, which owns the run's lifecycle: telemetry,
+tracing, executor, cache and progress are set up from the flags a
+command has and torn down when the plan ends.
+``run``/``compare``/``sweep``/``profile`` share the observability flags:
 ``--json`` (schema-stable document), ``--interval N`` (windowed stat
 time series), ``--trace-out FILE`` (JSONL pipeline events) and
 ``--sample-every N`` (trace sampling).  See ``docs/observability.md``.
@@ -142,9 +143,10 @@ def _trace_setup(args):
     the historical behavior); with ``--workers N > 1`` each job gets its
     own shard, ``<out>.<fingerprint>.jsonl``, opened inside the worker.
     """
-    trace_out, sample_every = args.trace_out, args.sample_every
+    trace_out = getattr(args, "trace_out", None)
     if not trace_out:
         return None, None
+    sample_every = args.sample_every
     if args.workers > 1:
         return None, TraceSpec(base=trace_out, sample_every=sample_every)
     try:
@@ -262,7 +264,9 @@ class _Telemetry:
         self._manager = None
         self._server: Optional[MetricsServer] = None
         self._log: Optional[SnapshotLog] = None
-        live, port, out = args.live, args.metrics_port, args.metrics_out
+        live = getattr(args, "live", False)
+        port = getattr(args, "metrics_port", None)
+        out = getattr(args, "metrics_out", None)
         self.active = live or port is not None or bool(out)
         if not self.active:
             return
@@ -403,8 +407,9 @@ def _run_plan(args, jobs: Iterable[Job]) -> PlanResults:
     """Run one command's jobs: the single run lifecycle.
 
     Telemetry, the shared tracer or shard spec, the executor, the cache
-    and progress come from the flags; the executor, the trace and the
-    telemetry are closed, in that order, however the plan ends.
+    and progress come from the flags (a flag a command lacks reads as
+    unset); the executor, the trace and the telemetry are closed, in
+    that order, however the plan ends.
     """
     from repro.exec import ExperimentPlan
 
@@ -673,18 +678,6 @@ def cmd_trace(args) -> Optional[int]:
     return None
 
 
-def _run_suite(args, jobs):
-    """Run benchmark jobs on the ``--workers`` executor, then close it."""
-    from repro import bench
-
-    executor = _executor(args)
-    try:
-        return bench.run_suite(jobs, executor=executor, cache=_cache(args),
-                               progress=_progress(args))
-    finally:
-        executor.close()
-
-
 def cmd_bench(args) -> Optional[int]:
     """``repro bench record|check`` — the regression gate."""
     from repro import bench
@@ -696,7 +689,8 @@ def cmd_bench(args) -> Optional[int]:
             warmup=(args.warmup if args.warmup is not None
                     else bench.DEFAULT_WARMUP),
             seed=args.seed if args.seed is not None else bench.DEFAULT_SEED)
-        entries = _run_suite(args, jobs)
+        entries = bench.run_suite(
+            jobs, _run_plan(args, (job for _, job in jobs)))
         doc = bench.make_baseline(entries)
         path = bench.save_baseline(doc, args.out)
         print(f"recorded {len(entries)} benchmark(s) -> {path}")
@@ -723,7 +717,8 @@ def cmd_bench(args) -> Optional[int]:
                 "repro: baseline has no re-runnable benchmarks (no job "
                 "parameters recorded); pass --current to compare against "
                 "a pre-recorded document")
-        entries = _run_suite(args, jobs)
+        entries = bench.run_suite(
+            jobs, _run_plan(args, (job for _, job in jobs)))
         current = bench.make_baseline(entries)
     report = bench.compare_baselines(
         baseline, current, threshold_pct=args.threshold,

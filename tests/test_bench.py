@@ -19,8 +19,14 @@ from repro.bench import (
     suite_jobs,
 )
 from repro.cli import main
+from repro.exec import ExperimentPlan
 
 FAST = dict(accesses=600, warmup=200)
+
+
+def _run(jobs):
+    """Run the suite's jobs as one plan; return their entries."""
+    return run_suite(jobs, ExperimentPlan(job for _, job in jobs).run())
 
 
 def _entry(name="w/m", seconds=1.0, **metrics):
@@ -163,7 +169,7 @@ class TestSuite:
     def test_run_suite_records_metrics(self):
         jobs = suite_jobs(points=[("stream/hybrid_tlb", "stream",
                                    "hybrid_tlb")], **FAST)
-        entries = run_suite(jobs)
+        entries = _run(jobs)
         assert len(entries) == 1
         entry = entries[0]
         assert entry["name"] == "stream/hybrid_tlb"
@@ -176,8 +182,8 @@ class TestSuite:
     def test_metrics_deterministic(self):
         jobs = suite_jobs(points=[("stream/baseline", "stream", "baseline")],
                           **FAST)
-        first = run_suite(jobs)[0]["metrics"]
-        second = run_suite(suite_jobs(
+        first = _run(jobs)[0]["metrics"]
+        second = _run(suite_jobs(
             points=[("stream/baseline", "stream", "baseline")],
             **FAST))[0]["metrics"]
         assert first == second
