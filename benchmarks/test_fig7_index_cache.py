@@ -21,7 +21,6 @@ from repro.common.rng import make_rng
 from repro.osmodel import FrameAllocator, IndexTree, Kernel, OsSegmentTable
 from repro.segtrans import IndexCache
 from repro.sim import lay_out
-from repro.workloads import spec
 
 from conftest import emit, run_once
 
@@ -41,8 +40,8 @@ MIXES = (
 
 def _drive(tree: IndexTree, table, queries, cache_size: int) -> float:
     """Walk the tree through one index cache; returns the hit rate."""
-    cache = IndexCache(SegmentTranslationConfig(), memory_charge=lambda pa: 0,
-                       size_bytes=cache_size)
+    cache = IndexCache(SegmentTranslationConfig(index_cache_size=cache_size),
+                       memory_charge=lambda pa: 0)
     for asid, va in queries:
         lookup = tree.lookup(asid, va)
         for node_pa in lookup.node_addresses:

@@ -116,8 +116,8 @@ def measure_index_cache_hit() -> float:
     for seg in list(kernel.segment_table.segments_sorted()):
         kernel.segment_table.split(seg.seg_id, 10)
     tree = kernel.current_index_tree()
-    cache = IndexCache(SegmentTranslationConfig(),
-                       memory_charge=lambda pa: 0, size_bytes=8192)
+    cache = IndexCache(SegmentTranslationConfig(index_cache_size=8192),
+                       memory_charge=lambda pa: 0)
     for workload in workloads:
         for record in workload.trace(FIG7_LOOKUPS):
             for node_pa in tree.lookup(record.asid, record.va).node_addresses:

@@ -81,11 +81,11 @@ class CoherentLine:
 class CoherenceEngine:
     """A directory plus N core-side caches, driven by load/store/evict."""
 
-    def __init__(self, cores: int, stats: StatGroup | None = None) -> None:
+    def __init__(self, cores: int) -> None:
         if cores < 1:
             raise ValueError("at least one core required")
         self.cores = cores
-        self.stats = stats or StatGroup("coherence")
+        self.stats = StatGroup("coherence")
         self._directory: Dict[int, DirectoryEntry] = {}
         self._caches: List[Dict[int, CoherentLine]] = [dict() for _ in range(cores)]
         self._messages: List[Tuple[str, int, int]] = []  # (type, core, block)

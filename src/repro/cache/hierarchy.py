@@ -45,9 +45,9 @@ CacheAccess = Tuple[str, int, int]
 class CacheHierarchy:
     """Per-core L1/L2 + shared inclusive LLC with copy-set coherence."""
 
-    def __init__(self, config: SystemConfig, stats: StatGroup | None = None) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.stats = stats or StatGroup("cache_hierarchy")
+        self.stats = StatGroup("cache_hierarchy")
         self._counts = self.stats.counts
         self.l1: List[SetAssociativeCache] = [
             SetAssociativeCache(config.l1, f"l1_core{c}") for c in range(config.cores)

@@ -32,13 +32,13 @@ EvictionCallback = Callable[[int, int], None]
 
 
 class SetAssociativeCache:
-    """One cache level.  Sets are insertion-ordered dicts (LRU order)."""
+    """One cache level.  Sets are insertion-ordered dicts (LRU order);
+    the counters are the stat group ``name``."""
 
-    def __init__(self, config: CacheConfig, name: str = "cache",
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
-        self.stats = stats or StatGroup(name)
+        self.stats = StatGroup(name)
         self._counts = self.stats.counts
         sets = config.sets             # a power of two (CacheConfig checks)
         self._sets: List[Dict[int, int]] = [{} for _ in range(sets)]

@@ -25,7 +25,7 @@ import hashlib
 import json
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 
 def _at_least(config: Any, minimum: int, *names: str) -> None:
@@ -140,13 +140,12 @@ class SegmentTranslationConfig:
             raise ValueError(f"index_cache_size {self.index_cache_size} "
                              f"makes no index cache: {exc}") from None
 
-    def index_cache_geometry(self, size_bytes: Optional[int] = None
-                             ) -> CacheConfig:
+    def index_cache_geometry(self) -> CacheConfig:
         """The index cache as a cache level of 64 B node blocks:
-        ``size_bytes`` (default ``index_cache_size``) in
-        ``index_cache_ways`` ways, halved until one set fits, so the
-        tiny sweep points (Figure 7 goes down to 128 B) still build."""
-        size = self.index_cache_size if size_bytes is None else size_bytes
+        ``index_cache_size`` in ``index_cache_ways`` ways, halved until
+        one set fits, so the tiny sweep points (Figure 7 goes down to
+        128 B) still build."""
+        size = self.index_cache_size
         ways = self.index_cache_ways
         while size // (ways * 64) < 1 and ways > 1:
             ways //= 2

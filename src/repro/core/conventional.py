@@ -14,7 +14,6 @@ from functools import partial
 
 from repro.common.address import physical_block_key, virtual_page_key
 from repro.common.params import SystemConfig
-from repro.common.stats import StatGroup
 from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.kernel import Kernel
 from repro.tlb.base import TlbEntry
@@ -35,7 +34,7 @@ class ConventionalMmu(MmuBase):
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
                        partial(self.charge_physical_read, c),
-                       stats=StatGroup(f"walker_core{c}"))
+                       name=f"walker_core{c}")
             for c in range(cfg.cores)
         ]
         for c in range(cfg.cores):

@@ -21,11 +21,10 @@ Per-access flow (Figure 1):
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Protocol, Tuple
+from typing import Protocol, Tuple
 
 from repro.common.address import (
     PAGE_SHIFT,
-    page_base,
     physical_block_key,
     virtual_block_key,
     virtual_page_key,
@@ -69,7 +68,7 @@ class DelayedTlbEngine:
         self.tlb = DelayedTlb(mmu.config.delayed_tlb)
         self.walker = PageWalker(mmu.config.walker, kernel.pte_path,
                                  partial(mmu.charge_physical_read, 0),
-                                 stats=StatGroup("delayed_walker"))
+                                 name="delayed_walker")
         mmu.stats.register(self.tlb.stats)
         mmu.stats.register(self.walker.stats)
         self.latency_hist = mmu.register_histogram(
@@ -101,23 +100,21 @@ class ManySegmentEngine:
 
     Addresses outside every segment (e.g. demand-paged mappings) fall back
     to a page walk, mirroring how direct-segment/RMM systems keep paging
-    available alongside ranges.
+    available alongside ranges.  The translator's structures are sized by
+    ``mmu.config.segments``.
     """
 
     def __init__(self, kernel: Kernel, mmu: "HybridMmu",
-                 use_segment_cache: bool = True,
-                 index_cache_size: Optional[int] = None) -> None:
+                 use_segment_cache: bool = True) -> None:
         self.kernel = kernel
         self.mmu = mmu
         self.translator = ManySegmentTranslator(
             kernel, mmu.config.segments,
             memory_charge=partial(mmu.charge_physical_read, 0),
-            use_segment_cache=use_segment_cache,
-            index_cache_size=index_cache_size)
+            use_segment_cache=use_segment_cache)
         self.fallback_walker = PageWalker(
             mmu.config.walker, kernel.pte_path,
-            partial(mmu.charge_physical_read, 0),
-            stats=StatGroup("fallback_walker"))
+            partial(mmu.charge_physical_read, 0), name="fallback_walker")
         self.stats = StatGroup("many_segment_engine")
         mmu.stats.register(self.translator.stats)
         mmu.stats.register(self.translator.index_cache.stats)
@@ -152,13 +149,19 @@ class ManySegmentEngine:
 
 
 class HybridMmu(MmuBase):
-    """Hybrid virtual caching with pluggable delayed translation."""
+    """Hybrid virtual caching with pluggable delayed translation.
+
+    ``delayed`` picks the engine behind the LLC: ``"tlb"`` (a delayed
+    TLB of ``config.delayed_tlb``) or ``"segments"`` (many-segment
+    translation sized by ``config.segments``, with its segment cache
+    unless ``use_segment_cache`` is false).  ``parallel_delayed`` runs
+    the translation under the LLC probe instead of after the miss.
+    """
 
     name = "hybrid"
 
     def __init__(self, kernel: Kernel, config: SystemConfig | None = None,
                  delayed: str = "tlb", use_segment_cache: bool = True,
-                 index_cache_size: Optional[int] = None,
                  parallel_delayed: bool = False) -> None:
         super().__init__(kernel, config)
         self.hybrid_stats = self.stats.group("hybrid")
@@ -173,15 +176,13 @@ class HybridMmu(MmuBase):
         self.stats.register(self.synonym_tlb.stats)
         self.synonym_walker = PageWalker(
             self.config.walker, kernel.pte_path,
-            partial(self.charge_physical_read, 0),
-            stats=StatGroup("synonym_walker"))
+            partial(self.charge_physical_read, 0), name="synonym_walker")
         self.stats.register(self.synonym_walker.stats)
         self.register_histogram(self.synonym_walker.cycles_hist)
         if delayed == "tlb":
             self.delayed: DelayedEngine = DelayedTlbEngine(kernel, self)
         elif delayed == "segments":
-            self.delayed = ManySegmentEngine(kernel, self, use_segment_cache,
-                                             index_cache_size)
+            self.delayed = ManySegmentEngine(kernel, self, use_segment_cache)
         else:
             raise ValueError(f"unknown delayed translation engine {delayed!r}")
         self.delayed_kind = delayed

@@ -34,7 +34,6 @@ from repro.common.address import (
     virtual_page_key,
 )
 from repro.common.params import SystemConfig
-from repro.common.stats import StatGroup
 from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.address_space import POLICY_SHARED
 from repro.osmodel.kernel import Kernel
@@ -61,7 +60,7 @@ class DirectSegmentMmu(MmuBase):
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
                        partial(self.charge_physical_read, c),
-                       stats=StatGroup(f"walker_core{c}"))
+                       name=f"walker_core{c}")
             for c in range(cfg.cores)
         ]
         for c in range(cfg.cores):
@@ -117,11 +116,13 @@ class RmmMmu(MmuBase):
 
     name = "rmm"
 
-    def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None,
-                 ranges: int = 32) -> None:
+    #: Range-TLB entries: the RMM paper's 32 (Table III's thrashing point).
+    RANGES = 32
+
+    def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
         cfg = self.config
-        self.range_tlb = RangeTlb(kernel.segment_table, entries=ranges,
+        self.range_tlb = RangeTlb(kernel.segment_table, entries=self.RANGES,
                                   latency=cfg.l2_tlb.latency)
         self.stats.register(self.range_tlb.stats)
         self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
@@ -129,7 +130,7 @@ class RmmMmu(MmuBase):
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
                        partial(self.charge_physical_read, c),
-                       stats=StatGroup(f"walker_core{c}"))
+                       name=f"walker_core{c}")
             for c in range(cfg.cores)
         ]
         for c in range(cfg.cores):
@@ -184,7 +185,7 @@ class EnigmaMmu(MmuBase):
         self.stats.register(self.delayed_tlb.stats)
         self.walker = PageWalker(self.config.walker, kernel.pte_path,
                                  partial(self.charge_physical_read, 0),
-                                 stats=StatGroup("delayed_walker"))
+                                 name="delayed_walker")
         self.stats.register(self.walker.stats)
         kernel.on_shootdown(self._shootdown)
         kernel.on_page_flush(self._flush_page)

@@ -27,7 +27,6 @@ from repro.common.address import (
     virtual_page_key,
 )
 from repro.common.params import SystemConfig, TlbConfig
-from repro.common.stats import StatGroup
 from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.pagetable import HUGE_PAGE_SHIFT
@@ -42,13 +41,15 @@ class ThpBaselineMmu(MmuBase):
 
     name = "baseline_thp"
 
-    def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None,
-                 huge_l1_entries: int = 32) -> None:
+    #: Entries of the 4-way L1 TLB for 2 MB pages (Haswell-like).
+    HUGE_L1_ENTRIES = 32
+
+    def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
         cfg = self.config
         self.l1_small = [SetAssociativeTlb(cfg.l1_tlb, f"tlb4k_core{c}")
                          for c in range(cfg.cores)]
-        self.l1_huge = [SetAssociativeTlb(TlbConfig(huge_l1_entries, 4,
+        self.l1_huge = [SetAssociativeTlb(TlbConfig(self.HUGE_L1_ENTRIES, 4,
                                                     cfg.l1_tlb.latency),
                                           f"tlb2m_core{c}")
                         for c in range(cfg.cores)]
@@ -57,7 +58,7 @@ class ThpBaselineMmu(MmuBase):
         self.walkers = [
             PageWalker(cfg.walker, kernel.pte_path,
                        partial(self.charge_physical_read, c),
-                       stats=StatGroup(f"walker_core{c}"))
+                       name=f"walker_core{c}")
             for c in range(cfg.cores)
         ]
         for c in range(cfg.cores):

@@ -25,13 +25,12 @@ FOLD_BITS = 5
 FOLD_MASK = (1 << FOLD_BITS) - 1
 
 
-def xor_fold(value: int, out_bits: int = FOLD_BITS) -> int:
-    """XOR-fold ``value`` down to ``out_bits`` bits."""
-    mask = (1 << out_bits) - 1
+def xor_fold(value: int) -> int:
+    """XOR-fold ``value`` down to ``FOLD_BITS`` bits."""
     folded = 0
     while value:
-        folded ^= value & mask
-        value >>= out_bits
+        folded ^= value & FOLD_MASK
+        value >>= FOLD_BITS
     return folded
 
 
@@ -49,15 +48,15 @@ def partition_hash(trimmed: int, field_bits: int, split_numerator: int,
     return (xor_fold(high) << FOLD_BITS) | xor_fold(low)
 
 
-def make_hash_pair(grain_shift: int,
-                   va_bits: int = VA_BITS) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+def make_hash_pair(grain_shift: int
+                   ) -> Tuple[Callable[[int], int], Callable[[int], int]]:
     """Build the paper's two hash functions for a filter of given granularity.
 
     ``grain_shift`` is 15 for the fine (32 KB) filter and 24 for the coarse
-    (16 MB) filter.  Both returned callables map a full virtual address to a
-    10-bit filter index.
+    (16 MB) filter.  Both returned callables map a full (``VA_BITS``-wide)
+    virtual address to a 10-bit filter index.
     """
-    field_bits = va_bits - grain_shift
+    field_bits = VA_BITS - grain_shift
 
     def hash_even(va: int) -> int:
         return partition_hash(va >> grain_shift, field_bits, 1, 2)

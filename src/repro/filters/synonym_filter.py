@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.common.address import page_base
+from repro.common.address import PAGE_SIZE, page_base
 from repro.common.params import SynonymFilterConfig
 from repro.common.stats import StatGroup
 from repro.filters.bloom import BloomFilter
@@ -33,10 +33,9 @@ from repro.obs.histogram import Histogram
 class SynonymFilter:
     """Per-address-space synonym candidate detector."""
 
-    def __init__(self, config: SynonymFilterConfig | None = None,
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: SynonymFilterConfig | None = None) -> None:
         self.config = config or SynonymFilterConfig()
-        self.stats = stats or StatGroup("synonym_filter")
+        self.stats = StatGroup("synonym_filter")
         self._counts = self.stats.counts
         self.fine = BloomFilter(self.config.bits,
                                 make_hash_pair(self.config.fine_grain_shift),
@@ -67,7 +66,7 @@ class SynonymFilter:
         self.occupancy_hist.record(max(self.fine.popcount(),
                                        self.coarse.popcount()))
 
-    def mark_shared_range(self, va_start: int, length: int, page_size: int = 4096) -> None:
+    def mark_shared_range(self, va_start: int, length: int) -> None:
         """Mark every page of ``[va_start, va_start + length)`` as shared.
 
         Leaves the same bits, insert counts and occupancy samples as
@@ -85,12 +84,12 @@ class SynonymFilter:
         pages = 0
         while va < end:
             run_end = min(end, (va | (grain - 1)) + 1)
-            run = (run_end - va + page_size - 1) // page_size
+            run = (run_end - va + PAGE_SIZE - 1) // PAGE_SIZE
             fine.insert(va, run)
             coarse.insert(va, run)
             record_repeated(max(fine.popcount(), coarse.popcount()), run)
             pages += run
-            va += run * page_size
+            va += run * PAGE_SIZE
         if pages:
             self.stats.add("pages_marked", pages)
 

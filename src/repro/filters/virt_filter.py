@@ -24,10 +24,9 @@ from repro.filters.synonym_filter import SynonymFilter
 class VirtualizedSynonymFilter:
     """Paired guest/host filters probed together with the guest VA."""
 
-    def __init__(self, config: SynonymFilterConfig | None = None,
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: SynonymFilterConfig | None = None) -> None:
         self.config = config or SynonymFilterConfig()
-        self.stats = stats or StatGroup("virt_synonym_filter")
+        self.stats = StatGroup("virt_synonym_filter")
         self.guest = SynonymFilter(self.config)
         self.host = SynonymFilter(self.config)
 

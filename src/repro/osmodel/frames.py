@@ -25,11 +25,11 @@ class OutOfMemoryError(Exception):
 class FrameAllocator:
     """First-fit extent allocator over the physical frame space."""
 
-    def __init__(self, total_bytes: int, stats: StatGroup | None = None) -> None:
+    def __init__(self, total_bytes: int) -> None:
         if total_bytes <= 0 or total_bytes % (1 << PAGE_SHIFT):
             raise ValueError("physical memory must be a positive page multiple")
         self.total_frames = total_bytes >> PAGE_SHIFT
-        self.stats = stats or StatGroup("frames")
+        self.stats = StatGroup("frames")
         # Sorted, disjoint, non-adjacent free extents.
         self._free: List[Tuple[int, int]] = [(0, self.total_frames)]
         self._allocated_frames = 0
@@ -69,10 +69,10 @@ class FrameAllocator:
         """Allocate a single frame (demand paging / page-table nodes)."""
         return self.alloc_contiguous(1)
 
-    def alloc_best_effort(self, frames: int, minimum: int = 1) -> List[Tuple[int, int]]:
+    def alloc_best_effort(self, frames: int) -> List[Tuple[int, int]]:
         """Allocate ``frames`` total as few extents as possible.
 
-        Falls back to smaller pieces (never below ``minimum``) when no
+        Falls back to smaller pieces, largest free extent first, when no
         single extent fits — this is what forces the OS to split one
         logical allocation into several segments under fragmentation.
         Returns ``[(start_frame, frame_count), ...]``.
@@ -85,8 +85,6 @@ class FrameAllocator:
                 if largest == 0:
                     raise OutOfMemoryError("physical memory exhausted")
                 take = min(remaining, largest)
-                if take < minimum and remaining >= minimum:
-                    raise OutOfMemoryError("free memory too fragmented")
                 start = self.alloc_contiguous(take)
                 pieces.append((start, take))
                 remaining -= take

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.address import PAGE_SHIFT, PAGE_SIZE, page_base
-from repro.common.params import SynonymFilterConfig, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
 from repro.osmodel.address_space import (
     POLICY_DEMAND,
@@ -67,17 +67,20 @@ def _translation(entry: PageTableEntry, va: int) -> Translation:
 
 
 class Kernel:
-    """System software model."""
+    """System software model.
+
+    Every process's synonym filter is built from
+    ``config.synonym_filter`` and physical memory holds
+    ``config.physical_memory_bytes``.
+    """
 
     #: Filter fill ratio beyond which the OS rebuilds a process's filters.
     FILTER_REBUILD_THRESHOLD = 0.5
 
     def __init__(self, config: SystemConfig | None = None,
-                 filter_config: SynonymFilterConfig | None = None,
                  segment_table_capacity: int = 2048,
                  transparent_huge_pages: bool = False) -> None:
         self.config = config or SystemConfig()
-        self.filter_config = filter_config or self.config.synonym_filter
         self.stats = StatGroup("kernel")
         self.frames = FrameAllocator(self.config.physical_memory_bytes)
         self.segment_table = OsSegmentTable(capacity=segment_table_capacity)
@@ -125,7 +128,7 @@ class Kernel:
         if va_base is None:
             va_base = 0x1000_0000 + (asid % 64) * 0x37_F000
         process = Process(name, asid, self.frames, self.segment_table,
-                          self.filter_config, va_base=va_base)
+                          self.config.synonym_filter, va_base=va_base)
         if self.thp:
             process.segment_allocator.align_frames = 512  # 2 MB
         self._processes[asid] = process

@@ -84,9 +84,9 @@ class Segment:
 class OsSegmentTable:
     """System-wide in-memory segment table (the HW table mirrors it)."""
 
-    def __init__(self, capacity: int = 2048, stats: StatGroup | None = None) -> None:
+    def __init__(self, capacity: int = 2048) -> None:
         self.capacity = capacity
-        self.stats = stats or StatGroup("os_segment_table")
+        self.stats = StatGroup("os_segment_table")
         self._segments: Dict[int, Segment] = {}
         self._next_id = 0
         # Per-ASID sorted vbase lists for O(log n) containment lookup.
@@ -206,11 +206,11 @@ class SegmentAllocator:
     RESERVATION_CHUNK = 2 * 1024 * 1024
 
     def __init__(self, asid: int, table: OsSegmentTable, frames: FrameAllocator,
-                 va_base: int = 0x10000000, stats: StatGroup | None = None) -> None:
+                 va_base: int = 0x10000000) -> None:
         self.asid = asid
         self.table = table
         self.frames = frames
-        self.stats = stats or StatGroup(f"segalloc_{asid}")
+        self.stats = StatGroup(f"segalloc_{asid}")
         self._va_cursor = va_base
         self._last_segment: Optional[Segment] = None
         self._last_piece_end_frame: Optional[int] = None

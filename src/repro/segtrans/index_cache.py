@@ -4,7 +4,7 @@ The index tree lives in memory; reading 4 levels of it per LLC miss would
 be ruinous, so a dedicated cache of 64-byte tree nodes — "a regular cache
 of 64 byte blocks addressed by physical address" — absorbs the traversal.
 Default geometry is 32 KB, 8-way, 3 cycles (CACTI at 3.4 GHz); Figure 7
-sweeps 128 B – 64 KB.
+sweeps ``SegmentTranslationConfig.index_cache_size`` from 128 B to 64 KB.
 
 One index cache is shared by all cores (the paper notes a multi-core
 processor needs only one).
@@ -24,16 +24,18 @@ ChargeFn = Callable[[int], int]
 
 
 class IndexCache:
-    """Physically addressed node cache with miss-fill from memory."""
+    """Physically addressed node cache with miss-fill from memory.
+
+    Its geometry is ``config.index_cache_geometry()``: the config's
+    ``index_cache_size`` in ``index_cache_ways`` ways.
+    """
 
     def __init__(self, config: SegmentTranslationConfig | None = None,
-                 memory_charge: Optional[ChargeFn] = None,
-                 stats: StatGroup | None = None,
-                 size_bytes: Optional[int] = None) -> None:
+                 memory_charge: Optional[ChargeFn] = None) -> None:
         self.config = config or SegmentTranslationConfig()
         self._cache = SetAssociativeCache(
-            self.config.index_cache_geometry(size_bytes), "index_cache")
-        self.stats = stats or StatGroup("index_cache")
+            self.config.index_cache_geometry(), "index_cache")
+        self.stats = StatGroup("index_cache")
         self._counts = self.stats.counts
         self._memory_charge = memory_charge or (lambda pa: 200)
 

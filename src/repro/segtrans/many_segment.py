@@ -34,20 +34,22 @@ from repro.segtrans.segment_table import HwSegmentTable
 
 
 class ManySegmentTranslator:
-    """Shared (per-chip) delayed translation engine."""
+    """Shared (per-chip) delayed translation engine.
+
+    The segment cache, index cache and HW segment table take their
+    sizes and latencies from ``config``.
+    """
 
     def __init__(self, kernel: Kernel,
                  config: SegmentTranslationConfig | None = None,
                  memory_charge: Optional[Callable[[int], int]] = None,
-                 use_segment_cache: bool = True,
-                 index_cache_size: Optional[int] = None) -> None:
+                 use_segment_cache: bool = True) -> None:
         self.config = config or SegmentTranslationConfig()
         self.kernel = kernel
         self.stats = StatGroup("many_segment")
         self._counts = self.stats.counts
         self.segment_cache = SegmentCache(self.config) if use_segment_cache else None
-        self.index_cache = IndexCache(self.config, memory_charge,
-                                      size_bytes=index_cache_size)
+        self.index_cache = IndexCache(self.config, memory_charge)
         self.hw_table = HwSegmentTable(kernel.segment_table, self.config)
         self._tree_generation = -1
         # Distributions over the translation path: index-tree nodes read

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.stats import StatGroup
-from repro.osmodel.segments import OsSegmentTable, Segment, SegmentFault
+from repro.osmodel.segments import OsSegmentTable, Segment
 
 
 @dataclass(slots=True)
@@ -38,11 +38,11 @@ class RangeTlb:
     WALK_CYCLES = 50
 
     def __init__(self, os_table: OsSegmentTable, entries: int = 32,
-                 latency: int = 7, stats: StatGroup | None = None) -> None:
+                 latency: int = 7) -> None:
         self.os_table = os_table
         self.entries = entries
         self.latency = latency
-        self.stats = stats or StatGroup("rmm_range_tlb")
+        self.stats = StatGroup("rmm_range_tlb")
         # seg_id -> Segment, insertion-ordered for LRU.
         self._ranges: Dict[int, Segment] = {}
 
@@ -90,8 +90,8 @@ class DirectSegment:
     TLB path).
     """
 
-    def __init__(self, stats: StatGroup | None = None) -> None:
-        self.stats = stats or StatGroup("direct_segment")
+    def __init__(self) -> None:
+        self.stats = StatGroup("direct_segment")
         self._registers: Dict[int, Tuple[int, int, int]] = {}  # asid -> (base, limit, offset)
 
     def configure(self, asid: int, base: int, limit: int, offset: int) -> None:

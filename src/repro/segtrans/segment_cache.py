@@ -34,10 +34,9 @@ class SegmentCacheEntry:
 class SegmentCache:
     """Fully associative, LRU, fixed-granularity translation cache."""
 
-    def __init__(self, config: SegmentTranslationConfig | None = None,
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: SegmentTranslationConfig | None = None) -> None:
         self.config = config or SegmentTranslationConfig()
-        self.stats = stats or StatGroup("segment_cache")
+        self.stats = StatGroup("segment_cache")
         self._counts = self.stats.counts
         self._entries: Dict[tuple[int, int], SegmentCacheEntry] = {}
 

@@ -24,11 +24,10 @@ class HwSegmentTable:
     FILL_INTERRUPT_CYCLES = 500
 
     def __init__(self, os_table: OsSegmentTable,
-                 config: SegmentTranslationConfig | None = None,
-                 stats: StatGroup | None = None) -> None:
+                 config: SegmentTranslationConfig | None = None) -> None:
         self.config = config or SegmentTranslationConfig()
         self.os_table = os_table
-        self.stats = stats or StatGroup("hw_segment_table")
+        self.stats = StatGroup("hw_segment_table")
         self._counts = self.stats.counts
         self._loaded: Set[int] = set()
 

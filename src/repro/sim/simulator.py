@@ -49,13 +49,14 @@ def _traced(access, tracer: Tracer, timed: bool):
 
 
 class Simulator:
-    """Drives one workload through one MMU configuration."""
+    """Drives one workload through one MMU configuration.
 
-    def __init__(self, mmu: MmuBase, timing: Optional[TimingModel] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+    Each run accounts cycles with a fresh :class:`TimingModel` of the
+    MMU's ``config.core`` and the workload's MLP.
+    """
+
+    def __init__(self, mmu: MmuBase) -> None:
         self.mmu = mmu
-        self.timing = timing
-        self.tracer = tracer or NULL_TRACER
 
     def run(self, workload: LaidOutWorkload, accesses: int,
             warmup: int = 0, seed: Optional[int] = None,
@@ -74,7 +75,7 @@ class Simulator:
         ``interval`` (timed accesses per window) records delta snapshots
         of every counter, yielding ``ceil(accesses / interval)`` windows
         that together cover the timed accesses only.
-        ``tracer`` overrides the one given at construction; tracing never
+        ``tracer`` records the run's pipeline events; tracing never
         alters simulated behavior, only records it.
 
         ``pulse`` is the live-telemetry hook: a callable with an
@@ -89,10 +90,11 @@ class Simulator:
         """
         spec = workload.spec
         mmu = self.mmu
-        timing = self.timing or TimingModel(mmu.config.core, mlp=spec.mlp)
+        timing = TimingModel(mmu.config.core, mlp=spec.mlp)
         refs = workload.references(warmup + accesses, seed=seed)
 
-        tracer = tracer if tracer is not None else self.tracer
+        if tracer is None:
+            tracer = NULL_TRACER
         warmup_access = timed_access = mmu.access
         if tracer.active:
             mmu.attach_tracer(tracer)

@@ -19,10 +19,9 @@ from repro.common.stats import StatGroup
 class DramModel:
     """Open-page DRAM with per-bank row buffers."""
 
-    def __init__(self, config: DramConfig | None = None,
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: DramConfig | None = None) -> None:
         self.config = config or DramConfig()
-        self.stats = stats or StatGroup("dram")
+        self.stats = StatGroup("dram")
         self._counts = self.stats.counts
         total_banks = self.config.channels * self.config.banks
         self._open_rows: List[Optional[int]] = [None] * total_banks

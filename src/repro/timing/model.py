@@ -52,14 +52,14 @@ class CycleAccounting:
 class TimingModel:
     """Combines access outcomes into cycles / IPC."""
 
-    def __init__(self, core: CoreConfig | None = None, mlp: float = 1.0,
-                 l1_hit_pipelined_cycles: int = 4) -> None:
+    #: Cache cycles of an access that the pipeline hides fully (an L1 hit).
+    L1_HIT_PIPELINED_CYCLES = 4
+
+    def __init__(self, core: CoreConfig | None = None, mlp: float = 1.0) -> None:
         self.core = core or CoreConfig()
         if mlp < 1.0:
             raise ValueError("MLP cannot be below 1")
         self.mlp = mlp
-        # An L1 hit of this latency is fully hidden by the pipeline.
-        self.l1_hit_pipelined_cycles = l1_hit_pipelined_cycles
         self.acct = CycleAccounting()
         # Latency distributions over the timed window (log2 buckets).
         self.access_hist = Histogram("access_cycles")
@@ -76,7 +76,7 @@ class TimingModel:
         stall sums and the access histogram are kept in locals and written
         back once per call, also when the stream raises.
         """
-        pipelined = self.l1_hit_pipelined_cycles
+        pipelined = self.L1_HIT_PIPELINED_CYCLES
         access_counts = self.access_hist.counts
         front_record = self.front_hist.record
         delayed_record = self.delayed_hist.record

@@ -18,8 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.common.address import PAGE_SHIFT, VA_BITS
 from repro.common.params import TlbConfig
 from repro.common.stats import StatGroup
+
+#: VPN width inside a packed page key (48-bit VA, 4 KB pages): the ASID
+#: sits above it (see :func:`repro.common.address.virtual_page_key`).
+VPN_BITS = VA_BITS - PAGE_SHIFT
 
 PERM_READ = 0x1
 PERM_WRITE = 0x2
@@ -41,14 +46,14 @@ class SetAssociativeTlb:
 
     Each set is an insertion-ordered dict mapping page keys to entries;
     hits re-insert the key so the dict order is the LRU order (oldest
-    first).  ``sets == 1`` models a fully-associative structure.
+    first).  ``sets == 1`` models a fully-associative structure.  Its
+    counters are the stat group ``name``.
     """
 
-    def __init__(self, config: TlbConfig, name: str = "tlb",
-                 stats: StatGroup | None = None) -> None:
+    def __init__(self, config: TlbConfig, name: str = "tlb") -> None:
         self.config = config
         self.name = name
-        self.stats = stats or StatGroup(name)
+        self.stats = StatGroup(name)
         self._counts = self.stats.counts
         self._sets: list[Dict[int, TlbEntry]] = [{} for _ in range(config.sets)]
         self._set_mask = config.sets - 1   # a power of two (TlbConfig checks)
@@ -96,15 +101,11 @@ class SetAssociativeTlb:
             return True
         return False
 
-    def flush_asid(self, asid: int, vpn_bits: int = 36) -> int:
-        """Drop every entry belonging to ``asid``; returns the count dropped.
-
-        ``vpn_bits`` is the VPN width inside the packed key (48-bit VA,
-        4 KB pages → 36 bits).
-        """
+    def flush_asid(self, asid: int) -> int:
+        """Drop every entry belonging to ``asid``; returns the count dropped."""
         dropped = 0
         for tlb_set in self._sets:
-            stale = [k for k in tlb_set if (k >> vpn_bits) == asid]
+            stale = [k for k in tlb_set if (k >> VPN_BITS) == asid]
             for k in stale:
                 del tlb_set[k]
                 dropped += 1

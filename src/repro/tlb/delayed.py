@@ -17,16 +17,18 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.params import TlbConfig
-from repro.common.stats import StatGroup
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
 
 
 class DelayedTlb:
-    """Shared post-LLC translation TLB with fixed (page) granularity."""
+    """Shared post-LLC translation TLB with fixed (page) granularity.
 
-    def __init__(self, config: TlbConfig, stats: StatGroup | None = None) -> None:
-        self.stats = stats or StatGroup("delayed_tlb")
-        self._tlb = SetAssociativeTlb(config, "delayed_tlb", self.stats)
+    Its counters are the inner TLB's stat group, ``delayed_tlb``.
+    """
+
+    def __init__(self, config: TlbConfig) -> None:
+        self._tlb = SetAssociativeTlb(config, "delayed_tlb")
+        self.stats = self._tlb.stats
 
     @property
     def latency(self) -> int:

@@ -16,11 +16,15 @@ from repro.tlb.base import SetAssociativeTlb, TlbEntry
 
 
 class TlbHierarchy:
-    """L1 + L2 TLBs with L2-hit refill into L1."""
+    """L1 + L2 TLBs with L2-hit refill into L1.
+
+    The hierarchy counts into the stat group ``name``; its levels into
+    ``<name>_l1`` and ``<name>_l2``.
+    """
 
     def __init__(self, l1_config: TlbConfig, l2_config: TlbConfig,
-                 name: str = "tlb", stats: StatGroup | None = None) -> None:
-        self.stats = stats or StatGroup(name)
+                 name: str = "tlb") -> None:
+        self.stats = StatGroup(name)
         self._counts = self.stats.counts
         self.l1 = SetAssociativeTlb(l1_config, f"{name}_l1")
         self.l2 = SetAssociativeTlb(l2_config, f"{name}_l2")

@@ -17,7 +17,7 @@ paper's Figure 9).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.common.params import WalkerConfig
 from repro.common.stats import StatGroup
@@ -29,39 +29,43 @@ ResolveFn = Callable[[int, int], Tuple[Sequence[int], int, int, bool]]
 # Charge callback: (pte_physical_address) -> cycles for the read.
 ChargeFn = Callable[[int], int]
 
+#: A page-walk cache: ``(asid, va >> 21) -> True``, oldest entry first.
+WalkCache = Dict[Tuple[int, int], bool]
+
+
+def probe_walk_cache(cache: WalkCache, capacity: int, asid: int,
+                     va: int) -> bool:
+    """Look up the walk-cache entry of ``va``'s 2 MB region; True on a hit.
+
+    A hit moves the entry to the back of the LRU order; a miss inserts
+    it there, first evicting the oldest entry when ``capacity`` are
+    held.  The native and the 2-D walker share this cache policy.
+    """
+    key = (asid, va >> 21)
+    hit = cache.pop(key, False)
+    if not hit and len(cache) >= capacity:
+        del cache[next(iter(cache))]
+    cache[key] = True
+    return hit
+
 
 class PageWalker:
-    """Radix-walk cost model with an upper-level page-walk cache."""
+    """Radix-walk cost model with an upper-level page-walk cache.
+
+    Its counters are the stat group ``name`` and its per-walk latency
+    histogram is ``<name>_cycles``, so an MMU's several walkers stay
+    distinguishable.  The walk cache holds ``config.walk_cache_entries``.
+    """
 
     def __init__(self, config: WalkerConfig, resolve: ResolveFn, charge: ChargeFn,
-                 stats: StatGroup | None = None) -> None:
+                 name: str = "page_walker") -> None:
         self.config = config
         self.resolve = resolve
         self.charge = charge
-        self.stats = stats or StatGroup("page_walker")
+        self.stats = StatGroup(name)
         self._counts = self.stats.counts
-        # Per-walk latency distribution (named after the stat group so a
-        # hybrid MMU's several walkers stay distinguishable).
-        self.cycles_hist = Histogram(f"{self.stats.name}_cycles")
-        # Walk cache: maps (asid, va >> 21) -> True; LRU via dict order.
-        self._walk_cache: dict[tuple[int, int], bool] = {}
-
-    def _walk_cache_lookup(self, asid: int, va: int) -> bool:
-        key = (asid, va >> 21)
-        if key in self._walk_cache:
-            del self._walk_cache[key]
-            self._walk_cache[key] = True
-            return True
-        return False
-
-    def _walk_cache_fill(self, asid: int, va: int) -> None:
-        key = (asid, va >> 21)
-        if key in self._walk_cache:
-            del self._walk_cache[key]
-        elif len(self._walk_cache) >= self.config.walk_cache_entries:
-            oldest = next(iter(self._walk_cache))
-            del self._walk_cache[oldest]
-        self._walk_cache[key] = True
+        self.cycles_hist = Histogram(f"{name}_cycles")
+        self._walk_cache: WalkCache = {}
 
     def walk(self, asid: int, va: int) -> Tuple[int, int, int, bool]:
         """Walk the page table for (asid, va), charging each PTE read.
@@ -74,13 +78,12 @@ class PageWalker:
         counts = self._counts
         counts["walks"] += 1
         pte_addresses, pa, permissions, shared = self.resolve(asid, va)
-        hit = self._walk_cache_lookup(asid, va)
-        if hit:
+        if probe_walk_cache(self._walk_cache, self.config.walk_cache_entries,
+                            asid, va):
             counts["walk_cache_hits"] += 1
             touched = pte_addresses[-1:]
         else:
             touched = pte_addresses
-            self._walk_cache_fill(asid, va)
         cycles = self.config.per_level_overhead * len(touched)
         for pte_pa in touched:
             cycles += self.charge(pte_pa)

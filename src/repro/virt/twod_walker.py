@@ -25,6 +25,7 @@ from typing import Callable, Dict, Tuple
 from repro.common.address import PAGE_SHIFT, page_base
 from repro.common.params import WalkerConfig
 from repro.common.stats import StatGroup
+from repro.tlb.walker import WalkCache, probe_walk_cache
 from repro.virt.hypervisor import VirtualMachine
 
 ChargeFn = Callable[[int], int]
@@ -33,9 +34,11 @@ ChargeFn = Callable[[int], int]
 class NestedTlb:
     """Small gPA→MA TLB used by the walker (not by data accesses)."""
 
-    def __init__(self, entries: int = 64, stats: StatGroup | None = None) -> None:
-        self.entries = entries
-        self.stats = stats or StatGroup("nested_tlb")
+    #: Fully associative LRU entries.
+    ENTRIES = 64
+
+    def __init__(self) -> None:
+        self.stats = StatGroup("nested_tlb")
         self._counts = self.stats.counts
         self._map: Dict[int, int] = {}
 
@@ -55,7 +58,7 @@ class NestedTlb:
     def fill(self, gpa_page: int, ma_page: int) -> None:
         if gpa_page in self._map:
             del self._map[gpa_page]
-        elif len(self._map) >= self.entries:
+        elif len(self._map) >= self.ENTRIES:
             del self._map[next(iter(self._map))]
         self._map[gpa_page] = ma_page
 
@@ -64,17 +67,22 @@ class NestedTlb:
 
 
 class TwoDWalker:
-    """Nested walker with nested TLB + 2-D walk cache."""
+    """Nested walker with nested TLB + 2-D walk cache.
+
+    The guest walk cache holds ``config.walk_cache_entries`` 2 MB regions
+    under the native walker's policy
+    (:func:`~repro.tlb.walker.probe_walk_cache`).
+    """
 
     def __init__(self, vm: VirtualMachine, config: WalkerConfig,
-                 charge: ChargeFn, stats: StatGroup | None = None) -> None:
+                 charge: ChargeFn) -> None:
         self.vm = vm
         self.config = config
         self.charge = charge
-        self.stats = stats or StatGroup("twod_walker")
+        self.stats = StatGroup("twod_walker")
         self._counts = self.stats.counts
         self.nested_tlb = NestedTlb()
-        self._walk_cache: Dict[tuple[int, int], bool] = {}
+        self._walk_cache: WalkCache = {}
 
     # ------------------------------------------------------------------ #
     # gPA → MA with the nested TLB absorbing host walks
@@ -94,26 +102,6 @@ class TwoDWalker:
         return ma, cycles, len(path)
 
     # ------------------------------------------------------------------ #
-    # Guest walk cache
-    # ------------------------------------------------------------------ #
-
-    def _guest_cache_lookup(self, asid: int, gva: int) -> bool:
-        key = (asid, gva >> 21)
-        if key in self._walk_cache:
-            del self._walk_cache[key]
-            self._walk_cache[key] = True
-            return True
-        return False
-
-    def _guest_cache_fill(self, asid: int, gva: int) -> None:
-        key = (asid, gva >> 21)
-        if key in self._walk_cache:
-            del self._walk_cache[key]
-        elif len(self._walk_cache) >= self.config.walk_cache_entries:
-            del self._walk_cache[next(iter(self._walk_cache))]
-        self._walk_cache[key] = True
-
-    # ------------------------------------------------------------------ #
     # The nested walk
     # ------------------------------------------------------------------ #
 
@@ -129,11 +117,10 @@ class TwoDWalker:
 
         guest_pte_gpas, gpa, guest_permissions, guest_shared = (
             self.vm.guest_kernel.pte_path(guest_asid, gva))
-        if self._guest_cache_lookup(guest_asid, gva):
+        if probe_walk_cache(self._walk_cache, self.config.walk_cache_entries,
+                            guest_asid, gva):
             guest_pte_gpas = guest_pte_gpas[-1:]
             counts["walk_cache_hits"] += 1
-        else:
-            self._guest_cache_fill(guest_asid, gva)
 
         # Each guest PTE lives at a gPA that itself needs host translation.
         for pte_gpa in guest_pte_gpas:

@@ -88,10 +88,12 @@ class WorkloadSpec:
 
 
 class LaidOutWorkload:
-    """A spec bound to processes and VMAs on a concrete kernel."""
+    """A spec bound to processes and VMAs on a concrete kernel.
 
-    def __init__(self, spec: WorkloadSpec, kernel: Kernel, seed: int = 42,
-                 core_base: int = 0, cores: Optional[List[int]] = None) -> None:
+    Process ``i`` runs on core ``i mod kernel.config.cores``.
+    """
+
+    def __init__(self, spec: WorkloadSpec, kernel: Kernel, seed: int = 42) -> None:
         self.spec = spec
         self.kernel = kernel
         self.seed = seed
@@ -99,9 +101,7 @@ class LaidOutWorkload:
         self.private_vmas: Dict[int, List[Vma]] = {}
         self.shared_vmas: Dict[int, Vma] = {}
         n_processes = spec.sharing.processes if spec.sharing else 1
-        self.cores = cores if cores is not None else [
-            (core_base + i) % max(1, kernel.config.cores) for i in range(n_processes)
-        ]
+        self.cores = [i % kernel.config.cores for i in range(n_processes)]
         self._layout_rng = make_rng(seed, f"{spec.name}-layout")
         self._lay_out(n_processes)
 

@@ -8,8 +8,10 @@ import pytest
 from repro.common.address import PAGE_SIZE
 from repro.common.params import (
     CacheConfig,
+    SegmentTranslationConfig,
     SystemConfig,
     TlbConfig,
+    config_fingerprint,
 )
 from repro.common.rng import make_rng, zipf_sampler
 from repro.core import AccessOutcome, HybridMmu
@@ -87,11 +89,11 @@ class TestTinyStructures:
 
 class TestNestedTlb:
     def test_lru(self):
-        tlb = NestedTlb(entries=2)
-        tlb.fill(1, 101)
-        tlb.fill(2, 102)
-        assert tlb.lookup(1) == 101  # refresh
-        tlb.fill(3, 103)             # evicts 2
+        tlb = NestedTlb()
+        for page in range(1, NestedTlb.ENTRIES + 1):
+            tlb.fill(page, 100 + page)
+        assert tlb.lookup(1) == 101                 # refresh
+        tlb.fill(NestedTlb.ENTRIES + 1, 0)          # evicts 2
         assert tlb.lookup(2) is None
         assert tlb.lookup(1) == 101
 
@@ -104,15 +106,19 @@ class TestNestedTlb:
 
 class TestHybridVariants:
     def test_index_cache_size_override(self):
-        config = SystemConfig()
+        config = SystemConfig(
+            segments=SegmentTranslationConfig(index_cache_size=1024))
         kernel = Kernel(config)
         p = kernel.create_process("p")
         vma = kernel.mmap(p, 4 * MB, policy="eager")
-        mmu = HybridMmu(kernel, config, delayed="segments",
-                        index_cache_size=1024)
+        mmu = HybridMmu(kernel, config, delayed="segments")
         assert mmu.delayed.translator.index_cache.size_bytes == 1024
         out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.translated_pa == kernel.translate(p.asid, vma.vbase).pa
+        # The size is part of the machine the result's manifest names.
+        result = Simulator(mmu).run(lay_out("stream", kernel), accesses=50)
+        assert (result.manifest.config_hash
+                != config_fingerprint(SystemConfig()))
 
     def test_unknown_delayed_engine(self):
         kernel = Kernel(SystemConfig())

@@ -65,11 +65,12 @@ class TestIndexCache:
         assert ic.hit_rate() == 0.5
 
     def test_size_override(self):
-        ic = IndexCache(size_bytes=1024)
+        ic = IndexCache(SegmentTranslationConfig(index_cache_size=1024))
         assert ic.size_bytes == 1024
 
     def test_tiny_sizes_degrade_ways(self):
-        ic = IndexCache(size_bytes=128)  # cannot sustain 8 ways
+        # 128 B cannot sustain 8 ways.
+        ic = IndexCache(SegmentTranslationConfig(index_cache_size=128))
         ic.read_node(0)
         ic.read_node(64)
         ic.read_node(128)
@@ -82,7 +83,8 @@ class TestIndexCache:
         assert ic.read_node(0x4000) == ic.latency + 100
 
     def test_capacity_eviction(self):
-        ic = IndexCache(size_bytes=512, memory_charge=lambda pa: 0)
+        ic = IndexCache(SegmentTranslationConfig(index_cache_size=512),
+                        memory_charge=lambda pa: 0)
         for i in range(64):
             ic.read_node(i * 64)
         assert ic.occupancy() <= 8

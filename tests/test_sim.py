@@ -1,10 +1,19 @@
 """Tests for the simulation drivers and result containers."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.params import SystemConfig
+from repro.common.params import (
+    SegmentTranslationConfig,
+    SynonymFilterConfig,
+    SystemConfig,
+    TlbConfig,
+    config_fingerprint,
+)
 from repro.sim import (
     MMU_CONFIGS,
+    PRIOR_CONFIGS,
     Simulator,
     build_mmu,
     compare_configs,
@@ -15,6 +24,7 @@ from repro.sim import (
 )
 from repro.sim.results import SimulationResult
 from repro.osmodel import Kernel
+from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 
 SMALL = dict(accesses=2000, warmup=500)
 
@@ -108,12 +118,77 @@ class TestResults:
         assert result.tlb_mpki("delayed_tlb") > 0
 
 
-class TestSimulatorDirect:
-    def test_custom_timing_model(self):
-        from repro.timing import TimingModel
-        kernel = Kernel(SystemConfig())
-        w = lay_out("stream", kernel)
-        mmu = build_mmu("ideal", kernel)
-        timing = TimingModel(mlp=8.0)
-        result = Simulator(mmu, timing).run(w, accesses=500)
-        assert result.ipc > 0
+class TestConfigProvenance:
+    """Every MMU builds its structures from the config its result's
+    manifest hashes: a non-default machine reaches each structure."""
+
+    CONFIG = SystemConfig(
+        segments=SegmentTranslationConfig(index_cache_size=8 * 1024),
+        synonym_filter=SynonymFilterConfig(bits=512),
+        delayed_tlb=TlbConfig(2048, 8, 7),
+        synonym_tlb=TlbConfig(32, 4, 1),
+    )
+    #: The configured sizes, read back from the structures below.
+    SIZES = {"synonym_tlb": 32, "delayed_tlb": 2048, "index_cache": 8192}
+    #: Which of those structures each MMU has.
+    HAS = {
+        "baseline": (), "ideal": (), "direct_segment": (), "rmm": (),
+        "baseline_thp": (), "virt_baseline": (),
+        "hybrid_tlb": ("synonym_tlb", "delayed_tlb"),
+        "hybrid_segments": ("synonym_tlb", "index_cache"),
+        "hybrid_segments_nosc": ("synonym_tlb", "index_cache"),
+        "enigma": ("delayed_tlb",),
+        "virt_hybrid_tlb": ("synonym_tlb", "delayed_tlb"),
+        "virt_hybrid_segments": ("synonym_tlb", "index_cache"),
+    }
+
+    def _system(self, name):
+        """``(mmu, workload, synonym filters, config)`` of one point,
+        built as ``Job.run`` and perfbench's virtualized points build
+        theirs."""
+        if not name.startswith("virt_"):
+            config = self.CONFIG
+            kernel = Kernel(config,
+                            transparent_huge_pages=name == "baseline_thp")
+            workload = lay_out("stream", kernel)
+            filters = [p.synonym_filter for p in workload.processes]
+            return build_mmu(name, kernel, config), workload, filters, config
+        config = dataclasses.replace(self.CONFIG,
+                                     physical_memory_bytes=1024 ** 3)
+        hypervisor = Hypervisor(guest_config=config)
+        vm = hypervisor.create_vm("vm")
+        workload = lay_out("stream", vm.guest_kernel)
+        filters = [p.synonym_filter for p in workload.processes]
+        if name == "virt_baseline":
+            mmu = VirtConventionalMmu(hypervisor, vm)
+        else:
+            mmu = VirtHybridMmu(hypervisor, vm,
+                                delayed=name.rsplit("_", 1)[1])
+        return mmu, workload, filters + [vm.host_filter], config
+
+    @staticmethod
+    def _sizes(mmu):
+        sizes = {}
+        engine = getattr(mmu, "delayed", None)
+        if hasattr(mmu, "synonym_tlb"):
+            sizes["synonym_tlb"] = mmu.synonym_tlb.config.entries
+        delayed_tlb = getattr(engine, "tlb", getattr(mmu, "delayed_tlb", None))
+        if delayed_tlb is not None:
+            sizes["delayed_tlb"] = delayed_tlb._tlb.config.entries
+        translator = getattr(engine, "translator",
+                             getattr(engine, "guest_translator", None))
+        if translator is not None:
+            sizes["index_cache"] = translator.index_cache.size_bytes
+        return sizes
+
+    @pytest.mark.parametrize("name", MMU_CONFIGS + PRIOR_CONFIGS + (
+        "virt_baseline", "virt_hybrid_tlb", "virt_hybrid_segments"))
+    def test_structures_and_manifest_follow_the_config(self, name):
+        mmu, workload, filters, config = self._system(name)
+        assert self._sizes(mmu) == {k: self.SIZES[k] for k in self.HAS[name]}
+        assert filters
+        for synonym_filter in filters:
+            assert synonym_filter.fine.bits == synonym_filter.coarse.bits == 512
+        result = Simulator(mmu).run(workload, accesses=300, warmup=100, seed=3)
+        assert result.manifest.config_hash == config_fingerprint(config)
+        assert config_fingerprint(config) != config_fingerprint(SystemConfig())
