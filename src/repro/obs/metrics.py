@@ -12,15 +12,17 @@ listener, :class:`~repro.common.httpd.HttpListener`).
 Overhead discipline mirrors the tracer: every probe site checks
 ``metrics.enabled`` (a plain attribute) before doing any work, and
 :data:`NULL_METRICS` keeps the disabled path to one attribute fetch and
-one branch.  The hot loop never touches the registry per access — the
-simulator batches into plain locals and publishes at pulse boundaries.
+one branch.  The simulator never touches the registry: its pulse hook
+sends a heartbeat every ``pulse.every`` timed accesses, and the
+:class:`~repro.obs.heartbeat.HeartbeatMonitor` thread turns the beats
+into per-worker gauges.
 
 Determinism: the **final** registry contents for a plan are produced by
 :func:`fold_plan`, a pure function of the plan's outcomes applied in
-plan (first-add) order.  Live mid-run values — in-process publishes
-during serial execution, heartbeat-fed gauges during parallel execution
-— are wiped by the fold, so the final snapshot is byte-identical
-however the jobs were scheduled (pinned by ``tests/test_metrics.py``).
+plan (first-add) order.  Live mid-run values — the heartbeat-fed gauges,
+serial or parallel — are wiped by the fold, so the final snapshot is
+byte-identical however the jobs were scheduled (pinned by
+``tests/test_metrics.py``).
 """
 
 from __future__ import annotations
@@ -475,8 +477,8 @@ def fold_plan(registry: MetricsRegistry, jobs: Iterable[Any],
     Starts from :meth:`MetricsRegistry.reset`, then folds every outcome
     in plan order — so the final registry state is a pure function of
     ``(jobs, outcomes, cached)`` and byte-identical between serial and
-    parallel execution, live publishes and heartbeat gauges included
-    (they are wiped by the reset).
+    parallel execution, the live heartbeat gauges included (they are
+    wiped by the reset).
     """
     from repro.exec.job import JobError
 
