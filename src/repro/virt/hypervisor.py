@@ -53,9 +53,12 @@ class HostSegment:
 class VirtualMachine:
     """A guest kernel plus its host-side mapping state."""
 
+    #: Guest-physical memory is backed eagerly by host segments of this
+    #: size, each one contiguous machine extent.
+    HOST_SEGMENT_CHUNK = 256 * 1024 * 1024
+
     def __init__(self, vmid: int, name: str, guest_config: SystemConfig,
-                 machine_frames: FrameAllocator,
-                 host_segment_chunk: int = 256 * 1024 * 1024) -> None:
+                 machine_frames: FrameAllocator) -> None:
         self.vmid = vmid
         self.name = name
         self.guest_kernel = Kernel(guest_config)
@@ -67,17 +70,16 @@ class VirtualMachine:
         # several machine extents.
         self.host_segments: List[HostSegment] = []
         self._segment_bases: List[int] = []
-        self._back_guest_memory(guest_config.physical_memory_bytes,
-                                host_segment_chunk)
+        self._back_guest_memory(guest_config.physical_memory_bytes)
         # gPA page -> list of (guest asid, gVA page): the inverse map the
         # hypervisor maintains to name hypervisor-induced synonyms by gVA.
         self._gpa_to_gva: Dict[int, List[Tuple[int, int]]] = {}
 
-    def _back_guest_memory(self, guest_bytes: int, chunk: int) -> None:
+    def _back_guest_memory(self, guest_bytes: int) -> None:
         remaining = guest_bytes
         gpa = 0
         while remaining > 0:
-            piece = min(chunk, remaining)
+            piece = min(self.HOST_SEGMENT_CHUNK, remaining)
             frames = piece >> PAGE_SHIFT
             start = self._machine_frames.alloc_contiguous(frames)
             seg = HostSegment(gpa, piece, start << PAGE_SHIFT)

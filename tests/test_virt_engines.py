@@ -57,21 +57,35 @@ class TestDelayedSegment2dEngine:
 
     def test_sc_clipped_at_host_segment_boundary(self, hv):
         """A gVA→MA entry must not translate across host segments."""
-        import dataclasses
-        from repro.common.params import SystemConfig
         from repro.virt.hypervisor import VirtualMachine
 
-        small_chunk = 2 * MB  # host segments of 2 MB: many boundaries
-        vm = VirtualMachine(9, "tiny", hv.guest_config, hv.machine_frames,
-                            host_segment_chunk=small_chunk)
+        # Pin one machine frame a little past one host segment's worth,
+        # so the VM's first two host segments land in separate machine
+        # extents, with different offsets.
+        chunk = VirtualMachine.HOST_SEGMENT_CHUNK // PAGE_SIZE
+        low = hv.machine_frames.alloc_contiguous(chunk + 16)
+        hv.machine_frames.alloc_contiguous(1)
+        hv.machine_frames.free(low, chunk + 16)
+        vm = hv.create_vm("vm")
+        first, second = vm.host_segments[:2]
+        assert first.offset != second.offset
+        # Fill guest memory up to 4 MB below the gPA boundary between
+        # them, so an 8 MB eager mapping straddles it.
         g = vm.guest_kernel
         p = g.create_process("app")
+        first_free = g.frames.alloc_contiguous(1)
+        g.frames.alloc_contiguous(chunk - 1024 - first_free - 1)
         vma = g.mmap(p, 8 * MB, policy="eager")
+        guest_seg = g.segment_table.find(p.asid, vma.vbase)
+        boundary_gva = second.gpa_base - guest_seg.offset
+        # The boundary splits one 2 MB segment-cache region.
+        assert boundary_gva % (2 * MB)
         mmu = VirtHybridMmu(hv, vm, delayed="segments")
-        # Access across several host-segment boundaries; every result
-        # must equal the functional 2-D translation.
-        for off in range(0, 8 * MB, 1 * MB + 4096):
-            va = vma.vbase + off
+        # The page below the boundary fills its region's entry; the page
+        # at the boundary must not hit it.  Every result must equal the
+        # functional 2-D translation.
+        spread = [vma.vbase + off for off in range(0, 8 * MB, 1 * MB + 4096)]
+        for va in [boundary_gva - PAGE_SIZE, boundary_gva] + spread:
             out = AccessOutcome._make(mmu.access(0, p.asid, va, False))
             assert out.translated_pa == vm.translate_2d(p.asid, va)[0]
 
