@@ -68,15 +68,13 @@ class IndexLookup:
 class IndexTree:
     """Bulk-loaded B+-tree over segments with physically placed nodes."""
 
-    def __init__(self, frames: FrameAllocator, leaf_fill: int = 4,
-                 internal_fill: int = 5) -> None:
-        if not 1 <= leaf_fill <= MAX_KEYS:
-            raise ValueError(f"leaf_fill must be in [1, {MAX_KEYS}]")
-        if not 2 <= internal_fill <= MAX_CHILDREN:
-            raise ValueError(f"internal_fill must be in [2, {MAX_CHILDREN}]")
+    #: Bulk-load fill: keys per leaf (of ``MAX_KEYS``) and children per
+    #: internal node (of ``MAX_CHILDREN``); see the module docstring.
+    LEAF_FILL = 4
+    INTERNAL_FILL = 5
+
+    def __init__(self, frames: FrameAllocator) -> None:
         self._frames = frames
-        self.leaf_fill = leaf_fill
-        self.internal_fill = internal_fill
         self.root: Optional[TreeNode] = None
         self.depth = 0
         self.node_count = 0
@@ -118,8 +116,8 @@ class IndexTree:
 
     def _build_leaves(self, segments: Sequence[Segment]) -> List[TreeNode]:
         leaves: List[TreeNode] = []
-        for i in range(0, len(segments), self.leaf_fill):
-            batch = segments[i:i + self.leaf_fill]
+        for i in range(0, len(segments), self.LEAF_FILL):
+            batch = segments[i:i + self.LEAF_FILL]
             leaves.append(TreeNode(
                 pa=0,
                 keys=[pack_key(s.asid, s.vbase) for s in batch],
@@ -130,8 +128,8 @@ class IndexTree:
 
     def _build_internal(self, children: List[TreeNode]) -> List[TreeNode]:
         parents: List[TreeNode] = []
-        for i in range(0, len(children), self.internal_fill):
-            group = children[i:i + self.internal_fill]
+        for i in range(0, len(children), self.INTERNAL_FILL):
+            group = children[i:i + self.INTERNAL_FILL]
             # Separators: the smallest key reachable under each non-first child.
             seps = [self._leftmost_key(child) for child in group[1:]]
             parents.append(TreeNode(pa=0, keys=seps, children=group, values=None))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, starmap
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.stats import StatGroup
 from repro.core.hybrid import HybridMmu
@@ -63,8 +63,7 @@ class ScheduledSimulator:
     """
 
     def __init__(self, mmu: MmuBase, workloads: List[LaidOutWorkload],
-                 quantum: int = 2000,
-                 costs: Optional[SwitchCosts] = None) -> None:
+                 quantum: int = 2000) -> None:
         if not workloads:
             raise ValueError("at least one workload required")
         if quantum < 1:
@@ -72,7 +71,7 @@ class ScheduledSimulator:
         self.mmu = mmu
         self.workloads = workloads
         self.quantum = quantum
-        self.costs = costs or SwitchCosts()
+        self.costs = SwitchCosts()
         self.stats = StatGroup("scheduler")
 
     def _switch_cost(self) -> int:

@@ -1,6 +1,5 @@
 """Tests for the B-tree segment index."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.rng import make_rng
@@ -155,15 +154,3 @@ class TestPackKey:
     def test_ordering_within_asid(self):
         assert pack_key(1, 0x2000) > pack_key(1, 0x1000)
 
-
-class TestFillFactorValidation:
-    def test_invalid_fill_factors_rejected(self):
-        frames = FrameAllocator(16 * MB)
-        with pytest.raises(ValueError):
-            IndexTree(frames, leaf_fill=0)
-        with pytest.raises(ValueError):
-            IndexTree(frames, leaf_fill=7)
-        with pytest.raises(ValueError):
-            IndexTree(frames, internal_fill=1)
-        with pytest.raises(ValueError):
-            IndexTree(frames, internal_fill=8)
