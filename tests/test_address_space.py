@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.address import PAGE_SIZE
+from repro.common.params import SystemConfig
 from repro.energy import EnergyModel, EnergyParams
-from repro.osmodel import FrameAllocator, OsSegmentTable
+from repro.osmodel import FrameAllocator, Kernel, OsSegmentTable
 from repro.osmodel.address_space import POLICY_DEMAND, Process, Vma
 
 MB = 1024 * 1024
@@ -61,6 +62,88 @@ class TestVaAreas:
         a = process.reserve_va(100)
         b = process.reserve_va(100)
         assert (b - a) % PAGE_SIZE == 0
+
+
+#: Per kernel (THP off, on): the base each placement in
+#: :func:`_interleaved_layout` returned (a reservation also its length),
+#: then each process's VMAs as (vbase, length, policy, segments), each
+#: segment as (vbase, length, pbase).
+PINNED_LAYOUTS = {
+    False: (
+        [0x1037F000, 0x10384000, 0x10684000, (0x10687000, 0x400000),
+         0x10A87000, 0x10B88000, 0x10B8C000, 0x10B8E000, 0x10B90000,
+         (0x10D90000, 0x200000), 0x10B8E000, 0x10B8F000],
+        {"parent": [
+            (0x10384000, 0x300000, "eager", [(0x10384000, 0x300000, 0x1000)]),
+            (0x10A87000, 0x101000, "eager",
+             [(0x10A87000, 0x101000, 0x701000)]),
+            (0x10B88000, 0x4000, "demand", []),
+            (0x10B8C000, 0x2000, "eager", [(0x10B8C000, 0x2000, 0x802000)]),
+            (0x10B8E000, 0x1000, "eager", [(0x10B8E000, 0x1000, 0xC05000)])],
+         "parent-child": [
+            (0x10384000, 0x300000, "demand", []),
+            (0x10A87000, 0x101000, "demand", []),
+            (0x10B88000, 0x4000, "demand", []),
+            (0x10B8C000, 0x2000, "demand", []),
+            (0x10B90000, 0x200000, "eager",
+             [(0x10B90000, 0x200000, 0x805000)])]}),
+    True: (
+        [0x1037F000, 0x10400000, 0x10800000, (0x10803000, 0x400000),
+         0x10E00000, 0x11000000, 0x11200000, 0x11400000, 0x11600000,
+         (0x11800000, 0x200000), 0x11400000, 0x11600000],
+        {"parent": [
+            (0x10400000, 0x400000, "eager",
+             [(0x10400000, 0x400000, 0x200000)]),
+            (0x10E00000, 0x200000, "eager",
+             [(0x10E00000, 0x200000, 0xA00000)]),
+            (0x11000000, 0x4000, "demand", []),
+            (0x11200000, 0x200000, "eager",
+             [(0x11200000, 0x200000, 0xC00000)]),
+            (0x11400000, 0x200000, "eager",
+             [(0x11400000, 0x200000, 0x1200000)])],
+         "parent-child": [
+            (0x10400000, 0x400000, "demand", []),
+            (0x10E00000, 0x200000, "demand", []),
+            (0x11000000, 0x4000, "demand", []),
+            (0x11200000, 0x200000, "demand", []),
+            (0x11600000, 0x200000, "eager",
+             [(0x11600000, 0x200000, 0xE00000)])]}),
+}
+
+
+def _interleaved_layout(thp):
+    """Heap placements of every kind, in a parent and its fork."""
+    kernel = Kernel(SystemConfig(), transparent_huge_pages=thp)
+    parent = kernel.create_process("parent")
+    placed = [
+        parent.reserve_va(0x5000),
+        kernel.mmap(parent, 3 * MB, policy="eager").vbase,
+        parent.reserve_va(0x3000),
+        parent.segment_allocator.reserve(4 * MB),
+        kernel.mmap(parent, MB + 0x1000, policy="eager").vbase,
+        kernel.mmap(parent, 0x4000).vbase,
+        kernel.mmap(parent, 0x2000, policy="eager").vbase,
+    ]
+    child = kernel.fork(parent)
+    placed += [
+        child.reserve_va(0x2000),
+        kernel.mmap(child, 2 * MB, policy="eager").vbase,
+        child.segment_allocator.reserve(2 * MB),
+        kernel.mmap(parent, 0x1000, policy="eager").vbase,
+        parent.reserve_va(0x1000),
+    ]
+    vmas = {p.name: [(v.vbase, v.length, v.policy,
+                      [(s.vbase, s.length, s.pbase) for s in v.segments])
+                     for v in p.vmas()] for p in (parent, child)}
+    return placed, vmas
+
+
+class TestHeapPlacement:
+    @pytest.mark.parametrize("thp", [False, True], ids=["4k", "thp"])
+    def test_interleaved_placements_pinned(self, thp):
+        """Plain heap ranges, eager mappings, reservations and a fork
+        share one heap cursor: every base and segment is as recorded."""
+        assert _interleaved_layout(thp) == PINNED_LAYOUTS[thp]
 
 
 class TestVmaIndex:
