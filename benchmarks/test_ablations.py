@@ -101,9 +101,9 @@ def measure_allocation_policies():
         frames = FrameAllocator(256 * MB)
         table = OsSegmentTable()
         alloc = SegmentAllocator(1, table, frames)
-        segments = alloc.allocate(request)
+        vbase, _segments = alloc.allocate(request)
         for chunk_index in touched_chunks:
-            va = segments[0].vbase + chunk_index * chunk
+            va = vbase + chunk_index * chunk
             table.find(1, va).touch(va)
             # Touch one page per 2 MB chunk is enough for page counting;
             # touch them all for honest utilization numbers.

@@ -75,7 +75,6 @@ class Process:
                                                   va_base=va_base)
         self._vmas: List[Vma] = []
         self._vma_bases: List[int] = []
-        self._va_cursor = va_base
         # Shared (mmap) area lives far from the heap, as on real systems
         # (Linux places shared mappings near 0x7f...).  Beyond realism,
         # this is load-bearing for the synonym filter: the XOR-fold hashes
@@ -91,21 +90,17 @@ class Process:
     def reserve_va(self, size_bytes: int, area: str = "heap") -> int:
         """Carve a fresh virtual range in the chosen area.
 
-        ``heap`` ranges interleave with eager-segment allocations (the two
-        cursors stay in sync so mappings never overlap); ``mmap`` ranges
-        come from the distant shared-mapping area.
+        ``heap`` ranges come from the segment allocator's heap cursor, so
+        they interleave with eager-segment allocations and reservations
+        without overlap; ``mmap`` ranges come from the distant
+        shared-mapping area.
         """
         size_bytes = (size_bytes + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
         if area == "mmap":
             vbase = self._mmap_cursor
             self._mmap_cursor = vbase + size_bytes + PAGE_SIZE  # guard page
             return vbase
-        # The segment allocator owns the cursor for eager mappings; use the
-        # max of both cursors and advance both.
-        vbase = max(self._va_cursor, self.segment_allocator._va_cursor)
-        self._va_cursor = vbase + size_bytes
-        self.segment_allocator._va_cursor = vbase + size_bytes
-        return vbase
+        return self.segment_allocator.take_va(size_bytes)
 
     def add_vma(self, vma: Vma) -> Vma:
         index = bisect_right(self._vma_bases, vma.vbase)

@@ -194,16 +194,11 @@ class Kernel:
             raise ValueError(f"unknown mmap policy {policy!r}")
         if policy == POLICY_EAGER:
             allocator = process.segment_allocator
-            segments = allocator.allocate(size_bytes)
-            # The request ends at the allocator's cursor.  A segment grown
-            # by adjacency merging also covers earlier requests, so the
-            # VMA takes only this request's range.
-            length = allocator.request_bytes(size_bytes)
-            vbase = allocator._va_cursor - length
-            # Keep the plain-VA cursor in sync with the segment cursor.
-            process._va_cursor = max(process._va_cursor, allocator._va_cursor)
-            vma = Vma(vbase, length, POLICY_EAGER, permissions,
-                      segments=segments)
+            vbase, segments = allocator.allocate(size_bytes)
+            # A segment grown by adjacency merging also covers earlier
+            # requests, so the VMA takes only this request's range.
+            vma = Vma(vbase, allocator.request_bytes(size_bytes),
+                      POLICY_EAGER, permissions, segments=segments)
         else:
             vbase = process.reserve_va(size_bytes)
             vma = Vma(vbase, ((size_bytes + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE,
@@ -344,10 +339,7 @@ class Kernel:
             child_vma = Vma(vma.vbase, vma.length, POLICY_DEMAND,
                             vma.permissions)
             child.add_vma(child_vma)
-            # Keep the child's heap cursor clear of inherited ranges.
-            child._va_cursor = max(child._va_cursor, vma.vlimit)
-            child.segment_allocator._va_cursor = max(
-                child.segment_allocator._va_cursor, vma.vlimit)
+            child.segment_allocator.skip_past(vma.vlimit)
             for offset in range(0, vma.length, PAGE_SIZE):
                 va = vma.vbase + offset
                 try:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.address import PAGE_SHIFT, PAGE_SIZE, align_up
 from repro.common.stats import StatGroup
-from repro.osmodel.frames import FrameAllocator
+from repro.osmodel.frames import FrameAllocator, OutOfMemoryError
 
 
 class SegmentFault(Exception):
@@ -211,12 +211,31 @@ class SegmentAllocator:
         self.table = table
         self.frames = frames
         self.stats = StatGroup(f"segalloc_{asid}")
+        #: The process's one heap cursor: every heap placement (a plain
+        #: range, an eager allocation, a reservation) starts at or above
+        #: it, so no two overlap.
         self._va_cursor = va_base
         self._last_segment: Optional[Segment] = None
         self._last_piece_end_frame: Optional[int] = None
         # Reservations: (vbase, length, pbase) with promoted chunk tracking.
         self._reservations: List[Tuple[int, int, int]] = []
         self._promoted: Dict[int, Segment] = {}  # chunk vbase -> segment
+
+    # ------------------------------------------------------------------ #
+    # Heap placement
+    # ------------------------------------------------------------------ #
+
+    def take_va(self, size_bytes: int) -> int:
+        """Place ``size_bytes`` of heap VA with no backing; returns its
+        base."""
+        vbase = self._va_cursor
+        self._va_cursor = vbase + size_bytes
+        return vbase
+
+    def skip_past(self, va: int) -> None:
+        """Keep every later placement at or above ``va`` (a forked
+        child's inherited ranges)."""
+        self._va_cursor = max(self._va_cursor, va)
 
     # ------------------------------------------------------------------ #
     # Eager allocation
@@ -232,28 +251,30 @@ class SegmentAllocator:
         return align_up(size_bytes,
                         max(PAGE_SIZE, self.align_frames << PAGE_SHIFT))
 
-    def allocate(self, size_bytes: int) -> List[Segment]:
-        """Eagerly back ``size_bytes`` of fresh virtual memory.
+    def allocate(self, size_bytes: int) -> Tuple[int, List[Segment]]:
+        """Eagerly back ``size_bytes`` of fresh heap VA.
 
-        The request is placed just below the cursor the call leaves
-        behind.  Returns the segments that now cover it (new, or the grown
-        existing one when adjacency merging applied — that one also covers
-        earlier requests).
+        Returns the base VA the request was placed at and the segments
+        that now cover it (new, or the grown existing one when adjacency
+        merging applied — that one also covers earlier requests).  An
+        aligned request that no free extent fits aligned falls back to
+        unaligned best-effort pieces; an alignment the frame allocator
+        rejects raises its ``ValueError``.
         """
-        align_bytes = self.align_frames << PAGE_SHIFT
         size_bytes = self.request_bytes(size_bytes)
         frames_needed = size_bytes >> PAGE_SHIFT
+        vbase = self._va_cursor
         if self.align_frames > 1:
-            self._va_cursor = align_up(self._va_cursor, align_bytes)
+            vbase = align_up(vbase, self.align_frames << PAGE_SHIFT)
             try:
                 start = self.frames.alloc_contiguous(frames_needed,
                                                      self.align_frames)
                 pieces = [(start, frames_needed)]
-            except Exception:
+            except OutOfMemoryError:
                 pieces = self.frames.alloc_best_effort(frames_needed)
         else:
             pieces = self.frames.alloc_best_effort(frames_needed)
-        va = self._va_cursor
+        va = vbase
         result: List[Segment] = []
         for start_frame, count in pieces:
             piece_bytes = count << PAGE_SHIFT
@@ -271,7 +292,7 @@ class SegmentAllocator:
             va += piece_bytes
         self._va_cursor = va
         self.stats.add("bytes_allocated", size_bytes)
-        return result
+        return vbase, result
 
     def _try_merge(self, va: int, piece_bytes: int, start_frame: int) -> Optional[Segment]:
         """Grow the previous segment when VA and PA are both adjacent."""
@@ -305,8 +326,7 @@ class SegmentAllocator:
         """
         size_bytes = align_up(size_bytes, self.RESERVATION_CHUNK)
         start_frame = self.frames.alloc_contiguous(size_bytes >> PAGE_SHIFT)
-        vbase = self._va_cursor
-        self._va_cursor += size_bytes
+        vbase = self.take_va(size_bytes)
         self._reservations.append((vbase, size_bytes, start_frame << PAGE_SHIFT))
         self.stats.add("reservations")
         return vbase, size_bytes

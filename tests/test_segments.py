@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.osmodel import (
     FrameAllocator,
+    Kernel,
     OsSegmentTable,
     SegmentAllocator,
     SegmentFault,
@@ -116,10 +118,12 @@ class TestSegmentAllocator:
     def test_contiguous_requests_merge(self, system):
         frames, table = system
         alloc = SegmentAllocator(1, table, frames)
-        alloc.allocate(1 * MB)
-        alloc.allocate(1 * MB)  # physically adjacent -> merged
+        first, _ = alloc.allocate(1 * MB)
+        second, segments = alloc.allocate(1 * MB)  # adjacent -> merged
+        assert second == first + 1 * MB
         assert table.live_count() == 1
-        assert table.find(1, alloc._va_cursor - 1).length == 2 * MB
+        assert segments == [table.find(1, first)]
+        assert segments[0].length == 2 * MB
 
     def test_noise_breaks_merge(self, system):
         frames, table = system
@@ -133,14 +137,35 @@ class TestSegmentAllocator:
         frames, table = system
         frames.fragment(max_extent_frames=64, rng=make_rng(3))
         alloc = SegmentAllocator(1, table, frames)
-        segments = alloc.allocate(1 * MB)  # 256 frames > any extent
+        vbase, segments = alloc.allocate(1 * MB)  # 256 frames > any extent
         assert len(segments) > 1
         assert sum(s.length for s in segments) == 1 * MB
+        assert segments[0].vbase == vbase
+
+    def test_unaligned_fallback_when_no_aligned_extent_fits(self, system):
+        frames, table = system
+        frames.fragment(max_extent_frames=64, rng=make_rng(3))
+        alloc = SegmentAllocator(1, table, frames)
+        alloc.align_frames = 512
+        vbase, segments = alloc.allocate(2 * MB)  # no free 2 MB extent
+        assert vbase % (2 * MB) == 0
+        assert len(segments) > 1
+        assert sum(s.length for s in segments) == 2 * MB
+        assert segments[0].vbase == vbase
+
+    def test_rejected_alignment_raises(self):
+        kernel = Kernel(SystemConfig(), transparent_huge_pages=True)
+        process = kernel.create_process("p")
+        process.segment_allocator.align_frames = 3  # not a power of two
+        with pytest.raises(ValueError, match="power of two"):
+            kernel.mmap(process, 4 * MB, policy="eager")
+        assert process.vmas() == []
+        assert kernel.segment_table.live_count() == 0
 
     def test_translation_consistency(self, system):
         frames, table = system
         alloc = SegmentAllocator(1, table, frames)
-        segs = alloc.allocate(4 * MB)
+        _vbase, segs = alloc.allocate(4 * MB)
         for seg in segs:
             va = seg.vbase + seg.length // 2
             assert table.find(1, va).translate(va) == va + seg.offset
