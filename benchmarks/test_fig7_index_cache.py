@@ -56,7 +56,8 @@ def _fragmented_system(names):
     the OS table is enlarged for the stress test (the study measures the
     index cache, not the 2048-entry budget).
     """
-    kernel = Kernel(SystemConfig(), segment_table_capacity=16384)
+    kernel = Kernel(SystemConfig(
+        segments=SegmentTranslationConfig(segment_table_entries=16384)))
     workloads = [lay_out(name, kernel, seed=11 + i)
                  for i, name in enumerate(names)]
     for seg in list(kernel.segment_table.segments_sorted()):

@@ -110,7 +110,8 @@ def measure_postgres_sharing() -> float:
 def measure_index_cache_hit() -> float:
     """Figure 7 style: 8 KB index-cache hit rate over real workloads
     with segments split ~10 ways to inject external fragmentation."""
-    kernel = Kernel(SystemConfig(), segment_table_capacity=16384)
+    kernel = Kernel(SystemConfig(
+        segments=SegmentTranslationConfig(segment_table_entries=16384)))
     workloads = [lay_out(name, kernel, seed=11 + i)
                  for i, name in enumerate(FIG7_WORKLOADS)]
     for seg in list(kernel.segment_table.segments_sorted()):

@@ -70,20 +70,22 @@ class Kernel:
     """System software model.
 
     Every process's synonym filter is built from
-    ``config.synonym_filter`` and physical memory holds
-    ``config.physical_memory_bytes``.
+    ``config.synonym_filter``, physical memory holds
+    ``config.physical_memory_bytes`` and the system-wide segment table
+    ``config.segments.segment_table_entries`` segments, as many as the
+    hardware segment table mirrors (Section IV-C).
     """
 
     #: Filter fill ratio beyond which the OS rebuilds a process's filters.
     FILTER_REBUILD_THRESHOLD = 0.5
 
     def __init__(self, config: SystemConfig | None = None,
-                 segment_table_capacity: int = 2048,
                  transparent_huge_pages: bool = False) -> None:
         self.config = config or SystemConfig()
         self.stats = StatGroup("kernel")
         self.frames = FrameAllocator(self.config.physical_memory_bytes)
-        self.segment_table = OsSegmentTable(capacity=segment_table_capacity)
+        self.segment_table = OsSegmentTable(
+            capacity=self.config.segments.segment_table_entries)
         #: Transparent huge pages: eager allocations are 2 MB-aligned and
         #: first touches install 2 MB leaves where alignment permits.
         self.thp = transparent_huge_pages

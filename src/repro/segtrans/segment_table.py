@@ -2,10 +2,11 @@
 
 A hardware structure mirrors the system-wide in-memory segment table.  The
 paper sizes the HW table equal to the in-memory table (2048 entries) "to
-simplify implementation", so misses occur only for *cold* segment-IDs: the
-first touch of a segment raises an OS interrupt that fills the entry, and
-subsequent touches always hit.  Access latency is 7 cycles (CACTI, low
-standby power configuration).
+simplify implementation"; here both hold
+``config.segments.segment_table_entries``.  So misses occur only for
+*cold* segment-IDs: the first touch of a segment raises an OS interrupt
+that fills the entry, and subsequent touches always hit.  Access latency
+is 7 cycles (CACTI, low standby power configuration).
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ class HwSegmentTable:
             counts["stale_ids"] += 1
             return None, cycles
         if seg_id not in self._loaded:
-            if len(self._loaded) >= self.config.segment_table_entries:
+            entries = self.config.segment_table_entries
+            if len(self._loaded) >= entries:
                 raise MemoryError("HW segment table exceeded its capacity; "
-                                  "the OS table must stay within 2048 entries")
+                                  f"the OS table must stay within {entries} "
+                                  "entries")
             self._loaded.add(seg_id)
             cycles += self.FILL_INTERRUPT_CYCLES
             counts["cold_fills"] += 1

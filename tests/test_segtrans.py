@@ -54,6 +54,16 @@ class TestHwSegmentTable:
         _seg, cycles = hw.read(seg_id)
         assert cycles > hw.latency
 
+    def test_overflow_names_the_configured_size(self):
+        table = make_table(n=3)
+        hw = HwSegmentTable(table,
+                            SegmentTranslationConfig(segment_table_entries=2))
+        first, second, third = (s.seg_id for s in table.segments_sorted())
+        hw.read(first)
+        hw.read(second)
+        with pytest.raises(MemoryError, match="within 2 entries"):
+            hw.read(third)
+
 
 class TestIndexCache:
     def test_miss_then_hit(self):

@@ -123,7 +123,8 @@ class TestConfigProvenance:
     manifest hashes: a non-default machine reaches each structure."""
 
     CONFIG = SystemConfig(
-        segments=SegmentTranslationConfig(index_cache_size=8 * 1024),
+        segments=SegmentTranslationConfig(index_cache_size=8 * 1024,
+                                          segment_table_entries=1024),
         synonym_filter=SynonymFilterConfig(bits=512),
         delayed_tlb=TlbConfig(2048, 8, 7),
         synonym_tlb=TlbConfig(32, 4, 1),
@@ -186,6 +187,7 @@ class TestConfigProvenance:
     def test_structures_and_manifest_follow_the_config(self, name):
         mmu, workload, filters, config = self._system(name)
         assert self._sizes(mmu) == {k: self.SIZES[k] for k in self.HAS[name]}
+        assert workload.kernel.segment_table.capacity == 1024
         assert filters
         for synonym_filter in filters:
             assert synonym_filter.fine.bits == synonym_filter.coarse.bits == 512
