@@ -232,7 +232,7 @@ class SystemConfig:
 
     @functools.cached_property
     def _fingerprint(self) -> str:
-        return _digest(dataclasses.asdict(self))
+        return digest(dataclasses.asdict(self))
 
     def with_llc_size(self, size_bytes: int) -> "SystemConfig":
         """Return a copy with a different shared-LLC capacity."""
@@ -253,18 +253,21 @@ class SystemConfig:
 
 
 def config_fingerprint(config: Any) -> str:
-    """Stable short hash of a (nested, frozen) config dataclass, or of a
-    plain JSON-representable value: the first 16 hex digits of the
-    SHA-256 of its sorted-key JSON.  A :class:`SystemConfig` is hashed
+    """:func:`digest` of a (nested, frozen) config dataclass, or of a
+    plain JSON-representable value.  A :class:`SystemConfig` is hashed
     once per object."""
     if isinstance(config, SystemConfig):
         return config._fingerprint
     if dataclasses.is_dataclass(config):
-        return _digest(dataclasses.asdict(config))
-    return _digest(config)
+        return digest(dataclasses.asdict(config))
+    return digest(config)
 
 
-def _digest(payload: Any) -> str:
+def digest(payload: Any) -> str:
+    """The package's one stable short hash: the first 16 hex digits of
+    the SHA-256 of ``payload``'s sorted-key JSON.  Config hashes, job
+    fingerprints (cache keys) and the metrics store's run keys are all
+    this digest, so equal inputs get equal keys everywhere."""
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

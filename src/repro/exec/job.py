@@ -17,16 +17,15 @@ so the two never form an import cycle.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import time
 import traceback as tb
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro import __version__
-from repro.common.params import SystemConfig, config_from_dict
-from repro.obs.manifest import MANIFEST_SCHEMA, config_fingerprint
+from repro.common.params import SystemConfig, config_from_dict, digest
+from repro.obs.manifest import (MANIFEST_SCHEMA, config_fingerprint,
+                                run_identity)
 from repro.osmodel.kernel import Kernel
 from repro.sim.runner import build_mmu, lay_out
 from repro.sim.simulator import Simulator
@@ -102,26 +101,19 @@ class Job:
 
     @functools.cached_property
     def _identity(self) -> Dict[str, Any]:
-        identity: Dict[str, Any] = {
-            "schema": MANIFEST_SCHEMA,
-            "workload": self.workload_name,
-            "mmu": self.mmu,
-            "config_hash": config_fingerprint(self.config or DEFAULT_CONFIG),
-            "seed": self.seed,
-            "accesses": self.accesses,
-            "warmup": self.warmup,
-            "package_version": __version__,
-            "interval": self.interval,
-            "reset_stats_after_warmup": self.reset_stats_after_warmup,
-        }
+        identity = run_identity(
+            MANIFEST_SCHEMA, self.workload_name, self.mmu,
+            config_fingerprint(self.config or DEFAULT_CONFIG), self.seed,
+            self.accesses, self.warmup, __version__)
+        identity["interval"] = self.interval
+        identity["reset_stats_after_warmup"] = self.reset_stats_after_warmup
         if not isinstance(self.workload, str):
             identity["workload_spec_hash"] = config_fingerprint(self.workload)
         return identity
 
     @functools.cached_property
     def _fingerprint(self) -> str:
-        text = json.dumps(self._identity, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return digest(self._identity)
 
     def to_json_dict(self) -> Dict[str, Any]:
         """This job as a ``repro.job/v1`` document (the service wire

@@ -22,6 +22,24 @@ from repro.common.params import config_fingerprint
 MANIFEST_SCHEMA = "repro.manifest/v1"
 
 
+def run_identity(schema: str, workload: str, mmu: str, config_hash: str,
+                 seed: Optional[int], accesses: int, warmup: int,
+                 package_version: str) -> Dict[str, Any]:
+    """The eight fields that decide a run's outcome, in the layout
+    :meth:`RunManifest.identity`, a job's identity and the metrics
+    store's run keys share."""
+    return {
+        "schema": schema,
+        "workload": workload,
+        "mmu": mmu,
+        "config_hash": config_hash,
+        "seed": seed,
+        "accesses": accesses,
+        "warmup": warmup,
+        "package_version": package_version,
+    }
+
+
 @dataclass
 class RunManifest:
     """Provenance record attached to one :class:`SimulationResult`."""
@@ -59,16 +77,9 @@ class RunManifest:
 
     def identity(self) -> Dict[str, Any]:
         """The deterministic subset: equal identities ⇒ equal results."""
-        return {
-            "schema": self.schema,
-            "workload": self.workload,
-            "mmu": self.mmu,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "accesses": self.accesses,
-            "warmup": self.warmup,
-            "package_version": self.package_version,
-        }
+        return run_identity(self.schema, self.workload, self.mmu,
+                            self.config_hash, self.seed, self.accesses,
+                            self.warmup, self.package_version)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -76,7 +87,14 @@ class RunManifest:
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "RunManifest":
         """Inverse of :meth:`to_dict`; unknown keys are ignored so newer
-        documents still load (forward compatibility for cached results)."""
-        names = {f.name for f in dataclasses.fields(cls)}
+        documents still load (forward compatibility for cached results),
+        and a missing field without a default raises ``ValueError``
+        naming it."""
+        fields = dataclasses.fields(cls)
+        missing = [f.name for f in fields if f.name not in doc
+                   and f.default is dataclasses.MISSING]
+        if missing:
+            raise ValueError(f"manifest has no {', '.join(missing)}")
+        names = {f.name for f in fields}
         return cls(**{key: value for key, value in doc.items()
                       if key in names})

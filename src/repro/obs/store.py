@@ -6,8 +6,8 @@ single SQLite file (stdlib ``sqlite3``, no dependencies) with two
 tables:
 
 * ``runs``    — one row per ingested run, keyed by its **run key** (the
-  fingerprint of the manifest identity — same inputs, same key), with
-  the manifest provenance columns;
+  :func:`~repro.common.params.digest` of the manifest identity — same
+  inputs, same key), with the manifest provenance columns;
 * ``metrics`` — the flat ``(run, metric name, value)`` triples the
   queries and trends read.
 
@@ -26,8 +26,6 @@ just against one baseline.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -35,7 +33,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.bench.baseline import BENCH_SCHEMA
-from repro.sim.results import COMPARE_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA
+from repro.bench.suite import metrics_from_result
+from repro.common.params import digest
+from repro.sim.results import (COMPARE_SCHEMA, RESULT_SCHEMA, SWEEP_SCHEMA,
+                               SimulationResult)
 
 STORE_SCHEMA = "repro.store/v1"
 
@@ -66,17 +67,6 @@ CREATE TABLE IF NOT EXISTS metrics (
 );
 CREATE INDEX IF NOT EXISTS metrics_by_name ON metrics(name);
 """
-
-
-def run_key(identity: Dict[str, Any]) -> str:
-    """Stable short hash of a manifest identity — the store's run key.
-
-    Same construction as :func:`~repro.obs.manifest.config_fingerprint`
-    over :meth:`RunManifest.identity`, so two ingests of the same run
-    (even from different document kinds) collapse to one row.
-    """
-    text = json.dumps(identity, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -149,31 +139,35 @@ class MetricsStore:
         value, the CLI's recorded ``config``).  It enters the run key:
         the manifest alone records the MMU *class* (two hybrid variants
         both say ``hybrid``) and would collapse genuinely different
-        configurations into one row.
+        configurations into one row.  The metrics are the bench suite's
+        (:func:`~repro.bench.suite.metrics_from_result`) plus
+        ``instructions`` and ``accesses``.  A document that lacks a
+        required key raises ``ValueError`` naming it.
         """
-        manifest = doc.get("manifest")
-        if not manifest:
+        result = SimulationResult.from_json_dict(doc)
+        manifest = result.manifest
+        if manifest is None:
             raise ValueError("result document carries no manifest; "
                              "cannot derive a stable run key")
         config_name = name if name is not None else doc.get("config")
-        identity = {key: manifest.get(key) for key in
-                    ("schema", "workload", "mmu", "config_hash", "seed",
-                     "accesses", "warmup", "package_version")}
+        identity = manifest.identity()
         if config_name is not None:
             identity["config_name"] = config_name
-        key = run_key(identity)
-        metrics = _metrics_from_result_doc(doc)
+        key = digest(identity)
+        metrics = metrics_from_result(result)
+        metrics["instructions"] = result.instructions
+        metrics["accesses"] = result.accesses
         self._upsert(
             key,
-            workload=doc.get("workload", manifest.get("workload", "?")),
-            mmu=config_name or doc.get("mmu", manifest.get("mmu", "?")),
-            config_hash=manifest.get("config_hash"),
-            seed=manifest.get("seed"),
-            accesses=manifest.get("accesses"),
-            warmup=manifest.get("warmup"),
-            package_version=manifest.get("package_version"),
-            started_at=manifest.get("started_at"),
-            duration_s=manifest.get("duration_s"),
+            workload=result.workload,
+            mmu=config_name or result.mmu,
+            config_hash=manifest.config_hash,
+            seed=manifest.seed,
+            accesses=manifest.accesses,
+            warmup=manifest.warmup,
+            package_version=manifest.package_version,
+            started_at=manifest.started_at,
+            duration_s=manifest.duration_s,
             source=source, metrics=metrics)
         return key
 
@@ -189,7 +183,7 @@ class MetricsStore:
                 metrics.setdefault("seconds", float(entry["seconds"]))
             if not metrics:
                 continue
-            key = entry.get("fingerprint") or run_key(
+            key = entry.get("fingerprint") or digest(
                 {"bench": entry.get("name")})
             self._upsert(
                 key,
@@ -328,30 +322,6 @@ def _iso_from_unix(unix: Optional[float]) -> Optional[str]:
     from datetime import datetime, timezone
 
     return datetime.fromtimestamp(unix, timezone.utc).isoformat()
-
-
-def _metrics_from_result_doc(doc: Dict[str, Any]) -> Dict[str, float]:
-    """The flat metric set of one ``repro.result/v1`` document — the
-    same quantities the bench suite gates, pulled from the JSON side."""
-    metrics: Dict[str, float] = {
-        "ipc": float(doc.get("ipc", 0.0)),
-        "cycles": float(doc.get("cycles", 0.0)),
-        "instructions": float(doc.get("instructions", 0)),
-        "accesses": float(doc.get("accesses", 0)),
-    }
-    if "llc_miss_rate" in doc:
-        metrics["llc_miss_rate"] = float(doc["llc_miss_rate"])
-    stats = doc.get("stats", {})
-    delayed = stats.get("delayed_tlb", {})
-    instructions = metrics["instructions"]
-    if delayed and instructions > 0:
-        metrics["delayed_tlb_mpki"] = (
-            1000.0 * float(delayed.get("misses", 0)) / instructions)
-    hybrid = stats.get("hybrid", {})
-    if hybrid.get("accesses"):
-        metrics["tlb_bypass_rate"] = (
-            float(hybrid.get("tlb_bypasses", 0)) / float(hybrid["accesses"]))
-    return metrics
 
 
 def format_runs(rows: Iterable[RunRow],

@@ -105,7 +105,8 @@ class SimulationResult:
         Derived fields — ``llc_miss_rate`` and the float ``*hit_rate``
         ratios :func:`derive_ratios` adds to ``stats`` — are dropped on
         the way in, since they are recomputed on demand; unknown keys
-        are ignored for forward compatibility.  Round trip invariant:
+        are ignored for forward compatibility.  A missing required key
+        raises ``ValueError`` naming it.  Round trip invariant:
         ``from_json_dict(to_json_dict(r)).to_json_dict()
         == r.to_json_dict()``.
         """
@@ -119,21 +120,25 @@ class SimulationResult:
                            and isinstance(value, float))}
             for name, group in doc.get("stats", {}).items()}
         manifest_doc = doc.get("manifest")
-        return cls(
-            workload=doc["workload"],
-            mmu=doc["mmu"],
-            instructions=doc["instructions"],
-            accesses=doc["accesses"],
-            cycles=doc["cycles"],
-            ipc=doc["ipc"],
-            cycle_breakdown=dict(doc.get("cycle_breakdown", {})),
-            stats=stats,
-            manifest=(RunManifest.from_dict(manifest_doc)
-                      if manifest_doc else None),
-            interval=doc.get("interval"),
-            intervals=list(doc.get("intervals", [])),
-            histograms=dict(doc.get("histograms", {})),
-        )
+        try:
+            return cls(
+                workload=doc["workload"],
+                mmu=doc["mmu"],
+                instructions=doc["instructions"],
+                accesses=doc["accesses"],
+                cycles=doc["cycles"],
+                ipc=doc["ipc"],
+                cycle_breakdown=dict(doc.get("cycle_breakdown", {})),
+                stats=stats,
+                manifest=(RunManifest.from_dict(manifest_doc)
+                          if manifest_doc else None),
+                interval=doc.get("interval"),
+                intervals=list(doc.get("intervals", [])),
+                histograms=dict(doc.get("histograms", {})),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"result document has no {exc.args[0]!r}") from None
 
 
 @dataclass

@@ -20,7 +20,8 @@ from repro.obs.heartbeat import (BeatSpec, Heartbeat, HeartbeatMonitor,
 from repro.obs.metrics import (METRICS_SCHEMA, NULL_METRICS, MetricsRegistry,
                                MetricsServer, NullMetrics, SnapshotLog,
                                fold_plan, fold_result, render_prometheus)
-from repro.obs.store import MetricsStore, format_runs, format_trend, run_key
+from repro.common.params import digest
+from repro.obs.store import MetricsStore, format_runs, format_trend
 from repro.sim import run_workload
 
 FAST = dict(accesses=600, warmup=200)
@@ -458,8 +459,11 @@ class TestStore:
             rows = store.query()
             assert len(rows) == 1
             assert rows[0].run_key == keys[0]
-            assert rows[0].metrics["ipc"] == pytest.approx(doc["ipc"])
-            assert "tlb_bypass_rate" in rows[0].metrics
+            metrics = rows[0].metrics
+            for name in ("ipc", "cycles", "llc_miss_rate", "instructions",
+                         "accesses"):
+                assert metrics[name] == doc[name]
+            assert "tlb_bypass_rate" in metrics
 
     def test_reingest_is_idempotent(self, tmp_path):
         doc = _result_doc()
@@ -470,8 +474,8 @@ class TestStore:
             assert len(store) == 1
 
     def test_run_key_depends_on_identity(self):
-        assert run_key({"seed": 1}) != run_key({"seed": 2})
-        assert run_key({"a": 1, "b": 2}) == run_key({"b": 2, "a": 1})
+        assert digest({"seed": 1}) != digest({"seed": 2})
+        assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
 
     def test_ingest_compare_document(self, tmp_path):
         doc = {"schema": "repro.compare/v1",
@@ -657,6 +661,22 @@ class TestCliTelemetry:
         assert main(["db", "ingest", "--db", str(tmp_path / "db.sqlite"),
                      str(bad)]) == 1
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["ipc", "seed"])
+    def test_db_ingest_missing_key_fails(self, tmp_path, capsys, drop):
+        """A result document without a required key (``ipc``, or its
+        manifest's ``seed``) is reported, not stored as zeros."""
+        from repro.cli import main
+        doc = _result_doc()
+        del (doc["manifest"] if drop == "seed" else doc)[drop]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        db_path = tmp_path / "db.sqlite"
+        assert main(["db", "ingest", "--db", str(db_path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"repro: {path}: " in err and drop in err
+        with MetricsStore(db_path) as store:
+            assert len(store) == 0
 
     def test_db_trend_requires_metric(self, tmp_path):
         from repro.cli import main
