@@ -1,6 +1,6 @@
 """Synthetic-but-calibrated workload generation.
 
-Trace analysis (:mod:`repro.workloads.analysis`) and the binary trace
+Trace analysis (:mod:`repro.workloads.analysis`) and the trace file
 format (:mod:`repro.workloads.tracefile`) are imported by module path.
 """
 
@@ -21,7 +21,7 @@ from repro.workloads.spec import (
     SharingSpec,
     WorkloadSpec,
 )
-from repro.workloads.trace import TraceRecord, take
+from repro.workloads.trace import TraceRecord
 
 __all__ = [
     "CACHE_FRIENDLY",
@@ -38,5 +38,4 @@ __all__ = [
     "SharingSpec",
     "WorkloadSpec",
     "TraceRecord",
-    "take",
 ]

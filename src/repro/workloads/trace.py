@@ -1,4 +1,4 @@
-"""Trace records and helpers.
+"""Trace records.
 
 A trace is a generator of :class:`TraceRecord` — one memory reference plus
 the count of non-memory instructions preceding it (derived from the
@@ -9,7 +9,6 @@ experiments never materialize a trace in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 @dataclass(slots=True)
@@ -22,10 +21,3 @@ class TraceRecord:
     is_write: bool
     gap: int  # non-memory instructions since the previous reference
 
-
-def take(trace: Iterable[TraceRecord], n: int) -> Iterator[TraceRecord]:
-    """Yield at most ``n`` records."""
-    for i, record in enumerate(trace):
-        if i >= n:
-            return
-        yield record

@@ -1,4 +1,4 @@
-"""Tests for trace persistence (binary + text formats)."""
+"""Tests for trace persistence."""
 
 import dataclasses
 
@@ -31,28 +31,28 @@ class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "t.trc"
         original = sample_records()
-        assert tracefile.save_binary(path, original) == len(original)
-        loaded = list(tracefile.load_binary(path))
+        assert tracefile.save(path, original) == len(original)
+        loaded = list(tracefile.load(path))
         assert loaded == original
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "t.trc"
         path.write_bytes(b"NOTATRACE!!!")
         with pytest.raises(tracefile.TraceFormatError):
-            list(tracefile.load_binary(path))
+            list(tracefile.load(path))
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "t.trc"
-        tracefile.save_binary(path, sample_records(3))
+        tracefile.save(path, sample_records(3))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(tracefile.TraceFormatError):
-            list(tracefile.load_binary(path))
+            list(tracefile.load(path))
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "t.trc"
-        assert tracefile.save_binary(path, []) == 0
-        assert list(tracefile.load_binary(path)) == []
+        assert tracefile.save(path, []) == 0
+        assert list(tracefile.load(path)) == []
 
     @settings(max_examples=25)
     @given(records_strategy)
@@ -63,13 +63,13 @@ class TestBinaryFormat:
         fd, path = tempfile.mkstemp(suffix=".trc")
         os.close(fd)
         try:
-            tracefile.save_binary(path, records)
-            assert list(tracefile.load_binary(path)) == records
+            tracefile.save(path, records)
+            assert list(tracefile.load(path)) == records
         finally:
             os.unlink(path)
 
 
-#: One field of a record set outside the binary format's range.
+#: One field of a record set outside the format's range.
 OUT_OF_RANGE = {
     "asid-u16": {"asid": 70000},
     "asid-negative": {"asid": -1},
@@ -87,7 +87,9 @@ class TestBinaryRange:
         path = tmp_path / "x.trc"
         records = sample_records(5)
         records[3] = dataclasses.replace(records[3], **OUT_OF_RANGE[field])
-        with pytest.raises(tracefile.TraceFormatError, match="record 3"):
+        name = field.split("-")[0]
+        with pytest.raises(tracefile.TraceFormatError,
+                           match=f"record 3: {name} "):
             tracefile.save(path, records)
         assert list(tmp_path.iterdir()) == []
 
@@ -103,73 +105,14 @@ class TestBinaryRange:
 
     @pytest.mark.parametrize("name", ["x.trc", "x.csv"])
     def test_field_limits_round_trip(self, tmp_path, name):
+        """The file name picks no format: any name holds the one."""
         path = tmp_path / name
         edge = [TraceRecord(asid=0xFFFF, core=255, va=(1 << 64) - 1,
                             is_write=True, gap=(1 << 32) - 1),
                 TraceRecord(asid=0, core=0, va=0, is_write=False, gap=0)]
         tracefile.save(path, edge)
-        assert list(tracefile.load(path)) == edge
-
-
-class TestTextRange:
-    @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
-    def test_out_of_range_field_located(self, tmp_path, field):
-        path = tmp_path / "t.csv"
-        records = sample_records(3)
-        records[1] = dataclasses.replace(records[1], **OUT_OF_RANGE[field])
-        name = field.split("-")[0]
-        path.write_text("# repro trace v1: asid,core,va,rw,gap\n" + "".join(
-            f"{r.asid},{r.core},{r.va:#x},{'w' if r.is_write else 'r'},"
-            f"{r.gap}\n" for r in records))
-        with pytest.raises(tracefile.TraceFormatError,
-                           match=f"t.csv:3: {name} "):
-            list(tracefile.load_text(path))
-
-
-class TestTextFormat:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "t.csv"
-        original = sample_records()
-        tracefile.save_text(path, original)
-        assert list(tracefile.load_text(path)) == original
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1,0,0x1000,r,2\n")
-        with pytest.raises(tracefile.TraceFormatError):
-            list(tracefile.load_text(path))
-
-    def test_malformed_line_located(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("# repro trace v1: asid,core,va,rw,gap\n"
-                        "1,0,0x1000,r,2\n"
-                        "garbage line\n")
-        with pytest.raises(tracefile.TraceFormatError, match=":3"):
-            list(tracefile.load_text(path))
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("# repro trace v1: asid,core,va,rw,gap\n"
-                        "\n# comment\n1,0,0x1000,w,3\n")
-        loaded = list(tracefile.load_text(path))
-        assert len(loaded) == 1
-        assert loaded[0].is_write and loaded[0].gap == 3
-
-
-class TestDispatch:
-    def test_extension_picks_binary(self, tmp_path):
-        path = tmp_path / "t.trc"
-        tracefile.save(path, sample_records(3))
         assert path.read_bytes().startswith(tracefile.MAGIC)
-
-    def test_sniffing_load(self, tmp_path):
-        binary = tmp_path / "a.trc"
-        text = tmp_path / "b.csv"
-        records = sample_records(4)
-        tracefile.save(binary, records)
-        tracefile.save(text, records)
-        assert list(tracefile.load(binary)) == records
-        assert list(tracefile.load(text)) == records
+        assert list(tracefile.load(path)) == edge
 
 
 class TestWorkloadIntegration:

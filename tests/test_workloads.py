@@ -16,7 +16,6 @@ from repro.workloads import (
     names,
     spec,
 )
-from repro.workloads.trace import take
 
 MB = 1024 * 1024
 
@@ -162,10 +161,3 @@ class TestLaidOutWorkload:
         w = LaidOutWorkload(spec("ferret"), kernel)
         asids = [r.asid for r in w.trace(8)]
         assert len(set(asids[:4])) == 4  # all four processes appear
-
-
-class TestTraceHelpers:
-    def test_take(self):
-        kernel = Kernel(SystemConfig())
-        w = LaidOutWorkload(spec("stream"), kernel)
-        assert len(list(take(w.trace(100), 10))) == 10
