@@ -157,9 +157,11 @@ class VirtualMachine:
 class Hypervisor:
     """Machine-memory owner and VM manager."""
 
-    def __init__(self, machine_bytes: int = 16 * 1024 ** 3,
-                 guest_config: Optional[SystemConfig] = None) -> None:
-        self.machine_frames = FrameAllocator(machine_bytes)
+    #: Machine memory the hypervisor backs its VMs from.
+    MACHINE_BYTES = 16 * 1024 ** 3
+
+    def __init__(self, guest_config: Optional[SystemConfig] = None) -> None:
+        self.machine_frames = FrameAllocator(self.MACHINE_BYTES)
         if guest_config is None:
             # Guests default to 1 GB of guest-physical memory so several
             # VMs fit under one hypervisor (backing is eager, Section V-B).

@@ -19,7 +19,7 @@ MB = 1024 * 1024
 
 @pytest.fixture()
 def hv():
-    return Hypervisor(machine_bytes=8 * 1024 ** 3)
+    return Hypervisor()
 
 
 @pytest.fixture()

@@ -16,7 +16,7 @@ MB = 1024 * 1024
 
 @pytest.fixture()
 def hv():
-    return Hypervisor(machine_bytes=8 * 1024 ** 3)
+    return Hypervisor()
 
 
 def guest(vm, size=4 * MB):
