@@ -37,7 +37,7 @@ def build_plan():
                       config=SystemConfig().with_delayed_tlb_entries(entries),
                       accesses=ACCESSES, warmup=WARMUP,
                       reset_stats_after_warmup=True,
-                      tags=(("delayed_tlb_entries", entries),))
+                      tags=(("delayed_tlb.entries", entries),))
             plan.add(job)
             points[(name, entries)] = job
     return plan, points

@@ -113,17 +113,14 @@ EXPERIMENTS = (
 )
 
 
-def _system_config(args, entries: Optional[int] = None) -> SystemConfig:
-    """The machine the flags describe; ``entries`` (a sweep point)
-    overrides the delayed-TLB size."""
+def _system_config(args) -> SystemConfig:
+    """The machine the flags describe."""
     config = SystemConfig()
     try:
         if getattr(args, "llc_mb", None):
             config = config.with_llc_size(args.llc_mb * 1024 * 1024)
         if getattr(args, "delayed_entries", None):
             config = config.with_delayed_tlb_entries(args.delayed_entries)
-        if entries is not None:
-            config = config.with_delayed_tlb_entries(entries)
     except ValueError as exc:
         raise SystemExit(f"repro: cannot build that machine: {exc}")
     return config
@@ -389,18 +386,31 @@ def cmd_configs(_args) -> None:
     print(markdown_table(["configuration", "description"], rows))
 
 
-def _job(args, mmu: str, interval: Optional[int],
-         entries: Optional[int] = None, tag: str = "") -> Job:
-    """One point of a simulation command, from its flags.  ``entries``
-    overrides the delayed-TLB size and is recorded under ``tag`` in the
-    point's ``run_start`` trace mark."""
+def _job(args, mmu: str, interval: Optional[int]) -> Job:
+    """One point of a simulation command, from its flags."""
     from repro.exec import Job
 
-    config = _system_config(args, entries)
-    tags = ((tag, entries),) if entries is not None else ()
-    return Job(workload=args.workload, mmu=mmu, config=config,
+    return Job(workload=args.workload, mmu=mmu, config=_system_config(args),
                accesses=args.accesses, warmup=args.warmup, seed=args.seed,
-               interval=interval, tags=tags)
+               interval=interval)
+
+
+#: The field ``sweep`` and ``profile --sizes`` sweep, and the tag of each
+#: point's ``run_start`` trace mark.
+SWEEP_FIELD = "delayed_tlb.entries"
+
+
+def _sweep_jobs(args, mmu: str, sizes: List[int],
+                interval: Optional[int]) -> List[Job]:
+    """One point per delayed-TLB size of a sweeping command."""
+    from repro.sim.sweep import grid_jobs
+
+    base = _system_config(args)
+    try:
+        return grid_jobs(args.workload, mmu, {SWEEP_FIELD: sizes}, base,
+                         args.accesses, args.warmup, args.seed, interval)
+    except ValueError as exc:
+        raise SystemExit(f"repro: cannot build that machine: {exc}")
 
 
 def _run_plan(args, jobs: Iterable[Job]) -> PlanResults:
@@ -472,8 +482,7 @@ def cmd_compare(args) -> None:
 
 def cmd_sweep(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
-    jobs = [_job(args, "hybrid_tlb", _json_interval(args), size,
-                 "delayed_tlb_entries") for size in sizes]
+    jobs = _sweep_jobs(args, "hybrid_tlb", sizes, _json_interval(args))
     outcomes = _run_plan(args, jobs)
     results = [outcomes.result(job) for job in jobs]
     mpkis = [r.tlb_mpki() for r in results]
@@ -543,18 +552,14 @@ def cmd_profile(args) -> None:
                            fmt="{:8.3f}", first_header="window"))
 
 
-PROFILE_SWEEP_FIELD = "delayed_tlb.entries"
-
-
 def _profile_sweep(args, interval: int) -> None:
     """``profile --sizes``: aggregated sweep over delayed-TLB entries."""
     from repro.obs.aggregate import PROFILE_SCHEMA, aggregate_results
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    jobs = {size: _job(args, args.config, interval, size, PROFILE_SWEEP_FIELD)
-            for size in sizes}
-    outcomes = _run_plan(args, jobs.values())
-    by_size = {size: outcomes.result(job) for size, job in jobs.items()}
+    jobs = _sweep_jobs(args, args.config, sizes, interval)
+    outcomes = _run_plan(args, jobs)
+    by_size = {size: outcomes.result(job) for size, job in zip(sizes, jobs)}
     results = [by_size[size] for size in sizes]
     aggregate = aggregate_results(results)
     if args.json:
@@ -562,7 +567,7 @@ def _profile_sweep(args, interval: int) -> None:
             "schema": PROFILE_SCHEMA,
             "workload": args.workload,
             "config": args.config,
-            "param": PROFILE_SWEEP_FIELD,
+            "param": SWEEP_FIELD,
             "sizes": sizes,
             "points": [{"size": size,
                         "ipc": by_size[size].ipc,
@@ -572,7 +577,7 @@ def _profile_sweep(args, interval: int) -> None:
         }, indent=2))
         return
     print(f"workload={args.workload} config={args.config} "
-          f"{PROFILE_SWEEP_FIELD}={args.sizes} seed={args.seed}")
+          f"{SWEEP_FIELD}={args.sizes} seed={args.seed}")
     print(f"points={aggregate.points} "
           f"instructions={aggregate.instructions} "
           f"accesses={aggregate.accesses} ipc={aggregate.ipc:.4f}")

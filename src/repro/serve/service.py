@@ -119,10 +119,11 @@ class JobRecord:
 class JobService:
     """Coalescing, caching, admission-controlled job execution.
 
-    Thread-safe: submissions arrive from the HTTP layer's per-request
-    threads while the dispatcher thread runs batches.  One lock (via a
-    condition variable) guards the record table and the counters; job
-    execution itself happens outside the lock.
+    Thread-safe: submissions arrive from the HTTP listener's one
+    selector loop thread (or any caller's) while the dispatcher thread
+    runs batches.  One lock (via a condition variable) guards the record
+    table and the counters; job execution itself happens outside the
+    lock.
     """
 
     def __init__(self, cache: "Optional[ResultCache]" = None,

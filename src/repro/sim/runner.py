@@ -166,15 +166,14 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
                       executor=None,
                       cache: Optional[ResultCache] = None
                       ) -> List[SimulationResult]:
-    """Figure 4 helper: hybrid+delayed-TLB across TLB sizes."""
-    from repro.exec import ExperimentPlan, Job
+    """Figure 4 helper: hybrid+delayed-TLB across TLB sizes, each point
+    tagged ``delayed_tlb.entries``."""
+    from repro.exec import ExperimentPlan
+    from repro.sim.sweep import grid_jobs
 
-    jobs = [Job(workload=workload, mmu="hybrid_tlb",
-                config=SystemConfig().with_delayed_tlb_entries(entries),
-                accesses=accesses, warmup=warmup, seed=seed,
-                interval=interval,
-                tags=(("delayed_tlb_entries", entries),))
-            for entries in entry_counts]
+    jobs = grid_jobs(workload, "hybrid_tlb",
+                     {"delayed_tlb.entries": list(entry_counts)},
+                     SystemConfig(), accesses, warmup, seed, interval)
     plan = ExperimentPlan(jobs)
     outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
                         trace_spec=trace_spec)

@@ -7,11 +7,12 @@ the paper's Figure 4 (delayed-TLB entries) and Figure 7 (index-cache
 size) sweeps to every parameter in the system.
 
 Both sweeps are plan builders over the execution engine
-(:mod:`repro.exec`): each point becomes a frozen ``Job``, identical
-points dedupe, and the ``executor``/``cache`` arguments allow parallel
-execution and fingerprint-keyed result reuse (see
-``docs/execution.md``).  ``sweep_config`` is ``sweep_grid`` over one
-field.
+(:mod:`repro.exec`): ``grid_jobs`` makes each point a frozen ``Job``
+tagged with its field values, identical points dedupe, and the
+``executor``/``cache`` arguments allow parallel execution and
+fingerprint-keyed result reuse (see ``docs/execution.md``).
+``sweep_config`` is ``sweep_grid`` over one field; the CLI's delayed-TLB
+sweeps and ``sweep_delayed_tlb`` build their jobs with ``grid_jobs``.
 
 Example::
 
@@ -103,20 +104,28 @@ def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
     Returns a list of ``{"params": {...}, "result": SimulationResult}``
     rows in grid order.
     """
-    base = base_config or SystemConfig()
+    jobs = grid_jobs(workload, mmu_name, grid, base_config or SystemConfig(),
+                     accesses, warmup, seed, interval)
+    outcomes = ExperimentPlan(jobs).run(executor=executor, cache=cache,
+                                        tracer=tracer, trace_spec=trace_spec)
+    return [{"params": dict(job.tags), "result": outcomes.result(job)}
+            for job in jobs]
+
+
+def grid_jobs(workload: Union[str, WorkloadSpec], mmu_name: str,
+              grid: Mapping[str, Sequence[Any]], base_config: SystemConfig,
+              accesses: int, warmup: int, seed: int,
+              interval: Optional[int]) -> List[Job]:
+    """One job per point of ``grid``'s Cartesian product, in grid order.
+
+    A point's config is ``base_config`` with the point's dotted-path
+    overrides (a value the config rejects raises its ``ValueError``), and
+    its tags, which label its ``run_start`` trace mark, are those
+    ``(path, value)`` pairs.
+    """
     fields = list(grid)
-    points: List[tuple] = []
-    plan = ExperimentPlan()
-    for combo in itertools.product(*(grid[f] for f in fields)):
-        params = dict(zip(fields, combo))
-        job = Job(workload=workload, mmu=mmu_name,
-                  config=with_overrides(base, params),
-                  accesses=accesses, warmup=warmup, seed=seed,
-                  interval=interval,
-                  tags=tuple(params.items()))
-        plan.add(job)
-        points.append((params, job))
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        trace_spec=trace_spec)
-    return [{"params": params, "result": outcomes.result(job)}
-            for params, job in points]
+    return [Job(workload=workload, mmu=mmu_name,
+                config=with_overrides(base_config, dict(zip(fields, combo))),
+                accesses=accesses, warmup=warmup, seed=seed,
+                interval=interval, tags=tuple(zip(fields, combo)))
+            for combo in itertools.product(*(grid[f] for f in fields))]

@@ -107,10 +107,25 @@ class TestCliCommands:
     @pytest.mark.parametrize("argv", [
         ["run", "stream", "baseline", "--llc-mb", "3"],
         ["sweep", "stream", "--sizes", "1024,1000"],
+        ["profile", "stream", "hybrid_tlb", "--sizes", "1000"],
     ])
     def test_unbuildable_machine_exits_with_the_reason(self, argv):
         with pytest.raises(SystemExit, match="power of two"):
             main(argv + FAST)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stream"],
+        ["profile", "stream", "hybrid_tlb"],
+    ])
+    def test_sweep_points_tagged_with_the_field(self, tmp_path, capsys,
+                                                argv):
+        trace = tmp_path / "t.jsonl"
+        assert main(argv + ["--sizes", "1024,2048", "--trace-out",
+                            str(trace)] + FAST) == 0
+        capsys.readouterr()
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        marks = [e for e in events if e.get("label") == "run_start"]
+        assert [m["delayed_tlb.entries"] for m in marks] == [1024, 2048]
 
     def test_compare(self, capsys):
         assert main(["compare", "stream", "--configs",

@@ -217,12 +217,12 @@ class TestExperimentPlan:
         tracer = Tracer()
         plan = ExperimentPlan([
             Job("stream", "baseline",
-                tags=(("delayed_tlb_entries", 512),), **FAST)])
+                tags=(("delayed_tlb.entries", 512),), **FAST)])
         plan.run(tracer=tracer)
         marks = [e for e in tracer.events if e.stage == "mark"]
         assert marks and marks[0].detail["label"] == "run_start"
         assert marks[0].detail["workload"] == "stream"
-        assert marks[0].detail["delayed_tlb_entries"] == 512
+        assert marks[0].detail["delayed_tlb.entries"] == 512
 
 
 # --------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from repro.sim import (
     run_workload,
     sweep_delayed_tlb,
 )
+from repro.obs.tracer import Tracer
 from repro.sim.results import SimulationResult
 from repro.osmodel import Kernel
 from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
@@ -94,6 +95,13 @@ class TestSweep:
         small_misses = results[0].counter("delayed_tlb", "misses")
         large_misses = results[1].counter("delayed_tlb", "misses")
         assert large_misses <= small_misses
+
+    def test_delayed_tlb_sweep_points_tagged_with_the_field(self):
+        tracer = Tracer()
+        sweep_delayed_tlb("stream", (512, 4096), tracer=tracer, **SMALL)
+        marks = [e.detail for e in tracer.events
+                 if e.stage == "mark" and e.detail["label"] == "run_start"]
+        assert [m["delayed_tlb.entries"] for m in marks] == [512, 4096]
 
 
 class TestResults:
