@@ -447,6 +447,18 @@ class TestResultCache:
         assert cache.load(job) is None
         assert cache.misses == 1 and cache.hits == 0
 
+    @pytest.mark.parametrize("drop", ["ipc", "host"])
+    def test_entry_missing_a_key_is_a_miss(self, tmp_path, drop):
+        """An entry under the job's fingerprint that lacks a result key
+        (``ipc``) or a manifest field (``host``) is a miss."""
+        cache = ResultCache(tmp_path)
+        job = Job("stream", "baseline", **FAST)
+        doc = json.loads(cache.store(job, job.run()))
+        del (doc["manifest"] if drop == "host" else doc)[drop]
+        cache.path(job).write_text(json.dumps(doc))
+        assert cache.load(job) is None
+        assert cache.misses == 1 and cache.hits == 0
+
     def test_entry_is_a_result_v1_document_with_identity(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = Job("stream", "baseline", **FAST)
