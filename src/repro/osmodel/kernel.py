@@ -71,9 +71,9 @@ class Kernel:
 
     Every process's synonym filter is built from
     ``config.synonym_filter``, physical memory holds
-    ``config.physical_memory_bytes`` and the system-wide segment table
-    ``config.segments.segment_table_entries`` segments, as many as the
-    hardware segment table mirrors (Section IV-C).
+    ``config.physical_memory_bytes``, and the system-wide segment table
+    holds up to ``config.segments.segment_table_entries`` segments, as
+    many as the hardware segment table mirrors (Section IV-C).
     """
 
     #: Filter fill ratio beyond which the OS rebuilds a process's filters.
