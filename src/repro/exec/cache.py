@@ -81,7 +81,7 @@ class ResultCache:
             return None
         try:
             result = SimulationResult.from_json_dict(doc)
-        except (KeyError, TypeError, ValueError):
+        except (TypeError, ValueError):
             self.misses += 1
             return None
         self.hits += 1
