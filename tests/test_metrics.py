@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 from repro.bench.gate import GateReport, MetricDelta, attach_history
+from repro.common.params import digest
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.exec.job import Job, JobError
 from repro.exec.plan import ExperimentPlan
@@ -20,7 +21,6 @@ from repro.obs.heartbeat import (BeatSpec, Heartbeat, HeartbeatMonitor,
 from repro.obs.metrics import (METRICS_SCHEMA, NULL_METRICS, MetricsRegistry,
                                MetricsServer, NullMetrics, SnapshotLog,
                                fold_plan, fold_result, render_prometheus)
-from repro.common.params import digest
 from repro.obs.store import MetricsStore, format_runs, format_trend
 from repro.sim import run_workload
 
