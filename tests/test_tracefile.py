@@ -115,6 +115,28 @@ class TestBinaryRange:
         assert list(tracefile.load(path)) == edge
 
 
+class TestTextRange:
+    """A ``.csv`` name, once the text format's, gets the same range check."""
+
+    @pytest.mark.parametrize("field", sorted(OUT_OF_RANGE))
+    def test_out_of_range_field_located(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        records = sample_records(3)
+        records[1] = dataclasses.replace(records[1], **OUT_OF_RANGE[field])
+        name = field.split("-")[0]
+        with pytest.raises(tracefile.TraceFormatError,
+                           match=f"t.csv: record 1: {name} "):
+            tracefile.save(path, records)
+        assert not path.exists()
+
+
+class TestDispatch:
+    def test_extension_picks_binary(self, tmp_path):
+        path = tmp_path / "t.trc"
+        tracefile.save(path, sample_records(3))
+        assert path.read_bytes().startswith(tracefile.MAGIC)
+
+
 class TestWorkloadIntegration:
     def test_recorded_workload_replays_identically(self, tmp_path):
         """Save a generated trace, replay it through a simulation."""
