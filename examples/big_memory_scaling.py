@@ -15,7 +15,8 @@ Reproduces the paper's Section IV argument in miniature:
 from repro.common import SystemConfig, mpki
 from repro.osmodel import Kernel
 from repro.segtrans.rmm import RangeTlb
-from repro.sim import lay_out, run_workload, sweep_delayed_tlb
+from repro.sim import lay_out, run_workload
+from repro.sim.sweep import sweep_grid
 
 ACCESSES = 25_000
 WARMUP = 8_000
@@ -27,10 +28,11 @@ def sweep_section() -> None:
     header = "  ".join(f"{s // 1024}K".rjust(7) for s in sizes)
     print(f"{'workload':<10} {header}")
     for name in ("gups", "omnetpp"):
-        results = sweep_delayed_tlb(name, sizes, accesses=ACCESSES,
-                                    warmup=WARMUP)
+        rows = sweep_grid(name, "hybrid_tlb",
+                          {"delayed_tlb.entries": list(sizes)},
+                          accesses=ACCESSES, warmup=WARMUP)
         row = "  ".join(
-            f"{r.tlb_mpki():7.2f}" for r in results
+            f"{r['result'].tlb_mpki():7.2f}" for r in rows
         )
         print(f"{name:<10} {row}")
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Parallel, cached experiment execution with the ``repro.exec`` engine.
 
-Every experiment helper in the repo builds an ``ExperimentPlan`` of
-frozen jobs, so an N-point sweep is embarrassingly parallel.  This tour:
+Every data point is a frozen job, so an N-point sweep is embarrassingly
+parallel: ``grid_jobs`` builds one job per grid point, and
+``ExperimentPlan.run`` takes the executor and the result cache.  This
+tour:
 
 1. runs a delayed-TLB x LLC-size grid serially and in a process pool,
    showing the wall-clock ratio and that the results are bit-identical;
@@ -16,9 +18,10 @@ import os
 import tempfile
 import time
 
+from repro.common import SystemConfig
 from repro.exec import (ExperimentPlan, Job, ParallelExecutor, ResultCache,
                         SerialExecutor)
-from repro.sim.sweep import sweep_grid
+from repro.sim.sweep import grid_jobs
 
 ACCESSES = 40_000
 WARMUP = 10_000
@@ -30,25 +33,29 @@ GRID = {
 }
 
 
+def grid_plan() -> ExperimentPlan:
+    """The grid's jobs: gups on hybrid_tlb, one job per point."""
+    return ExperimentPlan(grid_jobs("gups", "hybrid_tlb", GRID,
+                                    SystemConfig(), accesses=ACCESSES,
+                                    warmup=WARMUP, seed=42, interval=None))
+
+
 def parallel_section() -> None:
     print("-- serial vs. parallel grid sweep (gups x "
           f"{len(GRID['delayed_tlb.entries']) * len(GRID['llc.size_bytes'])} "
           "points) --")
     t0 = time.perf_counter()
-    serial = sweep_grid("gups", "hybrid_tlb", GRID,
-                        accesses=ACCESSES, warmup=WARMUP)
+    serial = grid_plan().run().results()
     serial_s = time.perf_counter() - t0
 
+    pool = ParallelExecutor(workers=WORKERS)
     t0 = time.perf_counter()
-    parallel = sweep_grid("gups", "hybrid_tlb", GRID,
-                          accesses=ACCESSES, warmup=WARMUP,
-                          executor=ParallelExecutor(workers=WORKERS))
+    parallel = grid_plan().run(executor=pool).results()
     parallel_s = time.perf_counter() - t0
+    pool.close()
 
-    identical = all(
-        a["result"].cycles == b["result"].cycles
-        and a["result"].stats == b["result"].stats
-        for a, b in zip(serial, parallel))
+    identical = all(a.cycles == b.cycles and a.stats == b.stats
+                    for a, b in zip(serial, parallel))
     print(f"serial:   {serial_s:6.2f}s")
     print(f"parallel: {parallel_s:6.2f}s  ({WORKERS} workers, "
           f"{serial_s / parallel_s:.1f}x)")
@@ -63,13 +70,9 @@ def cache_section() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = ResultCache(cache_dir)
         cold = SerialExecutor()
-        sweep_grid("gups", "hybrid_tlb", GRID,
-                   accesses=ACCESSES, warmup=WARMUP,
-                   executor=cold, cache=cache)
+        grid_plan().run(executor=cold, cache=cache)
         warm = SerialExecutor()
-        sweep_grid("gups", "hybrid_tlb", GRID,
-                   accesses=ACCESSES, warmup=WARMUP,
-                   executor=warm, cache=cache)
+        grid_plan().run(executor=warm, cache=cache)
         print(f"cold run simulated {cold.submitted} points")
         print(f"warm rerun simulated {warm.submitted} points "
               f"({cache.hits} served from cache)")

@@ -19,10 +19,11 @@ then ``repro trace view t.jsonl.*.jsonl``.
 import tempfile
 from pathlib import Path
 
-from repro.exec import ParallelExecutor
+from repro.common import SystemConfig
+from repro.exec import ExperimentPlan, ParallelExecutor
 from repro.obs import TraceSpec
 from repro.obs.traceview import read_trace
-from repro.sim import sweep_delayed_tlb
+from repro.sim.sweep import grid_jobs
 
 WORKLOAD = "gups"
 SIZES = (1024, 4096, 16384)
@@ -34,9 +35,13 @@ TOP_N = 3
 
 def capture(base: Path) -> list:
     spec = TraceSpec(base=base, sample_every=2)
-    sweep_delayed_tlb(WORKLOAD, list(SIZES), accesses=ACCESSES,
-                      warmup=WARMUP, trace_spec=spec,
-                      executor=ParallelExecutor(workers=WORKERS))
+    jobs = grid_jobs(WORKLOAD, "hybrid_tlb",
+                     {"delayed_tlb.entries": list(SIZES)}, SystemConfig(),
+                     accesses=ACCESSES, warmup=WARMUP, seed=42,
+                     interval=None)
+    pool = ParallelExecutor(workers=WORKERS)
+    ExperimentPlan(jobs).run(executor=pool, trace_spec=spec)
+    pool.close()
     return spec.shards()
 
 

@@ -1,11 +1,14 @@
 """Job-based experiment execution engine.
 
 Every data point the repo produces — ``run_workload``, the
-``compare_configs``/``sweep_*`` helpers, the CLI subcommands, and the
+``compare_configs``/``sweep_grid`` helpers, the CLI subcommands, and the
 ``benchmarks/`` figure/table modules — is one frozen :class:`Job`.
 Builders collect jobs into an :class:`ExperimentPlan` (which dedupes
-identical fingerprints), and the plan hands the unique jobs to a
-pluggable executor:
+identical fingerprints), and :meth:`ExperimentPlan.run` hands the unique
+jobs to a pluggable executor.  ``run`` is the one home of the run
+options — executor, result cache, tracer or trace spec, progress,
+metrics and heartbeats; the one-call helpers run serially, uncached and
+untraced.  The executors:
 
 * :class:`SerialExecutor`  — in-process, one at a time; bit-identical
   to the historical hand-rolled loops (the default);

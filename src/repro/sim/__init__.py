@@ -13,7 +13,6 @@ from repro.sim.runner import (
     compare_configs,
     lay_out,
     run_workload,
-    sweep_delayed_tlb,
 )
 from repro.sim.simulator import Simulator
 
@@ -27,6 +26,5 @@ __all__ = [
     "compare_configs",
     "lay_out",
     "run_workload",
-    "sweep_delayed_tlb",
     "Simulator",
 ]

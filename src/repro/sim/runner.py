@@ -4,17 +4,14 @@
 constructs the requested MMU configuration, and simulates — so every
 (workload, configuration) data point is independent and reproducible.
 
-All of these helpers are thin *plan builders* over the execution engine
-(:mod:`repro.exec`): they collect frozen :class:`~repro.exec.job.Job`
-descriptions into an :class:`~repro.exec.plan.ExperimentPlan` and run
-it through an executor.  Every helper therefore accepts the engine's
-``executor`` (e.g. ``ParallelExecutor(workers=4)`` to fan the
-independent points across processes), ``cache`` (a ``ResultCache`` so
-reruns only simulate changed points), ``tracer`` (one shared event
-stream, serial only) and ``trace_spec`` (one trace shard per job).
-Defaults — serial, uncached, untraced — simulate each point in turn in
-this process.  Progress callbacks, metrics and heartbeats are
-``ExperimentPlan.run`` arguments.
+The helpers take only what they hand to a
+:class:`~repro.exec.job.Job` (workload, MMU, accesses, warm-up, config,
+seed and interval) and run their jobs serially in this process,
+uncached and untraced.  A caller that wants a process pool, a result
+cache, a trace, progress lines, metrics or heartbeats builds the jobs
+with ``Job`` (or :func:`repro.sim.sweep.grid_jobs`) and passes those
+options to :meth:`~repro.exec.plan.ExperimentPlan.run`, as the CLI and
+the benchmarks do.
 
 MMU configuration names:
 
@@ -35,7 +32,7 @@ Prior schemes (see ``repro.core.prior`` / ``repro.core.thp``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from repro.common.params import SystemConfig
 from repro.core.conventional import ConventionalMmu
@@ -46,10 +43,6 @@ from repro.osmodel.kernel import Kernel
 from repro.sim.results import ComparisonRow, SimulationResult
 from repro.workloads import catalog
 from repro.workloads.spec import LaidOutWorkload, WorkloadSpec
-
-if TYPE_CHECKING:
-    from repro.exec.cache import ResultCache
-    from repro.obs.tracer import Tracer, TraceSpec
 
 MMU_CONFIGS = ("baseline", "ideal", "hybrid_tlb", "hybrid_segments",
                "hybrid_segments_nosc")
@@ -101,25 +94,18 @@ def run_workload(workload: Union[str, WorkloadSpec], mmu_name: str,
                  accesses: int = 100_000, warmup: int = 20_000,
                  config: Optional[SystemConfig] = None,
                  seed: int = 42,
-                 interval: Optional[int] = None,
-                 tracer: Optional[Tracer] = None,
-                 trace_spec: Optional[TraceSpec] = None,
-                 executor=None,
-                 cache: Optional[ResultCache] = None) -> SimulationResult:
+                 interval: Optional[int] = None) -> SimulationResult:
     """Simulate one (workload, MMU) point on a fresh system.
 
     ``baseline_thp`` runs on a transparent-huge-page kernel (2 MB-aligned
     eager allocations); every other configuration uses the standard one.
-    ``interval`` and ``tracer`` enable windowed stat series and pipeline
-    event tracing (see :mod:`repro.obs`); both default to off.
+    ``interval`` enables windowed stat series (see :mod:`repro.obs`).
     """
     from repro.exec import ExperimentPlan, Job
 
     job = Job(workload=workload, mmu=mmu_name, config=config,
               accesses=accesses, warmup=warmup, seed=seed, interval=interval)
-    results = ExperimentPlan([job]).run(executor=executor, cache=cache,
-                                        tracer=tracer, trace_spec=trace_spec)
-    return results.result(job)
+    return ExperimentPlan([job]).run().result(job)
 
 
 def compare_configs(workload: Union[str, WorkloadSpec],
@@ -127,17 +113,8 @@ def compare_configs(workload: Union[str, WorkloadSpec],
                     accesses: int = 100_000, warmup: int = 20_000,
                     config: Optional[SystemConfig] = None,
                     seed: int = 42,
-                    interval: Optional[int] = None,
-                    tracer: Optional[Tracer] = None,
-                    trace_spec: Optional[TraceSpec] = None,
-                    executor=None,
-                    cache: Optional[ResultCache] = None) -> ComparisonRow:
-    """Run one workload under several MMU configurations.
-
-    A shared ``tracer`` records every configuration's events into one
-    stream; the engine brackets each run with a ``run_start`` mark so
-    the stream stays attributable.
-    """
+                    interval: Optional[int] = None) -> ComparisonRow:
+    """Run one workload under several MMU configurations."""
     from repro.exec import ExperimentPlan, Job
 
     if isinstance(workload, str):
@@ -148,33 +125,7 @@ def compare_configs(workload: Union[str, WorkloadSpec],
                           accesses=accesses, warmup=warmup, seed=seed,
                           interval=interval)
             for mmu_name in mmu_names}
-    plan = ExperimentPlan(jobs.values())
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        trace_spec=trace_spec)
+    outcomes = ExperimentPlan(jobs.values()).run()
     results: Dict[str, SimulationResult] = {
         mmu_name: outcomes.result(job) for mmu_name, job in jobs.items()}
     return ComparisonRow(name, results)
-
-
-def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
-                      entry_counts: Iterable[int],
-                      accesses: int = 100_000, warmup: int = 20_000,
-                      seed: int = 42,
-                      interval: Optional[int] = None,
-                      tracer: Optional[Tracer] = None,
-                      trace_spec: Optional[TraceSpec] = None,
-                      executor=None,
-                      cache: Optional[ResultCache] = None
-                      ) -> List[SimulationResult]:
-    """Figure 4 helper: hybrid+delayed-TLB across TLB sizes, each point
-    tagged ``delayed_tlb.entries``."""
-    from repro.exec import ExperimentPlan
-    from repro.sim.sweep import grid_jobs
-
-    jobs = grid_jobs(workload, "hybrid_tlb",
-                     {"delayed_tlb.entries": list(entry_counts)},
-                     SystemConfig(), accesses, warmup, seed, interval)
-    plan = ExperimentPlan(jobs)
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        trace_spec=trace_spec)
-    return [outcomes.result(job) for job in jobs]

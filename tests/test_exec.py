@@ -35,7 +35,7 @@ from repro.obs.manifest import config_fingerprint
 from repro.obs.tracer import Tracer
 from repro.sim import run_workload
 from repro.sim.results import RESULT_SCHEMA, SimulationResult
-from repro.sim.sweep import sweep_grid
+from repro.sim.sweep import grid_jobs
 
 FAST = dict(accesses=800, warmup=200)
 
@@ -44,6 +44,12 @@ GRID_8 = {
     "llc.size_bytes": [1 << 20, 2 << 20],
     "cores": [1, 2],
 }
+
+
+def stream_grid(grid: dict) -> list:
+    """The jobs of a hybrid_tlb sweep of ``stream`` over ``grid``."""
+    return grid_jobs("stream", "hybrid_tlb", grid, SystemConfig(),
+                     seed=42, interval=None, **FAST)
 
 
 def identity_view(result: SimulationResult) -> dict:
@@ -231,14 +237,17 @@ class TestExperimentPlan:
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial_on_8_point_grid(self):
-        serial = sweep_grid("stream", "hybrid_tlb", GRID_8,
-                            executor=SerialExecutor(), **FAST)
-        parallel = sweep_grid("stream", "hybrid_tlb", GRID_8,
-                              executor=ParallelExecutor(workers=4), **FAST)
-        assert len(serial) == len(parallel) == 8
-        for s, p in zip(serial, parallel):
-            assert s["params"] == p["params"]
-            assert identity_view(s["result"]) == identity_view(p["result"])
+        jobs = stream_grid(GRID_8)
+        serial = ExperimentPlan(jobs).run(executor=SerialExecutor())
+        pool = ParallelExecutor(workers=4)
+        try:
+            parallel = ExperimentPlan(jobs).run(executor=pool)
+        finally:
+            pool.close()
+        assert len(jobs) == len(serial) == len(parallel) == 8
+        for job in jobs:
+            assert (identity_view(serial.result(job))
+                    == identity_view(parallel.result(job)))
 
     def test_parallel_captures_errors_in_order(self):
         jobs = [Job("stream", "baseline", **FAST),
@@ -386,25 +395,23 @@ class TestKeptPool:
 class TestResultCache:
     def test_warm_rerun_performs_zero_new_simulations(self, tmp_path):
         cache = ResultCache(tmp_path)
-        grid = {"delayed_tlb.entries": [512, 1024]}
+        jobs = stream_grid({"delayed_tlb.entries": [512, 1024]})
         cold = SerialExecutor()
-        first = sweep_grid("stream", "hybrid_tlb", grid,
-                           executor=cold, cache=cache, **FAST)
+        first = ExperimentPlan(jobs).run(executor=cold, cache=cache)
         assert cold.submitted == 2
 
         warm = SerialExecutor()
-        second = sweep_grid("stream", "hybrid_tlb", grid,
-                            executor=warm, cache=cache, **FAST)
+        second = ExperimentPlan(jobs).run(executor=warm, cache=cache)
         assert warm.submitted == 0          # every point served from disk
         assert cache.hits == 2
-        for a, b in zip(first, second):
-            assert a["result"].to_json_dict() == b["result"].to_json_dict()
+        for job in jobs:
+            assert (first.result(job).to_json_dict()
+                    == second.result(job).to_json_dict())
 
     def test_changed_point_is_the_only_resimulation(self, tmp_path):
         cache = ResultCache(tmp_path)
-        sweep_grid("stream", "hybrid_tlb",
-                   {"delayed_tlb.entries": [512, 1024]},
-                   executor=SerialExecutor(), cache=cache, **FAST)
+        ExperimentPlan(stream_grid({"delayed_tlb.entries": [512, 1024]})).run(
+            executor=SerialExecutor(), cache=cache)
         grown = SerialExecutor()
         results = ExperimentPlan([
             Job("stream", "hybrid_tlb",

@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup, derive_ratios
-from repro.exec import Job
+from repro.exec import ExperimentPlan, Job
 from repro.obs import Histogram, IntervalRecorder, RunManifest, Tracer
 from repro.obs.manifest import config_fingerprint
 from repro.obs.tracer import NULL_TRACER
@@ -23,6 +23,12 @@ from repro.osmodel.kernel import Kernel
 from repro.timing.model import TimingModel
 
 FAST = dict(accesses=600, warmup=200)
+
+
+def traced_run(tracer, workload, mmu, **fields):
+    """One job run through a plan that records into ``tracer``."""
+    job = Job(workload, mmu, **fields)
+    return ExperimentPlan([job]).run(tracer=tracer).result(job)
 
 
 # --------------------------------------------------------------------- #
@@ -203,7 +209,7 @@ class TestTracer:
 
     def test_simulation_emits_pipeline_stages(self):
         tracer = Tracer()
-        run_workload("stream", "hybrid_tlb", seed=42, tracer=tracer, **FAST)
+        traced_run(tracer, "stream", "hybrid_tlb", seed=42, **FAST)
         stages = {e.stage for e in tracer.events}
         assert {"filter_probe", "cache", "access"} <= stages
         # An LLC miss must have gone through the delayed TLB.
@@ -213,8 +219,7 @@ class TestTracer:
 
     def test_segment_walk_events(self):
         tracer = Tracer()
-        run_workload("stream", "hybrid_segments", seed=42, tracer=tracer,
-                     **FAST)
+        traced_run(tracer, "stream", "hybrid_segments", seed=42, **FAST)
         stages = {e.stage for e in tracer.events}
         assert "segment_walk" in stages
 
@@ -231,8 +236,8 @@ class TestTracerParity:
     def test_results_identical_with_and_without_tracing(self):
         base = run_workload("stream", "hybrid_tlb", seed=42, interval=100,
                             **FAST)
-        traced = run_workload("stream", "hybrid_tlb", seed=42, interval=100,
-                              tracer=Tracer(sample_every=2), **FAST)
+        traced = traced_run(Tracer(sample_every=2), "stream", "hybrid_tlb",
+                            seed=42, interval=100, **FAST)
         assert traced.instructions == base.instructions
         assert traced.accesses == base.accesses
         assert traced.cycles == base.cycles

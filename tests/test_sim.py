@@ -20,10 +20,11 @@ from repro.sim import (
     geometric_mean,
     lay_out,
     run_workload,
-    sweep_delayed_tlb,
 )
+from repro.exec import ExperimentPlan
 from repro.obs.tracer import Tracer
 from repro.sim.results import SimulationResult
+from repro.sim.sweep import grid_jobs, sweep_grid
 from repro.osmodel import Kernel
 from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 
@@ -90,7 +91,9 @@ class TestCompareConfigs:
 
 class TestSweep:
     def test_delayed_tlb_sweep_monotone_misses(self):
-        results = sweep_delayed_tlb("omnetpp", (512, 4096), **SMALL)
+        rows = sweep_grid("omnetpp", "hybrid_tlb",
+                          {"delayed_tlb.entries": [512, 4096]}, **SMALL)
+        results = [row["result"] for row in rows]
         assert len(results) == 2
         small_misses = results[0].counter("delayed_tlb", "misses")
         large_misses = results[1].counter("delayed_tlb", "misses")
@@ -98,7 +101,10 @@ class TestSweep:
 
     def test_delayed_tlb_sweep_points_tagged_with_the_field(self):
         tracer = Tracer()
-        sweep_delayed_tlb("stream", (512, 4096), tracer=tracer, **SMALL)
+        jobs = grid_jobs("stream", "hybrid_tlb",
+                         {"delayed_tlb.entries": [512, 4096]},
+                         SystemConfig(), seed=42, interval=None, **SMALL)
+        ExperimentPlan(jobs).run(tracer=tracer)
         marks = [e.detail for e in tracer.events
                  if e.stage == "mark" and e.detail["label"] == "run_start"]
         assert [m["delayed_tlb.entries"] for m in marks] == [512, 4096]

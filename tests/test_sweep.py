@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.sim.sweep import sweep_config, sweep_grid, with_overrides
+from repro.sim.sweep import sweep_grid, with_overrides
 
 FAST = dict(accesses=1200, warmup=400)
 
@@ -44,17 +44,23 @@ class TestWithOverrides:
             with_overrides(SystemConfig(), {"nonexistent.size": 1})
 
 
+def sweep_field(workload, mmu, field_path, values):
+    """``{value: result}`` of a one-field ``sweep_grid``."""
+    rows = sweep_grid(workload, mmu, {field_path: values}, **FAST)
+    return {row["params"][field_path]: row["result"] for row in rows}
+
+
 class TestSweepConfig:
     def test_sweep_produces_per_value_results(self):
-        results = sweep_config("stream", "hybrid_tlb",
-                               "delayed_tlb.entries", [512, 2048], **FAST)
+        results = sweep_field("stream", "hybrid_tlb",
+                              "delayed_tlb.entries", [512, 2048])
         assert set(results) == {512, 2048}
         for result in results.values():
             assert result.ipc > 0
 
     def test_sweep_actually_varies_the_field(self):
-        results = sweep_config("gups", "hybrid_tlb",
-                               "delayed_tlb.entries", [512, 8192], **FAST)
+        results = sweep_field("gups", "hybrid_tlb",
+                              "delayed_tlb.entries", [512, 8192])
         misses = {v: r.counter("delayed_tlb", "misses")
                   for v, r in results.items()}
         assert misses[8192] <= misses[512]

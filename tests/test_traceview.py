@@ -9,6 +9,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.params import SystemConfig
+from repro.exec import ExperimentPlan, Job, ParallelExecutor, SerialExecutor
 from repro.obs.aggregate import aggregate_results
 from repro.obs.tracer import Tracer, TraceSpec
 from repro.obs.traceview import (
@@ -19,7 +21,8 @@ from repro.obs.traceview import (
     combine_summaries,
     read_trace,
 )
-from repro.sim import run_workload, sweep_delayed_tlb
+from repro.sim import run_workload
+from repro.sim.sweep import grid_jobs
 
 FAST = dict(accesses=600, warmup=200)
 
@@ -208,8 +211,8 @@ class TestTraceViewEndToEnd:
     def test_recorded_run_reconstructs(self, tmp_path):
         path = tmp_path / "run.jsonl"
         tracer = Tracer(sink=path)
-        result = run_workload("stream", "hybrid_tlb", seed=42,
-                              tracer=tracer, **FAST)
+        job = Job("stream", "hybrid_tlb", seed=42, **FAST)
+        result = ExperimentPlan([job]).run(tracer=tracer).result(job)
         tracer.close()
         view = read_trace(path)
         assert len(view.runs) == 1
@@ -232,11 +235,15 @@ class TestTraceViewEndToEnd:
         def capture(directory, workers):
             directory.mkdir()
             spec = TraceSpec(base=directory / "t.jsonl", sample_every=2)
-            from repro.exec import ParallelExecutor
             executor = ParallelExecutor(workers=workers) if workers > 1 \
-                else None
-            sweep_delayed_tlb("stream", sizes, seed=42,
-                              trace_spec=spec, executor=executor, **FAST)
+                else SerialExecutor()
+            jobs = grid_jobs("stream", "hybrid_tlb",
+                             {"delayed_tlb.entries": sizes}, SystemConfig(),
+                             seed=42, interval=None, **FAST)
+            try:
+                ExperimentPlan(jobs).run(executor=executor, trace_spec=spec)
+            finally:
+                executor.close()
             return spec.shards()
 
         serial = capture(tmp_path / "serial", workers=1)
