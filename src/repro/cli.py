@@ -859,7 +859,6 @@ def cmd_serve(args) -> int:
 
     service = JobService(cache=_cache(args), executor=_executor(args),
                          max_queue=args.max_queue,
-                         batch_max=args.batch_max,
                          job_timeout=args.timeout)
     try:
         server = ServeServer(service, host=args.host,
@@ -869,8 +868,7 @@ def cmd_serve(args) -> int:
         raise SystemExit(
             f"repro: cannot serve on {args.host}:{args.port}: {exc}")
     print(f"repro: serving jobs on {server.url}/jobs "
-          f"(workers={args.workers}, max-queue={args.max_queue}, "
-          f"batch-max={args.batch_max}"
+          f"(workers={args.workers}, max-queue={args.max_queue}"
           + (f", cache={args.cache_dir}" if args.cache_dir else "")
           + ")", file=sys.stderr, flush=True)
 
@@ -1140,10 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
                               dest="max_queue", default=16, metavar="N",
                               help="bounded admission queue size "
                                    "(default: 16)")
-    serve_parser.add_argument("--batch-max", type=_positive_int,
-                              dest="batch_max", default=8, metavar="N",
-                              help="max jobs per executor batch "
-                                   "(default: 8)")
     serve_parser.add_argument("--timeout", type=float, default=None,
                               metavar="S",
                               help="per-job wall-clock timeout in "

@@ -41,6 +41,9 @@ DEFAULT_BEAT_EVERY = 2048
 #: Seconds of silence after which a started, unfinished job is stale.
 DEFAULT_STALE_AFTER = 30.0
 
+#: Seconds between two live registry snapshots in a monitor's log.
+SNAPSHOT_PERIOD_S = 5.0
+
 
 @dataclass
 class Heartbeat:
@@ -186,8 +189,7 @@ class HeartbeatMonitor:
                  live: "Optional[LiveStatus]" = None,
                  clock: Callable[[], float] = time.monotonic,
                  poll_s: float = 0.2,
-                 snapshot_log: Any = None,
-                 snapshot_every_s: float = 5.0) -> None:
+                 snapshot_log: Any = None) -> None:
         from repro.obs.metrics import NULL_METRICS
 
         self._queue = queue
@@ -198,7 +200,6 @@ class HeartbeatMonitor:
         self._clock = clock
         self._poll_s = poll_s
         self._snapshot_log = snapshot_log
-        self._snapshot_every_s = snapshot_every_s
         self._last_snapshot = clock()
         self.statuses: Dict[str, WorkerStatus] = {}
         self.beats_seen = 0
@@ -271,7 +272,8 @@ class HeartbeatMonitor:
         return [s for s in self.statuses.values() if not s.final]
 
     def maybe_snapshot(self, now: Optional[float] = None) -> bool:
-        """Append a registry snapshot to the log once per period.
+        """Append a registry snapshot to the log once per
+        :data:`SNAPSHOT_PERIOD_S`.
 
         The periodic lines are the *live* view (they include the
         transient ``repro_worker_*`` gauges); the CLI appends one more
@@ -280,7 +282,7 @@ class HeartbeatMonitor:
         if self._snapshot_log is None:
             return False
         now = self._clock() if now is None else now
-        if now - self._last_snapshot < self._snapshot_every_s:
+        if now - self._last_snapshot < SNAPSHOT_PERIOD_S:
             return False
         self._last_snapshot = now
         self._snapshot_log.append(self._registry)

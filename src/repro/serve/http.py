@@ -36,8 +36,8 @@ from repro.common.httpd import (HttpListener, Response, Router,
                                 error_response, json_response)
 from repro.exec.job import Job
 from repro.obs.metrics import render_prometheus
-from repro.serve.service import (JOBS_SCHEMA, JobService, QueueFullError,
-                                 ServiceDrainingError)
+from repro.serve.service import (JOBS_SCHEMA, RETRY_AFTER, JobService,
+                                 QueueFullError, ServiceDrainingError)
 
 # ---------------------------------------------------------------------- #
 # The service's routes
@@ -86,9 +86,9 @@ def _make_router(service: JobService) -> Router:
         try:
             record, disposition = service.submit(job)
         except QueueFullError as exc:
-            return error_response(429, str(exc), exc.retry_after)
+            return error_response(429, str(exc), RETRY_AFTER)
         except ServiceDrainingError as exc:
-            return error_response(503, str(exc), service.retry_after_s)
+            return error_response(503, str(exc), RETRY_AFTER)
         except ValueError as exc:
             return error_response(400, str(exc))
         return json_response(200 if record.terminal else 202,

@@ -11,8 +11,8 @@ descriptions (the ``repro.job/v1`` wire format); the service
 * applies **admission control** — a bounded queue whose overflow raises
   :class:`QueueFullError` (HTTP 429 + ``Retry-After`` upstairs) instead
   of accepting unbounded backlog;
-* **batches**: one dispatcher thread drains up to ``batch_max`` queued
-  jobs at a time and hands the batch to the configured executor — a
+* **batches**: one dispatcher thread drains up to :data:`BATCH_MAX`
+  queued jobs at a time and hands the batch to the configured executor — a
   :class:`~repro.exec.executors.ParallelExecutor` fans it across the
   process pool it keeps for the service's life (started on the first
   batch, replaced after a worker dies, joined on drain and close);
@@ -54,16 +54,19 @@ JOBS_SCHEMA = "repro.serve.jobs/v1"
 #: Submission dispositions (the ``repro_serve_submissions_total`` label).
 DISPOSITIONS = ("accepted", "coalesced", "cached", "replayed", "rejected")
 
+#: Most queued jobs the dispatcher hands the executor in one batch.
+BATCH_MAX = 8
+#: Seconds a 429 (queue full) or 503 (draining) asks a client to wait
+#: before retrying: the ``Retry-After`` header.
+RETRY_AFTER = 1.0
+#: Seconds the idle dispatcher waits on the queue before it re-checks
+#: whether the service is closing.
+POLL_S = 0.05
+
 
 class QueueFullError(RuntimeError):
-    """Admission control tripped: the bounded queue is full.
-
-    Carries the ``Retry-After`` hint the HTTP layer returns with 429.
-    """
-
-    def __init__(self, retry_after: float) -> None:
-        super().__init__("job queue is full")
-        self.retry_after = retry_after
+    """Admission control tripped: the bounded queue is full (HTTP 429
+    with ``Retry-After`` upstairs)."""
 
 
 class ServiceDrainingError(RuntimeError):
@@ -128,22 +131,15 @@ class JobService:
 
     def __init__(self, cache: "Optional[ResultCache]" = None,
                  executor: Any = None, max_queue: int = 16,
-                 batch_max: int = 8, job_timeout: Optional[float] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 retry_after_s: float = 1.0, poll_s: float = 0.05,
+                 job_timeout: Optional[float] = None,
                  start: bool = True) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         self.cache = cache
         self.executor = executor if executor is not None else SerialExecutor()
         self.max_queue = max_queue
-        self.batch_max = batch_max
         self.job_timeout = job_timeout
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.retry_after_s = retry_after_s
-        self._poll_s = poll_s
+        self.registry = MetricsRegistry()
         self._cond = threading.Condition()
         self._records: Dict[str, JobRecord] = {}
         self._queue: "queue_mod.Queue[JobRecord]" = queue_mod.Queue(
@@ -308,7 +304,7 @@ class JobService:
                 self._queue.put_nowait(record)
             except queue_mod.Full:
                 self._m_submissions.inc(disposition="rejected")
-                raise QueueFullError(retry_after=self.retry_after_s) from None
+                raise QueueFullError("job queue is full") from None
             self._records[fingerprint] = record
             self._m_submissions.inc(disposition="accepted")
             self._m_queue_depth.set(self._queue.qsize())
@@ -339,7 +335,7 @@ class JobService:
             "schema": HEALTH_SCHEMA,
             "status": "draining" if self._draining else "ok",
             "queue_capacity": self.max_queue,
-            "batch_max": self.batch_max,
+            "batch_max": BATCH_MAX,
             "in_flight": self._in_flight,
         }
         doc.update(self.counts())
@@ -352,11 +348,11 @@ class JobService:
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
             try:
-                record = self._queue.get(timeout=self._poll_s)
+                record = self._queue.get(timeout=POLL_S)
             except queue_mod.Empty:
                 continue
             batch = [record]
-            while len(batch) < self.batch_max:
+            while len(batch) < BATCH_MAX:
                 try:
                     batch.append(self._queue.get_nowait())
                 except queue_mod.Empty:

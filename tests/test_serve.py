@@ -254,6 +254,7 @@ class TestSubmissionApi:
                 assert doc["schema"] == HEALTH_SCHEMA
                 assert doc["status"] == "ok"
                 assert doc["queue_capacity"] == service.max_queue
+                assert doc["batch_max"] == 8
                 service.begin_drain()
                 status, body, _ = http(server.url, "/healthz")
                 assert status == 503
@@ -623,7 +624,7 @@ class TestAdmissionControl:
                                                 make_job(seed=3))
                 assert status == 429
                 assert "full" in doc["error"]
-                assert int(headers["Retry-After"]) >= 1
+                assert headers["Retry-After"] == "1"
                 with pytest.raises(QueueFullError):
                     service.submit(make_job(seed=4))
             finally:
@@ -648,7 +649,7 @@ class TestAdmissionControl:
                 service.begin_drain()
                 status, doc, headers = post_job(server.url, make_job())
                 assert status == 503
-                assert "Retry-After" in headers
+                assert headers["Retry-After"] == "1"
                 with pytest.raises(ServiceDrainingError):
                     service.submit(make_job())
             finally:
@@ -658,7 +659,7 @@ class TestAdmissionControl:
 class TestExecutionPaths:
     def test_batching_drains_queue_into_one_executor_call(self):
         executor = SerialExecutor()
-        service = JobService(executor=executor, batch_max=8, start=False)
+        service = JobService(executor=executor, start=False)
         try:
             fingerprints = []
             for seed in (1, 2, 3):
