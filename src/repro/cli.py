@@ -857,6 +857,15 @@ def cmd_serve(args) -> int:
 
     from repro.serve import JobService, ServeServer
 
+    # Handle the signals before the banner says the server is up, so a
+    # SIGTERM sent right after it drains instead of killing the process.
+    stop = threading.Event()
+
+    def _on_signal(signum, _frame) -> None:
+        stop.set()
+
+    signal.signal(signal.SIGTERM, _on_signal)
+    signal.signal(signal.SIGINT, _on_signal)
     service = JobService(cache=_cache(args), executor=_executor(args),
                          max_queue=args.max_queue,
                          job_timeout=args.timeout)
@@ -871,14 +880,6 @@ def cmd_serve(args) -> int:
           f"(workers={args.workers}, max-queue={args.max_queue}"
           + (f", cache={args.cache_dir}" if args.cache_dir else "")
           + ")", file=sys.stderr, flush=True)
-
-    stop = threading.Event()
-
-    def _on_signal(signum, _frame) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
     try:
         while not stop.is_set():
             stop.wait(0.5)
