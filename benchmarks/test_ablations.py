@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.address import PAGE_SIZE
-from repro.common.params import SystemConfig
+from repro.common.params import SegmentTranslationConfig, SystemConfig
 from repro.common.rng import make_rng
 from repro.core import HybridMmu
 from repro.filters import SynonymFilter
@@ -99,7 +99,7 @@ def measure_allocation_policies():
 
     def eager():
         frames = FrameAllocator(256 * MB)
-        table = OsSegmentTable()
+        table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
         alloc = SegmentAllocator(1, table, frames)
         vbase, _segments = alloc.allocate(request)
         for chunk_index in touched_chunks:
@@ -113,7 +113,7 @@ def measure_allocation_policies():
 
     def reservation():
         frames = FrameAllocator(256 * MB)
-        table = OsSegmentTable()
+        table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
         alloc = SegmentAllocator(1, table, frames)
         vbase, _length = alloc.reserve(request)
         for chunk_index in touched_chunks:

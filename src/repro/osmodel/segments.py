@@ -84,7 +84,7 @@ class Segment:
 class OsSegmentTable:
     """System-wide in-memory segment table (the HW table mirrors it)."""
 
-    def __init__(self, capacity: int = 2048) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.stats = StatGroup("os_segment_table")
         self._segments: Dict[int, Segment] = {}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.address import PAGE_SIZE
-from repro.common.params import SystemConfig
+from repro.common.params import SegmentTranslationConfig, SystemConfig
 from repro.energy import EnergyModel, EnergyParams
 from repro.osmodel import FrameAllocator, Kernel, OsSegmentTable
 from repro.osmodel.address_space import POLICY_DEMAND, Process, Vma
@@ -14,7 +14,7 @@ MB = 1024 * 1024
 @pytest.fixture()
 def process():
     frames = FrameAllocator(256 * MB)
-    table = OsSegmentTable()
+    table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
     return Process("p", asid=3, frames=frames, segment_table=table)
 
 
@@ -52,7 +52,7 @@ class TestVaAreas:
 
     def test_mmap_areas_distinct_per_asid(self):
         frames = FrameAllocator(64 * MB)
-        table = OsSegmentTable()
+        table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
         p1 = Process("a", 1, frames, table)
         p2 = Process("b", 2, frames, table)
         assert (p1.reserve_va(PAGE_SIZE, area="mmap")

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.params import SegmentTranslationConfig
 from repro.common.rng import make_rng
 from repro.osmodel import FrameAllocator, IndexTree, OsSegmentTable
 from repro.osmodel.index_tree import MAX_CHILDREN, MAX_KEYS, NODE_BYTES, pack_key
@@ -27,7 +28,7 @@ def build_system(n_segments, asid=1, seg_bytes=64 * PAGE, gap=PAGE):
 class TestBuild:
     def test_empty_tree(self):
         frames = FrameAllocator(16 * MB)
-        table = OsSegmentTable()
+        table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
         tree = IndexTree(frames)
         tree.build(table)
         assert tree.root is None
@@ -125,7 +126,7 @@ class TestLookup:
 
     def test_multi_asid_lookup(self):
         frames = FrameAllocator(256 * MB)
-        table = OsSegmentTable()
+        table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
         a = table.insert(1, 0x1000_0000, PAGE, 0)
         b = table.insert(2, 0x1000_0000, PAGE, PAGE)
         tree = IndexTree(frames)

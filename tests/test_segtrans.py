@@ -17,7 +17,7 @@ PAGE = 4096
 
 
 def make_table(n=4, asid=1, length=1 * MB):
-    table = OsSegmentTable()
+    table = OsSegmentTable(SegmentTranslationConfig().segment_table_entries)
     va, pa = 0x1000_0000, 0x200_0000
     for _ in range(n):
         table.insert(asid, va, length, pa)
