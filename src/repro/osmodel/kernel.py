@@ -322,10 +322,12 @@ class Kernel:
         first write in either process raises a permission fault and
         :meth:`handle_cow_fault` privatizes the page.
 
-        Demand VMAs are duplicated as CoW; eager-segment VMAs are *not*
-        segment-shared (segments are per-ASID) — their already-touched
-        pages become CoW 4 KB mappings and untouched parts are backed by
-        fresh eager segments in the child.
+        Every private VMA, demand or eager, reappears in the child as a
+        demand VMA over the same range.  Eager segments are *not* shared
+        or copied (segments are per-ASID): the child gets none, so the
+        parent's already-touched pages become CoW 4 KB mappings and the
+        untouched parts demand-fault in the child.  Shared VMAs map the
+        same frames at a fresh VA in the child's mmap area.
         """
         child = self.create_process(name or f"{parent.name}-child")
         for vma in parent.vmas():
