@@ -29,7 +29,7 @@ invariants (SWMR, data-value coherence via version numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.common.stats import StatGroup
 
@@ -88,7 +88,6 @@ class CoherenceEngine:
         self.stats = StatGroup("coherence")
         self._directory: Dict[int, DirectoryEntry] = {}
         self._caches: List[Dict[int, CoherentLine]] = [dict() for _ in range(cores)]
-        self._messages: List[Tuple[str, int, int]] = []  # (type, core, block)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -106,7 +105,6 @@ class CoherenceEngine:
         return cache[block]
 
     def _send(self, msg_type: str, core: int, block: int) -> None:
-        self._messages.append((msg_type, core, block))
         self.stats.add(f"msg_{msg_type}")
         self.stats.add("messages")
 
@@ -260,6 +258,3 @@ class CoherenceEngine:
             if line and line.state != STATE_I:
                 latest = max(latest, line.version)
         return latest
-
-    def message_log(self) -> List[Tuple[str, int, int]]:
-        return list(self._messages)

@@ -139,7 +139,3 @@ class ThpBaselineMmu(MmuBase):
             core, physical_block_key(pa), is_write)
         dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
         return front, cache_cycles, 0, dram, hit_level, pa
-
-    def tlb_misses(self) -> int:
-        """Full-hierarchy misses (walks)."""
-        return sum(w.stats["walks"] for w in self.walkers)

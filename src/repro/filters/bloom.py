@@ -39,10 +39,6 @@ class BloomFilter:
         self._inserted = 0
 
     @property
-    def num_hashes(self) -> int:
-        return len(self._hashes)
-
-    @property
     def inserted(self) -> int:
         """Number of ``insert`` calls since the last clear (OS bookkeeping)."""
         return self._inserted

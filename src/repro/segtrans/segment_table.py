@@ -69,6 +69,3 @@ class HwSegmentTable:
 
     def flush(self) -> None:
         self._loaded.clear()
-
-    def loaded_count(self) -> int:
-        return len(self._loaded)

@@ -181,9 +181,6 @@ class Hypervisor:
         self.stats.add("vms_created")
         return vm
 
-    def vms(self) -> List[VirtualMachine]:
-        return list(self._vms)
-
     def global_asid(self, vm: VirtualMachine, guest_asid: int) -> int:
         """VMID-extended ASID (Section V: the ASID must include the VMID)."""
         return ((vm.vmid << 10) | (guest_asid & 0x3FF)) & 0xFFFF
