@@ -1,6 +1,8 @@
 """Documentation hygiene: code snippets parse, referenced names exist."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -15,6 +17,33 @@ def python_blocks(path):
     return re.findall(r"```python\n(.*?)```", text, flags=re.S)
 
 
+def repro_imports(tree, where):
+    """``{local name: object}`` of a block's ``from repro... import``s;
+    a name that resolves neither as an attribute nor as a submodule
+    fails the test."""
+    imported = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "repro"):
+            continue
+        try:
+            module = importlib.import_module(node.module)
+        except ImportError:
+            pytest.fail(f"{where}: cannot import {node.module}")
+        for alias in node.names:
+            try:
+                obj = getattr(module, alias.name)
+            except AttributeError:
+                try:
+                    obj = importlib.import_module(
+                        f"{node.module}.{alias.name}")
+                except ImportError:
+                    pytest.fail(f"{where}: cannot import {alias.name} "
+                                f"from {node.module}")
+            imported[alias.asname or alias.name] = obj
+    return imported
+
+
 class TestDocSnippets:
     @pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
     def test_python_blocks_parse(self, path):
@@ -23,6 +52,28 @@ class TestDocSnippets:
                 ast.parse(block)
             except SyntaxError as exc:  # pragma: no cover - failure path
                 pytest.fail(f"{path.name} block {i}: {exc}")
+
+    @pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+    def test_repro_imports_and_keywords_resolve(self, path):
+        """Every ``from repro... import`` in a Python block resolves, and
+        every keyword a block passes to a callable it imported from
+        repro is a parameter of that callable."""
+        for i, block in enumerate(python_blocks(path)):
+            where = f"{path.name} block {i}"
+            tree = ast.parse(block)
+            imported = repro_imports(tree, where)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in imported):
+                    continue
+                params = inspect.signature(imported[node.func.id]).parameters
+                if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                    continue
+                for keyword in node.keywords:
+                    assert keyword.arg is None or keyword.arg in params, (
+                        f"{where}: {node.func.id}() takes no "
+                        f"{keyword.arg}=")
 
     def test_mechanisms_references_resolve(self):
         """Every `repro.x.y` dotted module named in mechanisms.md imports."""
