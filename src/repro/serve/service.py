@@ -12,10 +12,11 @@ descriptions (the ``repro.job/v1`` wire format); the service
   :class:`QueueFullError` (HTTP 429 + ``Retry-After`` upstairs) instead
   of accepting unbounded backlog;
 * **batches**: one dispatcher thread drains up to :data:`BATCH_MAX`
-  queued jobs at a time and hands the batch to the configured executor — a
-  :class:`~repro.exec.executors.ParallelExecutor` fans it across the
-  process pool it keeps for the service's life (started on the first
-  batch, replaced after a worker dies, joined on drain and close);
+  queued jobs at a time and hands the batch to the configured
+  executor — a :class:`~repro.exec.executors.ParallelExecutor` fans it
+  across the process pool it keeps for the service's life (started on
+  the first batch, replaced after a worker dies, joined on drain and
+  close);
 * enforces a per-job ``job_timeout`` through the engine's
   :class:`~repro.exec.job.CancelPulse` timeout hook;
 * **drains gracefully**: :meth:`begin_drain` rejects new work while
