@@ -38,6 +38,9 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 BLOCK_SHIFT = 6
 BLOCK_SIZE = 1 << BLOCK_SHIFT
+#: Cache blocks per 4 KB page: a page's block keys are the run
+#: ``range(base_key, base_key + BLOCKS_PER_PAGE)`` in either namespace.
+BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 
 VA_MASK = (1 << VA_BITS) - 1
 PA_MASK = (1 << PA_BITS) - 1

@@ -24,6 +24,8 @@ from functools import partial
 from typing import Protocol, Tuple
 
 from repro.common.address import (
+    BLOCKS_PER_PAGE,
+    PAGE_MASK,
     PAGE_SHIFT,
     physical_block_key,
     virtual_block_key,
@@ -76,20 +78,12 @@ class DelayedTlbEngine:
         mmu.register_histogram(self.walker.cycles_hist)
 
     def translate(self, asid: int, va: int) -> Tuple[int, int, int]:
-        page_key = virtual_page_key(asid, va)
-        entry = self.tlb.lookup(page_key)
-        cycles = self.tlb.latency
-        hit = entry is not None
-        if entry is None:
-            walk_cycles, pa, permissions, _ = self.walker.walk(asid, va)
-            cycles += walk_cycles
-            entry = TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions)
-            self.tlb.fill(entry)
+        pa, cycles, permissions, hit = self.tlb.translate(
+            virtual_page_key(asid, va), self.walker, asid, va)
         self.latency_hist.record(cycles)
         if self.mmu.tracer.recording:
             self.mmu.tracer.stage(STAGE_DELAYED_TLB, cycles=cycles, hit=hit)
-        pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
-        return pa, cycles, entry.permissions
+        return pa, cycles, permissions
 
     def shootdown(self, asid: int, page_va: int) -> None:
         self.tlb.shootdown(virtual_page_key(asid, page_va))
@@ -198,8 +192,8 @@ class HybridMmu(MmuBase):
                            permissions: int) -> None:
         """Downgrade cached copies in place (Section III-A / III-D)."""
         base_key = virtual_block_key(asid, page_va)
-        self.caches.downgrade_blocks((base_key + i for i in range(64)),
-                                     permissions)
+        self.caches.downgrade_blocks(
+            range(base_key, base_key + BLOCKS_PER_PAGE), permissions)
 
     def _shootdown(self, asid: int, page_va: int) -> None:
         page_key = virtual_page_key(asid, page_va)
@@ -212,7 +206,7 @@ class HybridMmu(MmuBase):
                 self.kernel.translate(asid, page_va).pa)
         else:
             base_key = virtual_block_key(asid, page_va)
-        self.caches.flush_blocks(base_key + i for i in range(64))
+        self.caches.flush_blocks(range(base_key, base_key + BLOCKS_PER_PAGE))
 
     # ------------------------------------------------------------------ #
     # The access path
@@ -267,7 +261,7 @@ class HybridMmu(MmuBase):
                               is_synonym=entry.is_synonym)
         if entry.is_synonym:
             self._hybrid_counts["true_synonym_accesses"] += 1
-            pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
+            pa = (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
             return physical_block_key(pa), front, entry.permissions, pa
         # False positive: the marker entry redirects to the ASID+VA path.
         self._hybrid_counts["false_positive_accesses"] += 1
@@ -305,7 +299,7 @@ class HybridMmu(MmuBase):
                     # The functional oracle names the page the hit read.
                     pa = self.kernel.translate(asid, va).pa
 
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
+        dram = self.dram.access(pa, is_write) if hit_level == "memory" else 0
 
         # Permission enforcement on the cached copy (Section III-D).
         if is_virtual_key and is_write and not permissions & 0x2:

@@ -9,7 +9,6 @@ translation overhead the proposed schemes try to recover.
 
 from __future__ import annotations
 
-from repro.common.address import physical_block_key
 from repro.core.mmu_base import MmuBase, Outcome
 
 
@@ -21,8 +20,5 @@ class IdealMmu(MmuBase):
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access with free, never-missing translation."""
         self._accesses += 1
-        pa = self.kernel.translate(asid, va).pa
-        hit_level, cache_cycles, _ = self.caches.access(
-            core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
-        return 0, cache_cycles, 0, dram, hit_level, pa
+        return self.physical_access(
+            core, self.kernel.translate(asid, va).pa, is_write, 0)

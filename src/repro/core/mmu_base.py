@@ -129,9 +129,18 @@ class MmuBase:
             cycles += self.dram.access(pa, is_write=False)
         return cycles
 
-    def memory_fill(self, pa: int, is_write: bool) -> int:
-        """DRAM cycles for an LLC-missing data access."""
-        return self.dram.access(pa, is_write)
+    def physical_access(self, core: int, pa: int, is_write: bool,
+                        front: int) -> Outcome:
+        """The data access of a physically addressed MMU: probe the caches
+        under ``pa``'s physical key, then DRAM on an LLC miss.
+
+        Returns the outcome tuple, with ``front`` cycles of translation
+        before the L1 and none after the LLC.
+        """
+        hit_level, cache_cycles, _ = self.caches.access(
+            core, physical_block_key(pa), is_write)
+        dram = self.dram.access(pa, is_write) if hit_level == "memory" else 0
+        return front, cache_cycles, 0, dram, hit_level, pa
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         raise NotImplementedError

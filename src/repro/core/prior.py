@@ -3,76 +3,60 @@
 * :class:`DirectSegmentMmu` — Basu et al., ISCA'13 (paper Section IV-A.2):
   one ``(base, limit, offset)`` register set per process maps a single
   large contiguous region with zero translation latency; everything else
-  uses the conventional two-level TLB path.  Caches stay physical.
+  uses the conventional two-level TLB path
+  (:class:`~repro.core.conventional.PagedMmu`).  Caches stay physical.
 
 * :class:`RmmMmu` — Karakostas et al., ISCA'15 "Redundant Memory
   Mappings": a 32-entry fully associative *range TLB* operates alongside
   the L2 TLB (7 cycles) and refills the L1 TLB on range hits; paging
-  remains as the redundant fallback.  Works beautifully until the live
+  remains as the redundant fallback.  It is the paged front end with
+  only the TLB-miss step replaced.  Works beautifully until the live
   range count exceeds 32 (Table III's thrashing workloads).
 
 * :class:`EnigmaMmu` — Zhang et al. (paper Section II-B "Intermediate
   address space"): the core translates VA→intermediate through one huge
   fixed-granularity segment per address space (cheap, core-side), the
   whole cache hierarchy runs on intermediate addresses, and a
-  conventional page-granularity delayed TLB translates intermediate→PA
-  after LLC misses.  Synonyms are handled by mapping shared regions into
-  one shared intermediate range, so no synonym filter is needed — but
-  the delayed translation is stuck at page granularity, which is exactly
-  the scalability limit (Figure 4) the paper's many-segment design lifts.
+  conventional page-granularity delayed TLB
+  (:meth:`~repro.tlb.delayed.DelayedTlb.translate`) translates
+  intermediate→PA after LLC misses.  Synonyms are handled by mapping
+  shared regions into one shared intermediate range, so no synonym
+  filter is needed — but the delayed translation is stuck at page
+  granularity, which is exactly the scalability limit (Figure 4) the
+  paper's many-segment design lifts.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.address import (
-    PAGE_SHIFT,
-    physical_block_key,
+    BLOCKS_PER_PAGE,
     virtual_block_key,
     virtual_page_key,
 )
 from repro.common.params import SystemConfig
+from repro.core.conventional import PagedMmu
 from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.address_space import POLICY_SHARED
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.rmm import DirectSegment, RangeTlb
-from repro.tlb.base import TlbEntry
 from repro.tlb.delayed import DelayedTlb
-from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.walker import PageWalker
 
 
-class DirectSegmentMmu(MmuBase):
+class DirectSegmentMmu(PagedMmu):
     """Single direct segment beside a conventional TLB hierarchy."""
 
     name = "direct_segment"
 
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
-        cfg = self.config
         self.segment = DirectSegment()
         self.stats.register(self.segment.stats)
-        self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
-                     for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       partial(self.charge_physical_read, c),
-                       name=f"walker_core{c}")
-            for c in range(cfg.cores)
-        ]
-        for c in range(cfg.cores):
-            self.stats.register(self.tlbs[c].stats)
-            self.stats.register(self.walkers[c].stats)
-        kernel.on_shootdown(self._shootdown)
         self._configured_asids: set[int] = set()
-
-    def _shootdown(self, asid: int, page_va: int) -> None:
-        key = virtual_page_key(asid, page_va)
-        for tlb in self.tlbs:
-            tlb.invalidate(key)
 
     def _ensure_configured(self, asid: int) -> None:
         """Lazy OS setup: point the registers at the process's largest
@@ -94,24 +78,11 @@ class DirectSegmentMmu(MmuBase):
         front = 0
         if pa is None:
             # Fallback paging: conventional TLB path.
-            page_key = virtual_page_key(asid, va)
-            entry, level = self.tlbs[core].lookup(page_key)
-            if level == "l2":
-                front = self.config.l2_tlb.latency
-            if entry is None:
-                cycles, pa, permissions, _ = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + cycles
-                self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT,
-                                              True, permissions))
-            else:
-                pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        hit_level, cache_cycles, _ = self.caches.access(
-            core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
-        return front, cache_cycles, 0, dram, hit_level, pa
+            front, pa = self.translate(core, asid, va)
+        return self.physical_access(core, pa, is_write, front)
 
 
-class RmmMmu(MmuBase):
+class RmmMmu(PagedMmu):
     """Redundant memory mappings: core-side 32-entry range TLB."""
 
     name = "rmm"
@@ -121,56 +92,24 @@ class RmmMmu(MmuBase):
 
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
-        cfg = self.config
         self.range_tlb = RangeTlb(kernel.segment_table, entries=self.RANGES,
-                                  latency=cfg.l2_tlb.latency)
+                                  latency=self.config.l2_tlb.latency)
         self.stats.register(self.range_tlb.stats)
-        self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
-                     for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       partial(self.charge_physical_read, c),
-                       name=f"walker_core{c}")
-            for c in range(cfg.cores)
-        ]
-        for c in range(cfg.cores):
-            self.stats.register(self.tlbs[c].stats)
-            self.stats.register(self.walkers[c].stats)
-        kernel.on_shootdown(self._shootdown)
 
-    def _shootdown(self, asid: int, page_va: int) -> None:
-        key = virtual_page_key(asid, page_va)
-        for tlb in self.tlbs:
-            tlb.invalidate(key)
+    def tlb_miss(self, core: int, asid: int, va: int) -> Tuple[int, int, int]:
+        """L1+L2 TLB miss: the range TLB (probed in parallel with the L2
+        TLB) usually saves the walk; outside every range, walk."""
+        try:
+            pa, cycles, _ = self.range_tlb.lookup(asid, va)
+        except SegmentFault:
+            return super().tlb_miss(core, asid, va)
+        return cycles, pa, 0x3
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One access: TLB hierarchy with the range TLB backing L2 misses."""
         self._accesses += 1
-        page_key = virtual_page_key(asid, va)
-        entry, level = self.tlbs[core].lookup(page_key)
-        front = 0
-        if level == "l1":
-            pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        elif level == "l2":
-            front = self.config.l2_tlb.latency
-            pa = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        else:
-            # L1+L2 TLB miss: the range TLB (probed in parallel with the
-            # L2 TLB) usually saves the walk.
-            try:
-                range_result = self.range_tlb.lookup(asid, va)
-                front = range_result.cycles
-                pa = range_result.pa
-                translation_perms = 0x3
-            except SegmentFault:
-                cycles, pa, translation_perms, _ = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + cycles
-            self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
-                                          translation_perms))
-        hit_level, cache_cycles, _ = self.caches.access(
-            core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
-        return front, cache_cycles, 0, dram, hit_level, pa
+        front, pa = self.translate(core, asid, va)
+        return self.physical_access(core, pa, is_write, front)
 
 
 class EnigmaMmu(MmuBase):
@@ -205,7 +144,7 @@ class EnigmaMmu(MmuBase):
     def _flush_page(self, asid: int, page_va: int, was_shared: bool) -> None:
         intermediate_asid, iva = self._intermediate(asid, page_va)
         base_key = virtual_block_key(intermediate_asid, iva)
-        self.caches.flush_blocks(base_key + i for i in range(64))
+        self.caches.flush_blocks(range(base_key, base_key + BLOCKS_PER_PAGE))
 
     def _intermediate(self, asid: int, va: int) -> tuple[int, int]:
         """First-level translation: (ASID, VA) → intermediate name.
@@ -237,20 +176,13 @@ class EnigmaMmu(MmuBase):
         front = self.FIRST_LEVEL_CYCLES
         key = virtual_block_key(intermediate_asid, iva)
         hit_level, cache_cycles, _ = self.caches.access(core, key, is_write)
-        delayed = 0
-        pa = None
+        delayed = dram = 0
         if hit_level == "memory":
-            page_key = virtual_page_key(intermediate_asid, iva)
-            entry = self.delayed_tlb.lookup(page_key)
-            delayed = self.delayed_tlb.latency
-            if entry is None:
-                cycles, walked_pa, permissions, _ = self.walker.walk(asid, va)
-                delayed += cycles
-                entry = TlbEntry(page_key, walked_pa >> PAGE_SHIFT, True,
-                                 permissions)
-                self.delayed_tlb.fill(entry)
-            pa = (entry.pfn << PAGE_SHIFT) | (iva & 0xFFF)
-        if pa is None:
+            # The entry is named by the intermediate page and filled by
+            # the process's own walk; both keep the VA's page offset.
+            pa, delayed, _, _ = self.delayed_tlb.translate(
+                virtual_page_key(intermediate_asid, iva), self.walker, asid, va)
+            dram = self.dram.access(pa, is_write)
+        else:
             pa = self.kernel.translate(asid, va).pa
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
         return front, cache_cycles, delayed, dram, hit_level, pa

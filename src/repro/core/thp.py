@@ -21,8 +21,8 @@ from functools import partial
 from typing import Optional
 
 from repro.common.address import (
+    PAGE_MASK,
     PAGE_SHIFT,
-    physical_block_key,
     virtual_huge_page_key,
     virtual_page_key,
 )
@@ -89,7 +89,7 @@ class ThpBaselineMmu(MmuBase):
     def _pa_of(entry: TlbEntry, va: int, huge: bool) -> int:
         if huge:
             return (entry.pfn << PAGE_SHIFT) | (va & HUGE_OFFSET_MASK)
-        return (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
+        return (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access through split 4 KB / 2 MB TLBs and physical caches."""
@@ -135,7 +135,4 @@ class ThpBaselineMmu(MmuBase):
                 pa = self._pa_of(entry, va, huge=False)
             self.l2[core].fill(entry)
 
-        hit_level, cache_cycles, _ = self.caches.access(
-            core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if hit_level == "memory" else 0
-        return front, cache_cycles, 0, dram, hit_level, pa
+        return self.physical_access(core, pa, is_write, front)

@@ -14,20 +14,10 @@ reproduces that measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.stats import StatGroup
 from repro.osmodel.segments import OsSegmentTable, Segment
-
-
-@dataclass(slots=True)
-class RangeTlbResult:
-    """Outcome of one range-TLB access."""
-
-    pa: int
-    cycles: int
-    hit: bool
 
 
 class RangeTlb:
@@ -43,33 +33,39 @@ class RangeTlb:
         self.entries = entries
         self.latency = latency
         self.stats = StatGroup("rmm_range_tlb")
+        self._counts = self.stats.counts
         # seg_id -> Segment, insertion-ordered for LRU.
         self._ranges: Dict[int, Segment] = {}
 
-    def lookup(self, asid: int, va: int) -> RangeTlbResult:
-        """Translate through the range TLB, walking the range table on miss."""
-        self.stats.add("lookups")
+    def lookup(self, asid: int, va: int) -> Tuple[int, int, bool]:
+        """Translate through the range TLB, walking the range table on miss.
+
+        Returns ``(pa, cycles, hit)``; raises
+        :class:`~repro.osmodel.segments.SegmentFault` outside every range.
+        """
+        counts = self._counts
+        counts["lookups"] += 1
         for seg_id, segment in self._ranges.items():
             if segment.asid == asid and segment.contains(va):
                 del self._ranges[seg_id]
                 self._ranges[seg_id] = segment
-                self.stats.add("hits")
-                return RangeTlbResult(va + segment.offset, self.latency, True)
-        self.stats.add("misses")
+                counts["hits"] += 1
+                return va + segment.offset, self.latency, True
+        counts["misses"] += 1
         segment = self.os_table.find(asid, va)  # may raise SegmentFault
         self._fill(segment)
-        return RangeTlbResult(va + segment.offset,
-                              self.latency + self.WALK_CYCLES, False)
+        return va + segment.offset, self.latency + self.WALK_CYCLES, False
 
     def _fill(self, segment: Segment) -> None:
+        counts = self._counts
         if segment.seg_id in self._ranges:
             del self._ranges[segment.seg_id]
         elif len(self._ranges) >= self.entries:
             oldest = next(iter(self._ranges))
             del self._ranges[oldest]
-            self.stats.add("evictions")
+            counts["evictions"] += 1
         self._ranges[segment.seg_id] = segment
-        self.stats.add("fills")
+        counts["fills"] += 1
 
     def invalidate(self, seg_id: int) -> None:
         self._ranges.pop(seg_id, None)

@@ -6,16 +6,20 @@ critical path its capacity can grow far past conventional L2 TLBs — the
 paper sweeps 1K to 64K entries (Figure 4) — and it is *shared* by all
 cores, so its entries are keyed by ASID + VPN.
 
-This class wraps :class:`SetAssociativeTlb` with the miss bookkeeping the
-experiments need (MPKI accounting against instruction counts happens in
-the harness) and with the shootdown interface the OS directs at the shared
-delayed structure when a non-synonym mapping changes (Section III-A).
+This class wraps :class:`SetAssociativeTlb` with the one probe → walk →
+fill step every delayed-TLB design shares (:meth:`DelayedTlb.translate`:
+the native and the 2-D hybrid engines and Enigma's intermediate-address
+TLB), the miss bookkeeping the experiments need (MPKI accounting against
+instruction counts happens in the harness) and the shootdown interface
+the OS directs at the shared delayed structure when a non-synonym
+mapping changes (Section III-A).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro.common.address import PAGE_MASK, PAGE_SHIFT
 from repro.common.params import TlbConfig
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
 
@@ -29,10 +33,25 @@ class DelayedTlb:
     def __init__(self, config: TlbConfig) -> None:
         self._tlb = SetAssociativeTlb(config, "delayed_tlb")
         self.stats = self._tlb.stats
+        self.latency = config.latency
 
-    @property
-    def latency(self) -> int:
-        return self._tlb.latency
+    def translate(self, page_key: int, walker, asid: int,
+                  va: int) -> Tuple[int, int, int, bool]:
+        """Translate an LLC-missing access: probe, walk on a miss, fill.
+
+        ``walker.walk(asid, va)`` answers a miss with ``(cycles, pa,
+        permissions, ...)``, as the native and the 2-D walker both do;
+        the walked page is filled under ``page_key``.  Returns ``(pa,
+        cycles, permissions, hit)``: ``cycles`` is the probe latency plus
+        any walk.
+        """
+        entry = self.lookup(page_key)
+        if entry is not None:
+            return ((entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK), self.latency,
+                    entry.permissions, True)
+        cycles, pa, permissions = walker.walk(asid, va)[:3]
+        self._tlb.fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions))
+        return pa, self.latency + cycles, permissions, False
 
     def lookup(self, page_key: int) -> Optional[TlbEntry]:
         """Probe on an LLC miss; None means a page walk is required."""

@@ -21,6 +21,8 @@ from functools import partial
 from typing import Optional, Tuple
 
 from repro.common.address import (
+    BLOCKS_PER_PAGE,
+    PAGE_MASK,
     PAGE_SHIFT,
     physical_block_key,
     virtual_block_key,
@@ -88,15 +90,12 @@ class VirtConventionalMmu(_VirtMmuBase):
         if level == "l2":
             front = self.config.l2_tlb.latency
         elif entry is None:
-            walked_ma, permissions, _, cycles, _ = self.walker.walk(asid, va)
+            cycles, walked_ma, permissions, _, _ = self.walker.walk(asid, va)
             front = self.config.l2_tlb.latency + cycles
             entry = TlbEntry(page_key, walked_ma >> PAGE_SHIFT, True, permissions)
             self.tlbs[core].fill(entry)
-        ma = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        hit_level, cache_cycles, _ = self.caches.access(
-            core, physical_block_key(ma), is_write)
-        dram = self.memory_fill(ma, is_write) if hit_level == "memory" else 0
-        return front, cache_cycles, 0, dram, hit_level, ma
+        ma = (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
+        return self.physical_access(core, ma, is_write, front)
 
 
 class Delayed2dTlbEngine:
@@ -108,16 +107,9 @@ class Delayed2dTlbEngine:
         mmu.stats.register(self.tlb.stats)
 
     def translate(self, guest_asid: int, gva: int) -> Tuple[int, int, int]:
-        page_key = virtual_page_key(self.mmu.asid_of(guest_asid), gva)
-        entry = self.tlb.lookup(page_key)
-        cycles = self.tlb.latency
-        if entry is None:
-            ma, permissions, _, walk_cycles, _ = self.mmu.walker.walk(guest_asid, gva)
-            cycles += walk_cycles
-            entry = TlbEntry(page_key, ma >> PAGE_SHIFT, True, permissions)
-            self.tlb.fill(entry)
-        ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
-        return ma, cycles, entry.permissions
+        return self.tlb.translate(
+            virtual_page_key(self.mmu.asid_of(guest_asid), gva),
+            self.mmu.walker, guest_asid, gva)[:3]
 
 
 class DelayedSegment2dEngine:
@@ -158,7 +150,7 @@ class DelayedSegment2dEngine:
         except SegmentFault:
             # Uncovered gVA (demand mapping): full nested walk fallback.
             counts["nested_fallbacks"] += 1
-            ma, permissions, _, walk_cycles, _ = self.mmu.walker.walk(guest_asid, gva)
+            walk_cycles, ma, permissions, _, _ = self.mmu.walker.walk(guest_asid, gva)
             return ma, cycles + walk_cycles, permissions
         cycles += guest_cycles
         host_segment = self.mmu.vm.host_segment_for(gpa)
@@ -218,7 +210,7 @@ class VirtHybridMmu(_VirtMmuBase):
                 self.vm.translate_2d(guest_asid, page_va)[0])
         else:
             base_key = virtual_block_key(self.asid_of(guest_asid), page_va)
-        self.caches.flush_blocks(base_key + i for i in range(64))
+        self.caches.flush_blocks(range(base_key, base_key + BLOCKS_PER_PAGE))
 
     # ------------------------------------------------------------------ #
     # Synonym detection: guest filter OR host filter, both keyed by gVA
@@ -265,7 +257,7 @@ class VirtHybridMmu(_VirtMmuBase):
                         r_dram, r_level, r_ma)
         if ma is None:
             ma = self.vm.translate_2d(asid, va)[0]
-        dram = self.memory_fill(ma, is_write) if hit_level == "memory" else 0
+        dram = self.dram.access(ma, is_write) if hit_level == "memory" else 0
         return front, cache_cycles, delayed_cycles, dram, hit_level, ma
 
     #: OS/hypervisor trap cost for a late hypervisor-synonym discovery.
@@ -279,7 +271,7 @@ class VirtHybridMmu(_VirtMmuBase):
         if self._host_shared(asid, va):
             self.hybrid_stats.counts["late_synonym_detections"] += 1
             self.vm.host_filter.mark_shared(va)
-            self.caches.flush_blocks(key + i for i in range(64))
+            self.caches.flush_blocks(range(key, key + BLOCKS_PER_PAGE))
             return True
         return False
 
@@ -288,14 +280,14 @@ class VirtHybridMmu(_VirtMmuBase):
         front = self.synonym_tlb.latency
         entry = self.synonym_tlb.lookup(page_key)
         if entry is None:
-            ma, permissions, guest_shared, cycles, _ = self.walker.walk(guest_asid, gva)
+            cycles, ma, permissions, guest_shared, _ = self.walker.walk(guest_asid, gva)
             front += cycles
             is_synonym = guest_shared or self._host_shared(guest_asid, gva)
             entry = TlbEntry(page_key, ma >> PAGE_SHIFT, is_synonym, permissions)
             self.synonym_tlb.fill(entry)
         if entry.is_synonym:
             self.hybrid_stats.counts["true_synonym_accesses"] += 1
-            ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
+            ma = (entry.pfn << PAGE_SHIFT) | (gva & PAGE_MASK)
             return physical_block_key(ma), front, ma
         self.hybrid_stats.counts["false_positive_accesses"] += 1
         return virtual_block_key(self.asid_of(guest_asid), gva), front, None

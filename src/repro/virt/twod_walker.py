@@ -15,14 +15,17 @@ as the standard pair:
   hit walk to the guest leaf PTE only.
 
 PTE reads are charged through the data-cache hierarchy at machine
-addresses via the injected ``charge`` callback, as in the native walker.
+addresses via the injected ``charge`` callback, as in the native walker,
+and a walk answers in the native walker's order plus its read count:
+``(cycles, ma, permissions, guest_shared, reads)``.  Either walker can
+therefore fill a delayed TLB (:meth:`repro.tlb.delayed.DelayedTlb.translate`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
-from repro.common.address import PAGE_SHIFT, page_base
+from repro.common.address import PAGE_MASK, PAGE_SHIFT, page_base
 from repro.common.params import WalkerConfig
 from repro.common.stats import StatGroup
 from repro.tlb.walker import WalkCache, probe_walk_cache
@@ -93,7 +96,7 @@ class TwoDWalker:
         page = page_base(gpa)
         ma_page = self.nested_tlb.lookup(page >> PAGE_SHIFT)
         if ma_page is not None:
-            return (ma_page << PAGE_SHIFT) | (gpa & 0xFFF), 1, 0
+            return (ma_page << PAGE_SHIFT) | (gpa & PAGE_MASK), 1, 0
         path, ma = self.vm.host_walk_path(gpa)
         cycles = 0
         for pte_ma in path:
@@ -105,10 +108,10 @@ class TwoDWalker:
     # The nested walk
     # ------------------------------------------------------------------ #
 
-    def walk(self, guest_asid: int, gva: int) -> Tuple[int, int, bool, int, int]:
+    def walk(self, guest_asid: int, gva: int) -> Tuple[int, int, int, bool, int]:
         """Perform one 2-D walk, charging every PTE read.
 
-        Returns ``(ma, permissions, is_guest_shared, cycles, reads)``.
+        Returns ``(cycles, ma, permissions, guest_shared, reads)``.
         """
         counts = self._counts
         counts["walks"] += 1
@@ -139,4 +142,4 @@ class TwoDWalker:
         permissions = guest_permissions & host_entry.permissions
         counts["memory_reads"] += reads
         counts["walk_cycles"] += cycles
-        return ma, permissions, guest_shared, cycles, reads
+        return cycles, ma, permissions, guest_shared, reads

@@ -203,11 +203,11 @@ class TestRangeTlb:
         table = make_table(n=4)
         rt = RangeTlb(table, entries=2)
         seg = table.segments_sorted()[0]
-        miss = rt.lookup(1, seg.vbase)
-        hit = rt.lookup(1, seg.vbase + 100)
-        assert not miss.hit and hit.hit
-        assert miss.pa == seg.vbase + seg.offset
-        assert hit.cycles == rt.latency
+        miss_pa, _miss_cycles, miss_hit = rt.lookup(1, seg.vbase)
+        _hit_pa, hit_cycles, hit_hit = rt.lookup(1, seg.vbase + 100)
+        assert not miss_hit and hit_hit
+        assert miss_pa == seg.vbase + seg.offset
+        assert hit_cycles == rt.latency
 
     def test_thrashing_beyond_capacity(self):
         table = make_table(n=8)
@@ -232,7 +232,7 @@ class TestRangeTlb:
         seg = table.segments_sorted()[0]
         rt.lookup(1, seg.vbase)
         rt.flush()
-        assert not rt.lookup(1, seg.vbase).hit
+        assert not rt.lookup(1, seg.vbase)[2]
 
 
 class TestDirectSegment:

@@ -133,7 +133,7 @@ class TestTwoDWalker:
         p, vma = guest_with_memory(vm)
         walker = TwoDWalker(vm, SystemConfig().walker, charge=lambda ma: 1)
         gva = vma.vbase + 0x777
-        ma, _permissions, _shared, _cycles, _reads = walker.walk(p.asid, gva)
+        _cycles, ma, _permissions, _shared, _reads = walker.walk(p.asid, gva)
         assert ma == vm.translate_2d(p.asid, gva)[0]
 
 
