@@ -7,10 +7,13 @@ they differ only in *where* translation happens.
 
 import dataclasses
 
+import pytest
+
 from repro.common.address import PAGE_SIZE, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
+from repro.core.prior import DirectSegmentMmu, RmmMmu
 from repro.osmodel import Kernel
 
 MB = 1024 * 1024
@@ -52,12 +55,18 @@ class TestConventionalMmu:
         out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
         assert out.front_cycles == config.l2_tlb.latency
 
-    def test_shootdown_invalidates(self):
-        kernel, p, vma, _s, mmu = build(ConventionalMmu)
-        mmu.access(0, p.asid, vma.vbase, False)
-        kernel.shootdown_page(p.asid, vma.vbase)
-        out = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase, False))
+    @pytest.mark.parametrize("mmu_cls", [ConventionalMmu, DirectSegmentMmu,
+                                         RmmMmu], ids=lambda cls: cls.__name__)
+    def test_shootdown_invalidates(self, mmu_cls):
+        kernel, p, _vma, _s, mmu = build(mmu_cls)
+        # A demand-mapped page lies outside every segment and range, so
+        # all three MMUs translate it through their TLBs and walkers.
+        page = kernel.mmap(p, 4 * PAGE_SIZE, policy="demand").vbase
+        mmu.access(0, p.asid, page, False)
+        kernel.shootdown_page(p.asid, page)
+        out = AccessOutcome._make(mmu.access(0, p.asid, page, False))
         assert out.front_cycles > 0  # walked again
+        assert mmu.walkers[0].stats["walks"] == 2
 
     def test_cache_hit_after_fill(self):
         _k, p, vma, _s, mmu = build(ConventionalMmu)
