@@ -62,13 +62,8 @@ class SimulationResult:
         return self.ipc / baseline.ipc
 
     # ------------------------------------------------------------------ #
-    # Observability views
+    # The JSON document
     # ------------------------------------------------------------------ #
-
-    def interval_series(self, group: str, counter: str) -> List[int]:
-        """One counter's per-window deltas (empty without ``interval``)."""
-        return [s["counters"].get(group, {}).get(counter, 0)
-                for s in self.intervals]
 
     def to_json_dict(self) -> Dict[str, object]:
         """Schema-stable machine-readable document of this result.
