@@ -67,9 +67,8 @@ class TestSchema:
             load_baseline(path)
 
     def test_committed_baselines_are_v2(self):
-        for name in ("latest.json", "model_baseline.json"):
-            doc = load_baseline(f"benchmarks/results/{name}")
-            assert doc["schema"] == BENCH_SCHEMA
+        doc = load_baseline("benchmarks/results/model_baseline.json")
+        assert doc["schema"] == BENCH_SCHEMA
 
 
 class TestGate:
