@@ -57,15 +57,14 @@ class RangeTlb:
         return va + segment.offset, self.latency + self.WALK_CYCLES, False
 
     def _fill(self, segment: Segment) -> None:
-        counts = self._counts
         if segment.seg_id in self._ranges:
             del self._ranges[segment.seg_id]
         elif len(self._ranges) >= self.entries:
             oldest = next(iter(self._ranges))
             del self._ranges[oldest]
-            counts["evictions"] += 1
+            self._counts["evictions"] += 1
         self._ranges[segment.seg_id] = segment
-        counts["fills"] += 1
+        self._counts["fills"] += 1
 
     def invalidate(self, seg_id: int) -> None:
         self._ranges.pop(seg_id, None)
