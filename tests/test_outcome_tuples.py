@@ -92,7 +92,7 @@ def test_lookups_and_walks_return_plain_tuples():
     walker = TwoDWalker(vm, config.walker, charge=lambda ma: 1)
     nested = walker.walk(guest.asid, gvma.vbase)
     assert type(nested) is tuple and len(nested) == 5
-    # The native walk's (cycles, pa, permissions, shared), plus reads.
+    # (cycles, ma, permissions, guest_shared, reads): the native order + reads.
     assert nested[1:4] == vm.translate_2d(guest.asid, gvma.vbase)
 
 
