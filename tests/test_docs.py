@@ -125,8 +125,17 @@ class TestDocLinks:
             assert resolved.exists(), f"{path.name}: broken link {target!r}"
 
     def test_backticked_paths_exist(self):
-        """File-looking `path` references in README/EXPERIMENTS exist."""
+        """File-looking `path` references in README/EXPERIMENTS exist; a
+        path that .gitignore lists as an exact line is a run's output,
+        not part of a checkout, so only its directory must exist."""
+        ignored = set((ROOT / ".gitignore").read_text().splitlines())
         for doc in (ROOT / "README.md", ROOT / "EXPERIMENTS.md"):
             for ref in re.findall(r"`((?:docs|examples|benchmarks|tests)/"
                                   r"[\w./]+)`", doc.read_text()):
-                assert (ROOT / ref).exists(), f"{doc.name}: {ref!r} missing"
+                if ref in ignored:
+                    assert (ROOT / ref).parent.is_dir(), (
+                        f"{doc.name}: ignored output {ref!r} has no "
+                        f"directory")
+                else:
+                    assert (ROOT / ref).exists(), (
+                        f"{doc.name}: {ref!r} missing")
