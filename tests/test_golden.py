@@ -21,7 +21,9 @@ The observer paths are pinned too: the JSONL events of a sampled trace
 (warm-up accesses close with ``timed: false``), the calls a pulse
 receives beside interval windows and that run's document, the document
 of a run that resets its counters after warm-up, and a two-workload
-time-sliced schedule under a hybrid and the baseline MMU.
+time-sliced schedule under a hybrid and the baseline MMU.  Longer runs
+pin the same paths where the warm-up, the windows, the pulses and the
+schedule's slices end inside a block of 256 references.
 
 A change that moves the model on purpose re-records only the entries it
 names and states the model reason in its commit.  Print the current
@@ -179,6 +181,27 @@ GOLDEN_SCHEDULE = {
     "baseline": "7fffdee7c8e0747b91fe76cff943dafde9b79c390b7cfdf7a3c27b52337bcaf0",
 }
 
+#: Runs of several blocks of 256 references whose boundaries fall inside
+#: a block: a sampled trace, windows of ``MULTIBLOCK_INTERVAL`` and a
+#: pulse every ``MULTIBLOCK_PULSE_EVERY`` timed accesses; their events,
+#: pulse calls and document.
+MULTIBLOCK_WARMUP = 2 * 256 + 50
+MULTIBLOCK_ACCESSES = 4 * 256 + 100
+MULTIBLOCK_INTERVAL = 300
+MULTIBLOCK_PULSE_EVERY = 200
+GOLDEN_MULTIBLOCK = {
+    "stream/hybrid_segments": "19ef257a109404181f340b259c53c86b341b518b5eda014c58c8a0b3f7073e76",
+    "gups/baseline": "b5372cae3361674651096e02b9b0e3e970cd74821d5a6d1b342a988b228d3e09",
+}
+
+#: The two-workload schedule over ``MULTIBLOCK_ACCESSES`` each, in
+#: slices of ``MULTIBLOCK_QUANTUM``.
+MULTIBLOCK_QUANTUM = 700
+GOLDEN_MULTIBLOCK_SCHEDULE = {
+    "hybrid_segments": "410790bd810c20851d73ba469c077ab0485991c6d42881a229416fbdb6ddde60",
+    "baseline": "7e93bbe9c4409ee0e380e9d30a88483cf04ffce16f082f5c3abb99103606f007",
+}
+
 
 def virt_system(workload: str, mmu: str):
     """``(laid_out, vm, system)``: a ``virt_*`` MMU on a fresh VM."""
@@ -238,9 +261,8 @@ def trace_digest(point: str) -> str:
 
 
 class _RecordingPulse:
-    every = PULSE_EVERY
-
-    def __init__(self) -> None:
+    def __init__(self, every: int = PULSE_EVERY) -> None:
+        self.every = every
         self.calls = []
 
     def __call__(self, done, total, instructions, cycles) -> None:
@@ -259,15 +281,30 @@ def reset_digest() -> str:
         _job(RESET_POINT, reset_stats_after_warmup=True).run())
 
 
-def schedule_digest(mmu: str) -> str:
+def multiblock_digest(point: str) -> str:
+    """SHA-256 of a multi-block run's trace events, pulse calls and
+    document."""
+    workload, mmu = point.split("/")
+    sink = io.StringIO()
+    pulse = _RecordingPulse(MULTIBLOCK_PULSE_EVERY)
+    result = Job(workload=workload, mmu=mmu, accesses=MULTIBLOCK_ACCESSES,
+                 warmup=MULTIBLOCK_WARMUP, seed=SEED,
+                 interval=MULTIBLOCK_INTERVAL).run(
+        tracer=Tracer(sample_every=TRACE_SAMPLE_EVERY, sink=sink),
+        pulse=pulse)
+    doc = [sink.getvalue(), pulse.calls, document_digest(result)]
+    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+
+
+def schedule_digest(mmu: str, accesses: int = SCHEDULE_ACCESSES,
+                    quantum: int = SCHEDULE_QUANTUM) -> str:
     """SHA-256 of a two-workload schedule's per-workload totals."""
     config = dataclasses.replace(SystemConfig(), cores=1)
     kernel = Kernel(config)
     workloads = [lay_out(name, kernel, seed=SEED + i)
                  for i, name in enumerate(SCHEDULE_WORKLOADS)]
     result = ScheduledSimulator(build_mmu(mmu, kernel, config), workloads,
-                                quantum=SCHEDULE_QUANTUM).run(
-                                    SCHEDULE_ACCESSES)
+                                quantum=quantum).run(accesses)
     doc = {
         "per_workload": {
             name: [r.instructions, r.accesses, r.cycles, r.cycle_breakdown]
@@ -298,6 +335,17 @@ def test_schedule_unchanged(mmu):
     assert schedule_digest(mmu) == GOLDEN_SCHEDULE[mmu]
 
 
+@pytest.mark.parametrize("point", sorted(GOLDEN_MULTIBLOCK))
+def test_multiblock_run_unchanged(point):
+    assert multiblock_digest(point) == GOLDEN_MULTIBLOCK[point]
+
+
+@pytest.mark.parametrize("mmu", sorted(GOLDEN_MULTIBLOCK_SCHEDULE))
+def test_multiblock_schedule_unchanged(mmu):
+    assert (schedule_digest(mmu, MULTIBLOCK_ACCESSES, MULTIBLOCK_QUANTUM)
+            == GOLDEN_MULTIBLOCK_SCHEDULE[mmu])
+
+
 def test_grid_covers_every_mmu():
     assert {point.split("/")[1] for point in GOLDEN} == set(MMUS)
     assert set(GOLDEN_MULTICORE) == set(MULTICORE_MMUS)
@@ -324,3 +372,10 @@ if __name__ == "__main__":
     print()
     for mmu in GOLDEN_SCHEDULE:
         print(f'    "{mmu}": "{schedule_digest(mmu)}",')
+    print()
+    for point in GOLDEN_MULTIBLOCK:
+        print(f'    "{point}": "{multiblock_digest(point)}",')
+    print()
+    for mmu in GOLDEN_MULTIBLOCK_SCHEDULE:
+        digest = schedule_digest(mmu, MULTIBLOCK_ACCESSES, MULTIBLOCK_QUANTUM)
+        print(f'    "{mmu}": "{digest}",')
