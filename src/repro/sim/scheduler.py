@@ -15,13 +15,13 @@ switches need no flushes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, starmap
 from typing import Dict, List
 
 from repro.common.stats import StatGroup
 from repro.core.hybrid import HybridMmu
 from repro.core.mmu_base import MmuBase
 from repro.sim.results import SimulationResult
+from repro.sim.simulator import outcome_blocks
 from repro.timing.model import TimingModel
 from repro.workloads.spec import LaidOutWorkload
 
@@ -116,8 +116,10 @@ class ScheduledSimulator:
             budget = min(self.quantum, remaining[index])
             # The slice runs on the core it was scheduled to.
             refs = ((core, asid, va, is_write) for _core, asid, va, is_write
-                    in islice(streams[index], budget))
-            timings[spec.name].account(starmap(access, refs), 1 + spec.gap)
+                    in streams[index])
+            account = timings[spec.name].account
+            for outcomes in outcome_blocks(access, refs, budget):
+                account(outcomes, 1 + spec.gap)
             remaining[index] -= budget
 
         per_workload = {}

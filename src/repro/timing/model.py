@@ -71,10 +71,11 @@ class TimingModel:
         """Account memory accesses, each with the instructions preceding it.
 
         ``outcomes`` yields ``mmu.access`` outcome tuples (or their
-        :class:`~repro.core.mmu_base.AccessOutcome` views) and is consumed
-        here, so the simulator passes its access stream straight in.  The
-        stall sums and the access histogram are kept in locals and written
-        back once per call, also when the stream raises.
+        :class:`~repro.core.mmu_base.AccessOutcome` views); the simulator
+        passes the list of one block's outcomes, so accounting runs as its
+        own loop after the block's accesses.  The stall sums and the
+        access histogram are kept in locals and written back once per
+        call, also when ``outcomes`` raises.
         """
         pipelined = self.L1_HIT_PIPELINED_CYCLES
         access_counts = self.access_hist.counts

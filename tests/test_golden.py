@@ -23,7 +23,9 @@ receives beside interval windows and that run's document, the document
 of a run that resets its counters after warm-up, and a two-workload
 time-sliced schedule under a hybrid and the baseline MMU.  Longer runs
 pin the same paths where the warm-up, the windows, the pulses and the
-schedule's slices end inside a block of 256 references.
+schedule's slices end inside one of the simulator's blocks of
+references (``repro.sim.simulator.BLOCK``, 256), and other block sizes
+must give the same bytes.
 
 A change that moves the model on purpose re-records only the entries it
 names and states the model reason in its commit.  Print the current
@@ -181,8 +183,8 @@ GOLDEN_SCHEDULE = {
     "baseline": "7fffdee7c8e0747b91fe76cff943dafde9b79c390b7cfdf7a3c27b52337bcaf0",
 }
 
-#: Runs of several blocks of 256 references whose boundaries fall inside
-#: a block: a sampled trace, windows of ``MULTIBLOCK_INTERVAL`` and a
+#: Runs of several 256-reference blocks whose boundaries fall inside a
+#: block: a sampled trace, windows of ``MULTIBLOCK_INTERVAL`` and a
 #: pulse every ``MULTIBLOCK_PULSE_EVERY`` timed accesses; their events,
 #: pulse calls and document.
 MULTIBLOCK_WARMUP = 2 * 256 + 50
@@ -344,6 +346,21 @@ def test_multiblock_run_unchanged(point):
 def test_multiblock_schedule_unchanged(mmu):
     assert (schedule_digest(mmu, MULTIBLOCK_ACCESSES, MULTIBLOCK_QUANTUM)
             == GOLDEN_MULTIBLOCK_SCHEDULE[mmu])
+
+
+def test_block_size_leaves_documents_unchanged(monkeypatch):
+    """A block only groups the stages' work: blocks of 1, 7 and 4096
+    references give the default's events, pulse calls, document and
+    schedule."""
+    def digests():
+        return (multiblock_digest("stream/hybrid_segments"),
+                schedule_digest("hybrid_segments", MULTIBLOCK_ACCESSES,
+                                MULTIBLOCK_QUANTUM))
+
+    default = digests()
+    for block in (1, 7, 4096):
+        monkeypatch.setattr("repro.sim.simulator.BLOCK", block)
+        assert digests() == default, f"BLOCK = {block}"
 
 
 def test_grid_covers_every_mmu():

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
-from itertools import islice, starmap
 
 import pytest
 
@@ -18,7 +16,7 @@ from repro.obs.manifest import config_fingerprint
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import build_mmu, lay_out, run_workload
 from repro.sim.report import histogram_chart, horizontal_bars
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, outcome_blocks
 from repro.osmodel.kernel import Kernel
 from repro.timing.model import TimingModel
 
@@ -457,15 +455,17 @@ def _fresh_system(accesses, warmup, seed=42):
 
 
 def _bare_loop(accesses, warmup):
-    """The model work alone: the warm-up, then every timed access
-    accounted in one call, with no observability around it."""
+    """The model work alone, in the simulator's blocks: the warm-up
+    blocks, then each timed block accounted, with no observability
+    around them."""
     mmu, workload = _fresh_system(accesses, warmup)
     timing = TimingModel(mmu.config.core, mlp=workload.spec.mlp)
     start = time.process_time()
     refs = workload.references(warmup + accesses, seed=42)
-    deque(starmap(mmu.access, islice(refs, warmup)), maxlen=0)
-    timing.account(starmap(mmu.access, islice(refs, accesses)),
-                   1 + workload.spec.gap)
+    for _outcomes in outcome_blocks(mmu.access, refs, warmup):
+        pass
+    for outcomes in outcome_blocks(mmu.access, refs, accesses):
+        timing.account(outcomes, 1 + workload.spec.gap)
     return time.process_time() - start
 
 
@@ -480,7 +480,8 @@ def _instrumented_loop(accesses, warmup):
 @pytest.mark.perf
 def test_disabled_tracer_overhead_under_5_percent():
     """With tracing off, Simulator.run must stay within 5% of the bare
-    access+timing loop."""
+    loop: the same blocks of draws, accesses and accounting, without the
+    manifest, the windows, the pulses or the tracer hooks."""
     accesses, warmup = 6000, 1000
     # Both loops are timed in CPU seconds of this process, so time the
     # host gives other tenants is not counted as plumbing.  Interleave
