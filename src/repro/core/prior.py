@@ -157,8 +157,10 @@ class EnigmaMmu(MmuBase):
         vma = process.find_vma(va)
         if vma is not None and vma.policy == POLICY_SHARED:
             assert vma.shared_pbase is not None
-            namespace = self._shared_intermediate.setdefault(
-                vma.shared_pbase, self._pick_shared_id())
+            namespace = self._shared_intermediate.get(vma.shared_pbase)
+            if namespace is None:
+                namespace = self._pick_shared_id()
+                self._shared_intermediate[vma.shared_pbase] = namespace
             return namespace, vma.shared_pbase + (va - vma.vbase)
         return asid, va
 

@@ -113,6 +113,21 @@ class TestEnigmaMmu:
         assert out_a.translated_pa == out_b.translated_pa
         assert out_b.hit_level in ("llc", "l1", "l2")
 
+    def test_each_shared_region_draws_one_namespace(self):
+        """A region's namespace is picked at its first access only, so
+        accesses to one region never advance the next region's id."""
+        config = system()
+        kernel = Kernel(config)
+        a = kernel.create_process("a")
+        b = kernel.create_process("b")
+        first = kernel.mmap_shared([a, b], 4 * PAGE_SIZE)[a.asid]
+        second = kernel.mmap_shared([a, b], 4 * PAGE_SIZE)[a.asid]
+        mmu = EnigmaMmu(kernel, config)
+        for i in range(5000):
+            mmu.access(0, a.asid, first.vbase + (i * 8) % first.length, False)
+        assert mmu._intermediate(a.asid, first.vbase)[0] == 0xF002
+        assert mmu._intermediate(a.asid, second.vbase)[0] == 0xF003
+
     def test_private_namespaces_distinct(self):
         config = system()
         kernel = Kernel(config)
