@@ -117,9 +117,9 @@ class ScheduledSimulator:
             # The slice runs on the core it was scheduled to.
             refs = ((core, asid, va, is_write) for _core, asid, va, is_write
                     in streams[index])
-            account = timings[spec.name].account
+            timing = timings[spec.name]
             for outcomes in outcome_blocks(access, refs, budget):
-                account(outcomes, 1 + spec.gap)
+                timing.account(outcomes, 1 + spec.gap)
             remaining[index] -= budget
 
         per_workload = {}

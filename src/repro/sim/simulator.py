@@ -13,9 +13,9 @@ The stages run over blocks of up to :data:`BLOCK` references
 the MMU is mapped over that list, and the timing model accounts the
 list of outcomes.  Each stage is its own loop, which measured about
 10 % cheaper per access than pulling every reference through the
-generator, the MMU and the accounting in turn.  The references are a
-function of the workload's seed alone, so drawing them ahead of the
-MMU changes nothing it sees.
+generator, the MMU and the accounting in turn.  The stream depends only
+on the seed and the layout, never on the MMU, so drawing it ahead
+changes nothing the MMU sees.
 
 Observability (``repro.obs``) threads through here: an attached
 :class:`~repro.obs.tracer.Tracer` records per-access pipeline events, an
@@ -140,7 +140,6 @@ class Simulator:
         # Windows diff against the counters as the timed phase starts.
         recorder = (IntervalRecorder(mmu.stats, timing, interval)
                     if interval else None)
-        account = timing.account
         instructions_between = 1 + spec.gap
         done = 0
         while done < accesses:
@@ -150,7 +149,7 @@ class Simulator:
             if pulse_every > 0:
                 step = min(step, pulse_every - done % pulse_every)
             for outcomes in outcome_blocks(timed_access, refs, step):
-                account(outcomes, instructions_between)
+                timing.account(outcomes, instructions_between)
             done += step
             if recorder is not None:
                 recorder.advance(step)
