@@ -73,6 +73,27 @@ class TestRunWorkload:
         result = run_workload("stream", "ideal", accesses=1000, warmup=500)
         assert result.accesses == 1000
 
+    def test_failing_access_propagates(self):
+        """An access that raises inside a block ends the run there: the
+        error reaches the caller and no later reference is simulated."""
+        kernel = Kernel(SystemConfig())
+        workload = lay_out("stream", kernel, seed=42)
+        mmu = build_mmu("baseline", kernel)
+        access = mmu.access
+        calls = 0
+
+        def failing_access(core, asid, va, is_write):
+            nonlocal calls
+            calls += 1
+            if calls == 300:
+                raise RuntimeError("access 300 failed")
+            return access(core, asid, va, is_write)
+
+        mmu.access = failing_access
+        with pytest.raises(RuntimeError, match="access 300 failed"):
+            Simulator(mmu).run(workload, 500, warmup=100, seed=42)
+        assert calls == 300
+
 
 class TestCompareConfigs:
     def test_normalized_baseline_is_one(self):
