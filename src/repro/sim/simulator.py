@@ -11,11 +11,12 @@ matters proportionally more).
 The stages run over blocks of up to :data:`BLOCK` references
 (:func:`outcome_blocks`): the block's references are drawn into a list,
 the MMU is mapped over that list, and the timing model accounts the
-list of outcomes.  Each stage is its own loop, which measured about
-10 % cheaper per access than pulling every reference through the
-generator, the MMU and the accounting in turn.  The stream depends only
-on the seed and the layout, never on the MMU, so drawing it ahead
-changes nothing the MMU sees.
+list of outcomes.  Each stage is its own loop: on perfbench's campaigns
+(2-vCPU KVM guest) that simulated about 9 % more accesses per second
+than pulling every reference through the generator, the MMU and the
+accounting in turn.  The stream depends only on the seed and the
+layout, never on the MMU, so drawing it ahead changes nothing the MMU
+sees.
 
 Observability (``repro.obs``) threads through here: an attached
 :class:`~repro.obs.tracer.Tracer` records per-access pipeline events, an
