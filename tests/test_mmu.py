@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.address import PAGE_SIZE, virtual_block_key
+from repro.common.address import PAGE_SIZE, virtual_block_key, virtual_page_key
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
@@ -182,6 +182,20 @@ class TestHybridMmuSynonyms:
         mmu.access(0, a.asid, shared.vbase, False)
         assert mmu.hybrid_stats["synonym_candidates"] == 1
         assert mmu.hybrid_stats["true_synonym_accesses"] == 1
+
+    def test_filter_false_positive_leaves_marker_entry(self):
+        """A private page whose filter bit is set walks once; its
+        non-synonym marker entry then answers the next candidate."""
+        _k, a, vma, _s, mmu = build(HybridMmu)
+        va = vma.vbase
+        a.synonym_filter.mark_shared(va)
+        mmu.access(0, a.asid, va, False)
+        mmu.access(0, a.asid, va + 64, False)
+        entry = mmu.synonym_tlb.probe(virtual_page_key(a.asid, va))
+        assert entry is not None and not entry.is_synonym
+        assert mmu.synonym_tlb.stats["hits"] == 1
+        assert mmu.hybrid_stats["true_synonym_accesses"] == 0
+        assert mmu.hybrid_stats["false_positive_accesses"] == 2
 
     def test_write_to_readonly_synonym_faults_before_cache(self):
         """Section III-A: the synonym TLB checks permissions up front."""

@@ -7,16 +7,21 @@ translation — ``Kernel.translate`` natively,
 several processes with synonym regions, so their address spaces sit side
 by side in the segment index tree: the case where a translation
 structure that ignores the ASID hands one process another's segment.
+
+After a remap, the TLB that held the page must answer with the new
+frame: every MMU's shootdown reaches every TLB it keeps.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.common.address import PAGE_SHIFT, PAGE_SIZE
 from repro.common.params import SystemConfig
 from repro.core.mmu_base import AccessOutcome
 from repro.osmodel.kernel import Kernel
 from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
+from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 from tests.test_golden import SEED, VIRT_MMUS, virt_system
 
 WORKLOADS = ("ferret", "specjbb", "firefox", "apache")
@@ -48,3 +53,43 @@ def test_translated_pa_matches_kernel(workload, mmu):
                                                                 record.va):
             wrong.append((record.asid, hex(record.va)))
     assert not wrong, f"{len(wrong)} wrong translations, first {wrong[:3]}"
+
+
+def _empty_system(mmu: str):
+    """``(kernel, system, oracle)`` with no workload laid out; under
+    virtualization ``kernel`` is the guest's."""
+    if mmu not in VIRT_MMUS:
+        kernel = Kernel(SystemConfig(),
+                        transparent_huge_pages=mmu == "baseline_thp")
+        return (kernel, build_mmu(mmu, kernel),
+                lambda asid, va: kernel.translate(asid, va).pa)
+    hypervisor = Hypervisor()
+    vm = hypervisor.create_vm("vm")
+    if mmu == "virt_baseline":
+        system = VirtConventionalMmu(hypervisor, vm)
+    else:
+        system = VirtHybridMmu(hypervisor, vm,
+                               delayed=mmu[len("virt_hybrid_"):])
+    return (vm.guest_kernel, system,
+            lambda asid, va: vm.translate_2d(asid, va)[0])
+
+
+@pytest.mark.parametrize("page", ("private", "shared"))
+@pytest.mark.parametrize("mmu", MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS)
+def test_remap_reaches_the_tlb_that_holds_the_page(mmu, page):
+    """Read a page, remap it onto a fresh frame, then read a block of it
+    that no cache holds: the TLB that served the first read must answer
+    with the new frame."""
+    kernel, system, oracle = _empty_system(mmu)
+    a = kernel.create_process("a")
+    b = kernel.create_process("b")
+    if page == "shared":
+        va = kernel.mmap_shared([a, b], 4 * PAGE_SIZE)[a.asid].vbase
+    else:
+        va = kernel.mmap(a, 4 * PAGE_SIZE, policy="demand").vbase
+    system.access(0, a.asid, va, False)
+    block = va + 64
+    before = oracle(a.asid, block)
+    kernel.share_readonly([(a, va)], kernel.frames.alloc_frame() << PAGE_SHIFT)
+    after = AccessOutcome._make(system.access(0, a.asid, block, False))
+    assert after.translated_pa == oracle(a.asid, block) != before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.address import PAGE_SIZE, page_base
+from repro.common.address import PAGE_SIZE, page_base, virtual_page_key
 from repro.common.params import SystemConfig
 from repro.core.mmu_base import AccessOutcome
 from repro.osmodel.pagetable import PERM_READ, PageFault
@@ -197,3 +197,40 @@ class TestVirtMmus:
         out_b = AccessOutcome._make(mmu.access(0, b.asid, vmas[b.asid].vbase, False))
         assert out_a.translated_pa == out_b.translated_pa
         assert mmu.hybrid_stats["true_synonym_accesses"] == 2
+
+    def test_hypervisor_synonym_fills_synonym_entry(self, hv):
+        """A private guest page whose gPA the inverse map names from two
+        gVAs is a synonym: the host filter's candidate fills a synonym
+        entry and travels under its machine address."""
+        vm = hv.create_vm("vm")
+        p, vma = guest_with_memory(vm)
+        gva = vma.vbase
+        gpa = vm.guest_kernel.translate(p.asid, gva).pa
+        vm.record_gva(p.asid, gva, gpa)
+        vm.record_gva(p.asid, gva + 4 * PAGE_SIZE, gpa)
+        vm.host_filter.mark_shared(gva)
+        mmu = VirtHybridMmu(hv, vm, delayed="tlb")
+        out = AccessOutcome._make(mmu.access(0, p.asid, gva, False))
+        entry = mmu.synonym_tlb.probe(
+            virtual_page_key(mmu.asid_of(p.asid), gva))
+        assert entry is not None and entry.is_synonym
+        assert mmu.hybrid_stats["true_synonym_accesses"] == 1
+        assert mmu.hybrid_stats["false_positive_accesses"] == 0
+        assert out.translated_pa == vm.translate_2d(p.asid, gva)[0]
+
+    def test_host_filter_false_positive_leaves_marker_entry(self, hv):
+        """A private guest page with only its host-filter bit set walks
+        once and leaves a non-synonym marker entry."""
+        vm = hv.create_vm("vm")
+        p, vma = guest_with_memory(vm)
+        gva = vma.vbase
+        vm.host_filter.mark_shared(gva)
+        mmu = VirtHybridMmu(hv, vm, delayed="tlb")
+        mmu.access(0, p.asid, gva, False)
+        mmu.access(0, p.asid, gva + 64, False)
+        entry = mmu.synonym_tlb.probe(
+            virtual_page_key(mmu.asid_of(p.asid), gva))
+        assert entry is not None and not entry.is_synonym
+        assert mmu.synonym_tlb.stats["hits"] == 1
+        assert mmu.hybrid_stats["true_synonym_accesses"] == 0
+        assert mmu.hybrid_stats["false_positive_accesses"] == 2
