@@ -299,7 +299,8 @@ class Kernel:
         The given (process, va) pages are remapped onto one physical page
         with read-only permissions.  No synonym-filter update is needed:
         r/o synonyms stay virtually addressed because they cannot create
-        incoherence; cached copies are permission-downgraded instead.
+        incoherence; cached copies are permission-downgraded instead,
+        through the listeners :meth:`change_permissions` notifies.
         """
         for process, va in processes_vas:
             va = page_base(va)
@@ -309,6 +310,8 @@ class Kernel:
             process.page_table.map(va, pbase >> PAGE_SHIFT,
                                    permissions=PERM_READ, shared=False)
             self._shootdown(process.asid, va)
+            for listener in self._permission_listeners:
+                listener(process.asid, va, PERM_READ)
         self.stats.add("content_sharings")
 
     def fork(self, parent: Process, name: Optional[str] = None) -> Process:

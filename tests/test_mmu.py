@@ -9,7 +9,12 @@ import dataclasses
 
 import pytest
 
-from repro.common.address import PAGE_SIZE, virtual_block_key, virtual_page_key
+from repro.common.address import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    virtual_block_key,
+    virtual_page_key,
+)
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.core import AccessOutcome, ConventionalMmu, HybridMmu, IdealMmu
@@ -219,6 +224,21 @@ class TestHybridMmuSynonyms:
         again = AccessOutcome._make(
             mmu.access(0, b.asid, vmas[b.asid].vbase, is_write=False))
         assert again.translated_pa == shared_pa
+
+    def test_readonly_share_downgrades_cached_copies(self):
+        """Section III-D: content sharing downgrades the cached copies, so
+        the next write faults and copies the page instead of writing the
+        shared frame."""
+        kernel, a, _vma, _s, mmu = build(HybridMmu)
+        va = kernel.mmap(a, 4 * PAGE_SIZE, policy="demand").vbase
+        mmu.access(0, a.asid, va, True)
+        shared_frame = kernel.frames.alloc_frame()
+        kernel.share_readonly([(a, va)], shared_frame << PAGE_SHIFT)
+        write = AccessOutcome._make(mmu.access(0, a.asid, va, True))
+        assert mmu.hybrid_stats["permission_faults"] == 1
+        assert kernel.stats["cow_faults"] == 1
+        assert write.translated_pa >> PAGE_SHIFT != shared_frame
+        assert write.translated_pa == kernel.translate(a.asid, va).pa
 
     def test_share_transition_flushes_virtual_lines(self):
         kernel, a, vma, _s, mmu = build(HybridMmu, sharing=True)
