@@ -1,8 +1,10 @@
 """Documentation hygiene: code snippets parse, referenced names exist."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +12,33 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
+
+
+#: An inline code span (not a fenced block's backticks).
+INLINE_CODE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
+#: A dotted name, optionally called: `a.b.c` or `A.b(x)`.
+DOTTED_NAME = re.compile(r"(\w+(?:\.\w+)+)(?:\(.*\))?")
+
+
+def repro_classes():
+    """``{name: class}`` of every class defined in a repro module."""
+    import repro
+
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                assert classes.setdefault(name, obj) is obj, (
+                    f"two repro classes named {name}")
+    return classes
+
+
+def has_member(obj, attr):
+    """True when ``obj`` has ``attr``, a dataclass's fields included."""
+    return hasattr(obj, attr) or (
+        inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+        and attr in {f.name for f in dataclasses.fields(obj)})
 
 
 def python_blocks(path):
@@ -75,29 +104,37 @@ class TestDocSnippets:
                         f"{where}: {node.func.id}() takes no "
                         f"{keyword.arg}=")
 
-    def test_mechanisms_references_resolve(self):
-        """Every `repro.x.y` dotted module named in mechanisms.md imports."""
-        import importlib
-
-        text = (ROOT / "docs" / "mechanisms.md").read_text()
-        modules = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
-        for dotted in sorted(modules):
-            parts = dotted.split(".")
-            # Import the longest importable prefix, then walk attributes
-            # (class members referenced as module.Class.method).
-            obj = None
-            consumed = 0
-            for i in range(len(parts), 0, -1):
-                try:
-                    obj = importlib.import_module(".".join(parts[:i]))
-                    consumed = i
+    @pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: p.name)
+    def test_backticked_names_resolve(self, path):
+        """Every backticked `repro.x.y` dotted name, and every backticked
+        `Class.member` whose class is a repro class, resolves: the module
+        imports and each attribute after it exists (a dataclass field
+        counts).  A trailing argument list (`Job.fingerprint()`) is
+        allowed; file names such as `DESIGN.md` name no repro class."""
+        classes = repro_classes()
+        for span in INLINE_CODE.findall(path.read_text()):
+            name = DOTTED_NAME.fullmatch(span)
+            if name is None:
+                continue
+            head, *attrs = name.group(1).split(".")
+            if head == "repro":
+                # Import the longest importable prefix, then walk
+                # attributes (class members named as module.Class.method).
+                for i in range(len(attrs), -1, -1):
+                    try:
+                        obj = importlib.import_module(
+                            ".".join(["repro"] + attrs[:i]))
+                    except ImportError:
+                        continue
+                    attrs = attrs[i:]
                     break
-                except ImportError:
-                    continue
-            assert obj is not None, dotted
-            for attr in parts[consumed:]:
-                assert hasattr(obj, attr), dotted
-                obj = getattr(obj, attr)
+            elif head in classes:
+                obj = classes[head]
+            else:
+                continue
+            for attr in attrs:
+                assert has_member(obj, attr), f"{path.name}: `{span}`"
+                obj = getattr(obj, attr, None)
 
     def test_experiments_lists_every_benchmark(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()
