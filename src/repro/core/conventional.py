@@ -8,27 +8,23 @@ the cache hierarchy.  All cache levels are physically tagged, so nothing
 proceeds until the translation resolves.
 
 :class:`PagedMmu` is that paged front end on its own: the per-core TLB
-hierarchies and walkers, the shootdown listener and the TLB → walk → fill
-step.  The baseline and the prior schemes that keep paging beside their
-ranges (:mod:`repro.core.prior`) build on it.
+hierarchies, walkers and TLB-miss walks and the shootdown listener.  The
+baseline and the prior schemes that keep paging beside their ranges
+(:mod:`repro.core.prior`) build on it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Tuple
 
 from repro.common.address import (
     BLOCKS_PER_PAGE,
-    PAGE_MASK,
-    PAGE_SHIFT,
     physical_block_key,
     virtual_page_key,
 )
 from repro.common.params import SystemConfig
 from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.kernel import Kernel
-from repro.tlb.base import TlbEntry
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.walker import PageWalker
 
@@ -38,6 +34,7 @@ class PagedMmu(MmuBase):
 
     Registers each core's ``tlb_core{c}`` and ``walker_core{c}`` stat
     groups and a shootdown listener that invalidates every core's TLBs.
+    ``miss_walks[c]`` is what core ``c``'s TLBs call on a miss.
     """
 
     def __init__(self, kernel: Kernel, config: SystemConfig | None) -> None:
@@ -51,6 +48,7 @@ class PagedMmu(MmuBase):
                        name=f"walker_core{c}")
             for c in range(cfg.cores)
         ]
+        self.miss_walks = [walker.walk for walker in self.walkers]
         for tlb, walker in zip(self.tlbs, self.walkers):
             self.stats.register(tlb.stats)
             self.stats.register(walker.stats)
@@ -60,32 +58,6 @@ class PagedMmu(MmuBase):
         key = virtual_page_key(asid, page_va)
         for tlb in self.tlbs:
             tlb.invalidate(key)
-
-    def translate(self, core: int, asid: int, va: int) -> Tuple[int, int]:
-        """TLB hierarchy, then :meth:`tlb_miss` and a fill on a miss.
-
-        Returns ``(front_cycles, pa)``: nothing on an L1-TLB hit (it
-        overlaps the L1 access), the L2-TLB latency on an L2 hit, and the
-        miss step's cycles on a miss.
-        """
-        page_key = virtual_page_key(asid, va)
-        tlb = self.tlbs[core]
-        entry, level = tlb.lookup(page_key)
-        if entry is None:
-            front, pa, permissions = self.tlb_miss(core, asid, va)
-            tlb.fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions))
-            return front, pa
-        front = self.config.l2_tlb.latency if level == "l2" else 0
-        return front, (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
-
-    def tlb_miss(self, core: int, asid: int, va: int) -> Tuple[int, int, int]:
-        """Both TLB levels missed: walk the page table.
-
-        Returns ``(front_cycles, pa, permissions)``; the front cycles are
-        the L2-TLB latency plus the walk.
-        """
-        cycles, pa, permissions, _ = self.walkers[core].walk(asid, va)
-        return self.config.l2_tlb.latency + cycles, pa, permissions
 
 
 class ConventionalMmu(PagedMmu):
@@ -108,5 +80,6 @@ class ConventionalMmu(PagedMmu):
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One memory access: TLB hierarchy, walk on miss, physical caches."""
         self._accesses += 1
-        front, pa = self.translate(core, asid, va)
+        front, pa = self.tlbs[core].translate(
+            virtual_page_key(asid, va), self.miss_walks[core], asid, va)
         return self.physical_access(core, pa, is_write, front)

@@ -45,7 +45,7 @@ from repro.obs.histogram import Histogram
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
-from repro.tlb.base import SetAssociativeTlb, TlbEntry
+from repro.tlb.base import SetAssociativeTlb
 from repro.tlb.delayed import DelayedTlb
 from repro.tlb.walker import PageWalker
 
@@ -79,7 +79,7 @@ class DelayedTlbEngine:
 
     def translate(self, asid: int, va: int) -> Tuple[int, int, int]:
         pa, cycles, permissions, hit = self.tlb.translate(
-            virtual_page_key(asid, va), self.walker, asid, va)
+            virtual_page_key(asid, va), self.walker.walk, asid, va)
         self.latency_hist.record(cycles)
         if self.mmu.tracer.recording:
             self.mmu.tracer.stage(STAGE_DELAYED_TLB, cycles=cycles, hit=hit)
@@ -247,15 +247,8 @@ class HybridMmu(MmuBase):
 
     def _resolve_candidate(self, asid: int, va: int):
         """Synonym-TLB path for filter hits; detects false positives."""
-        page_key = virtual_page_key(asid, va)
-        front = self.synonym_tlb.latency
-        entry = self.synonym_tlb.lookup(page_key)
-        hit = entry is not None
-        if entry is None:
-            cycles, pa, permissions, shared = self.synonym_walker.walk(asid, va)
-            front += cycles
-            entry = TlbEntry(page_key, pa >> PAGE_SHIFT, shared, permissions)
-            self.synonym_tlb.fill(entry)
+        entry, front, hit = self.synonym_tlb.translate(
+            virtual_page_key(asid, va), self.synonym_walker.walk, asid, va)
         if self.tracer.recording:
             self.tracer.stage(STAGE_SYNONYM_TLB, cycles=front, hit=hit,
                               is_synonym=entry.is_synonym)

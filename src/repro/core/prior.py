@@ -10,7 +10,7 @@
   Mappings": a 32-entry fully associative *range TLB* operates alongside
   the L2 TLB (7 cycles) and refills the L1 TLB on range hits; paging
   remains as the redundant fallback.  It is the paged front end with
-  only the TLB-miss step replaced.  Works beautifully until the live
+  only the TLB-miss walk replaced.  Works beautifully until the live
   range count exceeds 32 (Table III's thrashing workloads).
 
 * :class:`EnigmaMmu` — Zhang et al. (paper Section II-B "Intermediate
@@ -43,6 +43,7 @@ from repro.osmodel.address_space import POLICY_SHARED
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.rmm import DirectSegment, RangeTlb
+from repro.tlb.base import PERM_RW, WalkFn
 from repro.tlb.delayed import DelayedTlb
 from repro.tlb.walker import PageWalker
 
@@ -78,7 +79,8 @@ class DirectSegmentMmu(PagedMmu):
         front = 0
         if pa is None:
             # Fallback paging: conventional TLB path.
-            front, pa = self.translate(core, asid, va)
+            front, pa = self.tlbs[core].translate(
+                virtual_page_key(asid, va), self.miss_walks[core], asid, va)
         return self.physical_access(core, pa, is_write, front)
 
 
@@ -92,23 +94,26 @@ class RmmMmu(PagedMmu):
 
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
-        self.range_tlb = RangeTlb(kernel.segment_table, entries=self.RANGES,
-                                  latency=self.config.l2_tlb.latency)
+        self.range_tlb = RangeTlb(kernel.segment_table, entries=self.RANGES)
         self.stats.register(self.range_tlb.stats)
+        self.miss_walks = [partial(self._range_walk, walk)
+                           for walk in self.miss_walks]
 
-    def tlb_miss(self, core: int, asid: int, va: int) -> Tuple[int, int, int]:
+    def _range_walk(self, walk: WalkFn, asid: int,
+                    va: int) -> Tuple[int, int, int, bool]:
         """L1+L2 TLB miss: the range TLB (probed in parallel with the L2
-        TLB) usually saves the walk; outside every range, walk."""
+        TLB) usually saves the walk; outside every range, ``walk``."""
         try:
             pa, cycles, _ = self.range_tlb.lookup(asid, va)
         except SegmentFault:
-            return super().tlb_miss(core, asid, va)
-        return cycles, pa, 0x3
+            return walk(asid, va)
+        return cycles, pa, PERM_RW, False
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         """One access: TLB hierarchy with the range TLB backing L2 misses."""
         self._accesses += 1
-        front, pa = self.translate(core, asid, va)
+        front, pa = self.tlbs[core].translate(
+            virtual_page_key(asid, va), self.miss_walks[core], asid, va)
         return self.physical_access(core, pa, is_write, front)
 
 
@@ -183,7 +188,8 @@ class EnigmaMmu(MmuBase):
             # The entry is named by the intermediate page and filled by
             # the process's own walk; both keep the VA's page offset.
             pa, delayed, _, _ = self.delayed_tlb.translate(
-                virtual_page_key(intermediate_asid, iva), self.walker, asid, va)
+                virtual_page_key(intermediate_asid, iva), self.walker.walk,
+                asid, va)
             dram = self.dram.access(pa, is_write)
         else:
             pa = self.kernel.translate(asid, va).pa

@@ -2,9 +2,10 @@
 
 RMM places a small *range TLB* of variable-length segments on the critical
 core-to-L1 path, redundantly with conventional paging.  Because it sits
-before the L1, its size is latency-bound: 32 fully associative entries at
-7 cycles (the paper's Section IV-A.2 description).  When an access misses
-all 32 ranges, a range-table walk refills the range TLB.
+before the L1, its size is latency-bound: 32 fully associative entries
+probed beside the L2 TLB, within its 7 cycles (the paper's Section IV-A.2
+description).  When an access misses all 32 ranges, a range-table walk
+refills the range TLB.
 
 The paper's Table III reports *segment misses per kilo-instruction* for
 this design on workloads whose live-segment count exceeds 32 — the
@@ -27,11 +28,9 @@ class RangeTlb:
     #: over an in-memory range table, per the RMM paper's design).
     WALK_CYCLES = 50
 
-    def __init__(self, os_table: OsSegmentTable, entries: int = 32,
-                 latency: int = 7) -> None:
+    def __init__(self, os_table: OsSegmentTable, entries: int = 32) -> None:
         self.os_table = os_table
         self.entries = entries
-        self.latency = latency
         self.stats = StatGroup("rmm_range_tlb")
         self._counts = self.stats.counts
         # seg_id -> Segment, insertion-ordered for LRU.
@@ -40,7 +39,8 @@ class RangeTlb:
     def lookup(self, asid: int, va: int) -> Tuple[int, int, bool]:
         """Translate through the range TLB, walking the range table on miss.
 
-        Returns ``(pa, cycles, hit)``; raises
+        Returns ``(pa, cycles, hit)``: 0 cycles on a hit and
+        :attr:`WALK_CYCLES` after a range-table walk.  Raises
         :class:`~repro.osmodel.segments.SegmentFault` outside every range.
         """
         counts = self._counts
@@ -50,11 +50,11 @@ class RangeTlb:
                 del self._ranges[seg_id]
                 self._ranges[seg_id] = segment
                 counts["hits"] += 1
-                return va + segment.offset, self.latency, True
+                return va + segment.offset, 0, True
         counts["misses"] += 1
         segment = self.os_table.find(asid, va)  # may raise SegmentFault
         self._fill(segment)
-        return va + segment.offset, self.latency + self.WALK_CYCLES, False
+        return va + segment.offset, self.WALK_CYCLES, False
 
     def _fill(self, segment: Segment) -> None:
         if segment.seg_id in self._ranges:

@@ -7,6 +7,8 @@ a packed ``ASID + VPN`` integer (see :func:`repro.common.address.
 virtual_page_key`) so homonyms are disambiguated exactly as the paper's
 ASID-extended tags do.
 
+Each TLB kind owns one probe → walk → fill step, which MMUs call with
+their page walk; :meth:`SetAssociativeTlb.translate` is the synonym TLB's.
 Entries carry the translation *and* the page's synonym status: a
 false-positive probe from the synonym filter installs a **non-synonym
 marker entry** (``is_synonym=False``) that short-circuits future false
@@ -16,7 +18,7 @@ positives for the page (Section III-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.address import PAGE_SHIFT, VA_BITS
 from repro.common.params import TlbConfig
@@ -29,6 +31,9 @@ VPN_BITS = VA_BITS - PAGE_SHIFT
 PERM_READ = 0x1
 PERM_WRITE = 0x2
 PERM_RW = PERM_READ | PERM_WRITE
+
+#: A page walk: ``(asid, va) -> (cycles, pa, permissions, shared, ...)``.
+WalkFn = Callable[[int, int], tuple]
 
 
 @dataclass(slots=True)
@@ -72,6 +77,19 @@ class SetAssociativeTlb:
         tlb_set[page_key] = entry
         counts["hits"] += 1
         return entry
+
+    def translate(self, page_key: int, walk: WalkFn, asid: int,
+                  va: int) -> Tuple[TlbEntry, int, bool]:
+        """Probe; on a miss, walk and fill with the walk's ``shared`` bit
+        as the synonym status (a marker entry when it is false).  Returns
+        ``(entry, cycles, hit)``: the probe latency plus any walk."""
+        entry = self.lookup(page_key)
+        if entry is not None:
+            return entry, self.latency, True
+        cycles, pa, permissions, shared = walk(asid, va)[:4]
+        entry = TlbEntry(page_key, pa >> PAGE_SHIFT, shared, permissions)
+        self.fill(entry)
+        return entry, self.latency + cycles, False
 
     def probe(self, page_key: int) -> Optional[TlbEntry]:
         """Check residence without touching LRU state or counters."""

@@ -9,10 +9,10 @@ cores, so its entries are keyed by ASID + VPN.
 This class wraps :class:`SetAssociativeTlb` with the one probe → walk →
 fill step every delayed-TLB design shares (:meth:`DelayedTlb.translate`:
 the native and the 2-D hybrid engines and Enigma's intermediate-address
-TLB), the miss bookkeeping the experiments need (MPKI accounting against
-instruction counts happens in the harness) and the shootdown interface
-the OS directs at the shared delayed structure when a non-synonym
-mapping changes (Section III-A).
+TLB, each with its own walk), the miss bookkeeping the experiments need
+(MPKI accounting against instruction counts happens in the harness) and
+the shootdown interface the OS directs at the shared delayed structure
+when a non-synonym mapping changes (Section III-A).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from repro.common.address import PAGE_MASK, PAGE_SHIFT
 from repro.common.params import TlbConfig
-from repro.tlb.base import SetAssociativeTlb, TlbEntry
+from repro.tlb.base import SetAssociativeTlb, TlbEntry, WalkFn
 
 
 class DelayedTlb:
@@ -35,21 +35,19 @@ class DelayedTlb:
         self.stats = self._tlb.stats
         self.latency = config.latency
 
-    def translate(self, page_key: int, walker, asid: int,
+    def translate(self, page_key: int, walk: WalkFn, asid: int,
                   va: int) -> Tuple[int, int, int, bool]:
         """Translate an LLC-missing access: probe, walk on a miss, fill.
 
-        ``walker.walk(asid, va)`` answers a miss with ``(cycles, pa,
-        permissions, ...)``, as the native and the 2-D walker both do;
-        the walked page is filled under ``page_key``.  Returns ``(pa,
-        cycles, permissions, hit)``: ``cycles`` is the probe latency plus
-        any walk.
+        ``walk(asid, va)`` answers a miss; the walked page is filled
+        under ``page_key``.  Returns ``(pa, cycles, permissions, hit)``:
+        ``cycles`` is the probe latency plus any walk.
         """
         entry = self.lookup(page_key)
         if entry is not None:
             return ((entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK), self.latency,
                     entry.permissions, True)
-        cycles, pa, permissions = walker.walk(asid, va)[:3]
+        cycles, pa, permissions = walk(asid, va)[:3]
         self._tlb.fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions))
         return pa, self.latency + cycles, permissions, False
 

@@ -2,17 +2,18 @@
 
 Models the Haswell-like configuration of Table IV: a 64-entry 4-way L1 TLB
 (1 cycle) backed by a 1024-entry 8-way L2 TLB (7 cycles).  A lookup probes
-L1, then L2; an L2 hit refills L1.  Misses are reported to the caller,
-which invokes the page walker and fills both levels.
+L1, then L2; an L2 hit refills L1.  On a miss, :meth:`TlbHierarchy.translate`
+calls the walk it is given and fills both levels.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.common.address import PAGE_MASK, PAGE_SHIFT
 from repro.common.params import TlbConfig
 from repro.common.stats import StatGroup
-from repro.tlb.base import SetAssociativeTlb, TlbEntry
+from repro.tlb.base import SetAssociativeTlb, TlbEntry, WalkFn
 
 
 class TlbHierarchy:
@@ -47,6 +48,19 @@ class TlbHierarchy:
             return entry, "l2"
         counts["misses"] += 1
         return None, "miss"
+
+    def translate(self, page_key: int, walk: WalkFn, asid: int,
+                  va: int) -> Tuple[int, int]:
+        """Probe L1 then L2; on a miss, walk and fill both levels.  Returns
+        ``(front_cycles, pa)``: 0 on an L1 hit (it overlaps the L1 cache
+        access), the L2 latency on an L2 hit, plus the walk on a miss."""
+        entry, level = self.lookup(page_key)
+        if entry is None:
+            cycles, pa, permissions = walk(asid, va)[:3]
+            self.fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True, permissions))
+            return self.l2.latency + cycles, pa
+        front = self.l2.latency if level == "l2" else 0
+        return front, (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
 
     def fill(self, entry: TlbEntry) -> None:
         """Install a walked translation into both levels."""

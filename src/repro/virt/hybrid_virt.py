@@ -34,7 +34,7 @@ from repro.core.mmu_base import MmuBase, Outcome
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.segtrans.segment_cache import SegmentCache
-from repro.tlb.base import SetAssociativeTlb, TlbEntry
+from repro.tlb.base import SetAssociativeTlb
 from repro.tlb.delayed import DelayedTlb
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.virt.hypervisor import Hypervisor, VirtualMachine
@@ -84,17 +84,9 @@ class VirtConventionalMmu(_VirtMmuBase):
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> Outcome:
         self._accesses += 1
-        page_key = virtual_page_key(self.asid_of(asid), va)
-        entry, level = self.tlbs[core].lookup(page_key)
-        front = 0
-        if level == "l2":
-            front = self.config.l2_tlb.latency
-        elif entry is None:
-            cycles, walked_ma, permissions, _, _ = self.walker.walk(asid, va)
-            front = self.config.l2_tlb.latency + cycles
-            entry = TlbEntry(page_key, walked_ma >> PAGE_SHIFT, True, permissions)
-            self.tlbs[core].fill(entry)
-        ma = (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
+        front, ma = self.tlbs[core].translate(
+            virtual_page_key(self.asid_of(asid), va), self.walker.walk,
+            asid, va)
         return self.physical_access(core, ma, is_write, front)
 
 
@@ -109,7 +101,7 @@ class Delayed2dTlbEngine:
     def translate(self, guest_asid: int, gva: int) -> Tuple[int, int, int]:
         return self.tlb.translate(
             virtual_page_key(self.mmu.asid_of(guest_asid), gva),
-            self.mmu.walker, guest_asid, gva)[:3]
+            self.mmu.walker.walk, guest_asid, gva)[:3]
 
 
 class DelayedSegment2dEngine:
@@ -268,7 +260,7 @@ class VirtHybridMmu(_VirtMmuBase):
         """Catch gVAs that reached the non-synonym path but whose backing
         frame is hypervisor-shared; mark the host filter and purge the
         wrongly (virtually) named lines."""
-        if self._host_shared(asid, va):
+        if self.vm.host_synonym(self.vm.guest_kernel.translate(asid, va).pa):
             self.hybrid_stats.counts["late_synonym_detections"] += 1
             self.vm.host_filter.mark_shared(va)
             self.caches.flush_blocks(range(key, key + BLOCKS_PER_PAGE))
@@ -276,26 +268,15 @@ class VirtHybridMmu(_VirtMmuBase):
         return False
 
     def _resolve_candidate(self, guest_asid: int, gva: int):
-        page_key = virtual_page_key(self.asid_of(guest_asid), gva)
-        front = self.synonym_tlb.latency
-        entry = self.synonym_tlb.lookup(page_key)
-        if entry is None:
-            cycles, ma, permissions, guest_shared, _ = self.walker.walk(guest_asid, gva)
-            front += cycles
-            is_synonym = guest_shared or self._host_shared(guest_asid, gva)
-            entry = TlbEntry(page_key, ma >> PAGE_SHIFT, is_synonym, permissions)
-            self.synonym_tlb.fill(entry)
+        entry, front, _ = self.synonym_tlb.translate(
+            virtual_page_key(self.asid_of(guest_asid), gva), self.walker.walk,
+            guest_asid, gva)
         if entry.is_synonym:
             self.hybrid_stats.counts["true_synonym_accesses"] += 1
             ma = (entry.pfn << PAGE_SHIFT) | (gva & PAGE_MASK)
             return physical_block_key(ma), front, ma
         self.hybrid_stats.counts["false_positive_accesses"] += 1
         return virtual_block_key(self.asid_of(guest_asid), gva), front, None
-
-    def _host_shared(self, guest_asid: int, gva: int) -> bool:
-        """Ground truth for hypervisor-induced sharing of this gVA."""
-        guest = self.vm.guest_kernel.translate(guest_asid, gva)
-        return self.vm.gva_count(guest.pa) > 1
 
     def tlb_access_reduction(self) -> float:
         return self.hybrid_stats.ratio("tlb_bypasses", "accesses")

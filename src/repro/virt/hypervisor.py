@@ -129,12 +129,13 @@ class VirtualMachine:
     # ------------------------------------------------------------------ #
 
     def translate_2d(self, guest_asid: int, gva: int):
-        """gVA → gPA → MA; returns (ma, permissions, is_synonym)."""
+        """gVA → gPA → MA; returns ``(ma, permissions, is_synonym)``, the
+        synonym status as a 2-D walk reports it (:meth:`host_synonym`)."""
         guest = self.guest_kernel.translate(guest_asid, gva)
         ma = self.host_translate(guest.pa)
         host_entry = self.host_page_table.entry(page_base(guest.pa))
         permissions = guest.permissions & host_entry.permissions
-        return ma, permissions, guest.shared
+        return ma, permissions, guest.shared or self.host_synonym(guest.pa)
 
     def record_gva(self, guest_asid: int, gva: int, gpa: int) -> None:
         """Maintain the gPA→gVA inverse map (done at guest map time)."""
@@ -152,6 +153,10 @@ class VirtualMachine:
     def gva_count(self, gpa: int) -> int:
         """How many (guest ASID, gVA page) pairs name this gPA page."""
         return len(self._gpa_to_gva.get(page_base(gpa), ()))
+
+    def host_synonym(self, gpa: int) -> bool:
+        """True when more than one gVA names this gPA page (Section V-A)."""
+        return self.gva_count(gpa) > 1
 
 
 class Hypervisor:

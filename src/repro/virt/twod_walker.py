@@ -17,8 +17,9 @@ as the standard pair:
 PTE reads are charged through the data-cache hierarchy at machine
 addresses via the injected ``charge`` callback, as in the native walker,
 and a walk answers in the native walker's order plus its read count:
-``(cycles, ma, permissions, guest_shared, reads)``.  Either walker can
-therefore fill a delayed TLB (:meth:`repro.tlb.delayed.DelayedTlb.translate`).
+``(cycles, ma, permissions, shared, reads)``, so either walker's ``walk``
+can fill any TLB (:mod:`repro.tlb`).  ``shared`` is the guest's bit or the
+hypervisor's (:meth:`repro.virt.hypervisor.VirtualMachine.host_synonym`).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class TwoDWalker:
     def walk(self, guest_asid: int, gva: int) -> Tuple[int, int, int, bool, int]:
         """Perform one 2-D walk, charging every PTE read.
 
-        Returns ``(cycles, ma, permissions, guest_shared, reads)``.
+        Returns ``(cycles, ma, permissions, shared, reads)``.
         """
         counts = self._counts
         counts["walks"] += 1
@@ -142,4 +143,5 @@ class TwoDWalker:
         permissions = guest_permissions & host_entry.permissions
         counts["memory_reads"] += reads
         counts["walk_cycles"] += cycles
-        return cycles, ma, permissions, guest_shared, reads
+        return (cycles, ma, permissions,
+                guest_shared or self.vm.host_synonym(gpa), reads)

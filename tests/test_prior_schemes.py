@@ -60,7 +60,7 @@ class TestRmmMmu:
         mmu.access(0, p.asid, vma.vbase, False)
         # Range fill happened; another page in the same range needs no walk.
         far = AccessOutcome._make(mmu.access(0, p.asid, vma.vbase + 4 * MB, False))
-        assert far.front_cycles == mmu.range_tlb.latency
+        assert far.front_cycles == mmu.config.l2_tlb.latency
         assert far.translated_pa == kernel.translate(p.asid,
                                                      vma.vbase + 4 * MB).pa
         assert mmu.walkers[0].stats["walks"] == 0
