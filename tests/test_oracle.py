@@ -21,7 +21,6 @@ from repro.common.params import SystemConfig
 from repro.core.mmu_base import AccessOutcome
 from repro.osmodel.kernel import Kernel
 from repro.sim.runner import MMU_CONFIGS, PRIOR_CONFIGS, build_mmu, lay_out
-from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 from tests.test_golden import SEED, VIRT_MMUS, virt_system
 
 WORKLOADS = ("ferret", "specjbb", "firefox", "apache")
@@ -55,32 +54,14 @@ def test_translated_pa_matches_kernel(workload, mmu):
     assert not wrong, f"{len(wrong)} wrong translations, first {wrong[:3]}"
 
 
-def _empty_system(mmu: str):
-    """``(kernel, system, oracle)`` with no workload laid out; under
-    virtualization ``kernel`` is the guest's."""
-    if mmu not in VIRT_MMUS:
-        kernel = Kernel(SystemConfig(),
-                        transparent_huge_pages=mmu == "baseline_thp")
-        return (kernel, build_mmu(mmu, kernel),
-                lambda asid, va: kernel.translate(asid, va).pa)
-    hypervisor = Hypervisor()
-    vm = hypervisor.create_vm("vm")
-    if mmu == "virt_baseline":
-        system = VirtConventionalMmu(hypervisor, vm)
-    else:
-        system = VirtHybridMmu(hypervisor, vm,
-                               delayed=mmu[len("virt_hybrid_"):])
-    return (vm.guest_kernel, system,
-            lambda asid, va: vm.translate_2d(asid, va)[0])
-
-
 @pytest.mark.parametrize("page", ("private", "shared"))
 @pytest.mark.parametrize("mmu", MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS)
 def test_remap_reaches_the_tlb_that_holds_the_page(mmu, page):
     """Read a page, remap it onto a fresh frame, then read a block of it
     that no cache holds: the TLB that served the first read must answer
     with the new frame."""
-    kernel, system, oracle = _empty_system(mmu)
+    _laid_out, system, oracle = _system(WORKLOADS[0], mmu)
+    kernel = system.kernel  # the guest's under virtualization
     a = kernel.create_process("a")
     b = kernel.create_process("b")
     if page == "shared":
