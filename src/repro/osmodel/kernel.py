@@ -92,7 +92,6 @@ class Kernel:
         self.index_tree = IndexTree(self.frames)
         self._processes: Dict[int, Process] = {}
         self._next_asid = 1
-        self._free_asids: List[int] = []
         self._shootdown_listeners: List[ShootdownFn] = []
         self._flush_listeners: List[FlushFn] = []
         self._permission_listeners: List[Callable[[int, int, int], None]] = []
@@ -107,26 +106,24 @@ class Kernel:
     # ------------------------------------------------------------------ #
 
     def create_process(self, name: str, va_base: Optional[int] = None) -> Process:
-        """Spawn a process with a fresh (or recycled) ASID.
+        """Spawn a process with a fresh ASID.
 
         Heap bases are staggered per process (ASLR-style) by default.
         Beyond realism this matters to the hybrid design: the caches are
         virtually indexed, so identical layouts across processes would
         pile every process's hot set into the same cache sets.
 
-        ASIDs are 16-bit (Section III-A: 65,536 address spaces).  Retired
-        ASIDs are recycled in FIFO order; :meth:`destroy_process` already
-        flushed all state under the old ASID, so reuse is safe.
+        ASIDs are 16-bit (Section III-A) and never reused: reuse would
+        need every ASID-tagged structure (TLBs, segment caches, range
+        TLB, direct-segment registers, ASID+VA lines) flushed of the
+        retired address space.  ASID 0 is never handed out, so a kernel
+        creates at most 65,535 processes.
         """
-        if self._free_asids:
-            asid = self._free_asids.pop(0)
-            self.stats.add("asids_recycled")
-        else:
-            if self._next_asid > 0xFFFF:
-                raise RuntimeError("ASID space exhausted (65,536 live "
-                                   "address spaces)")
-            asid = self._next_asid
-            self._next_asid += 1
+        if self._next_asid > 0xFFFF:
+            raise RuntimeError("ASID space exhausted (65,535 address "
+                               "spaces created; ASIDs are never reused)")
+        asid = self._next_asid
+        self._next_asid += 1
         if va_base is None:
             va_base = 0x1000_0000 + (asid % 64) * 0x37_F000
         process = Process(name, asid, self.frames, self.segment_table,
@@ -138,18 +135,18 @@ class Kernel:
         return process
 
     def destroy_process(self, process: Process) -> None:
-        """Tear down an address space completely.
+        """Tear down an address space and retire its ASID.
 
         Unmaps every VMA (flushing caches and shooting down TLBs page by
-        page), releases the radix-table node frames, and retires the
-        ASID for recycling.  After this the kernel holds no state for
-        the process and its ASID may name a different address space.
+        page) and releases the radix-table node frames.  The ASID is
+        never handed out again, so what hardware still caches under it
+        (segment-cache and range-TLB entries, ASID+VA lines) is
+        unreachable, not stale.
         """
         for vma in process.vmas():
             self.munmap(process, vma)
         process.page_table.release()
         del self._processes[process.asid]
-        self._free_asids.append(process.asid)
         self.stats.add("processes_destroyed")
 
     def process(self, asid: int) -> Process:

@@ -105,7 +105,7 @@ class ManySegmentTranslator:
         pa = va + segment.offset
         if self.segment_cache is not None:
             self.segment_cache.fill(asid, va, segment.vbase, segment.vlimit,
-                                    segment.offset, segment.seg_id)
+                                    segment.offset)
         counts["full_walks"] += 1
         self.depth_hist.record(nodes_read)
         self.latency_hist.record(cycles)

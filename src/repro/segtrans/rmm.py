@@ -66,12 +66,6 @@ class RangeTlb:
         self._ranges[segment.seg_id] = segment
         self._counts["fills"] += 1
 
-    def invalidate(self, seg_id: int) -> None:
-        self._ranges.pop(seg_id, None)
-
-    def flush(self) -> None:
-        self._ranges.clear()
-
     def miss_count(self) -> int:
         return self.stats["misses"]
 

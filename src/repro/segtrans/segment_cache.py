@@ -28,7 +28,6 @@ class SegmentCacheEntry:
     offset: int       # PA = VA + offset within the valid subrange
     valid_start: int  # VA of the covered subrange start (within the region)
     valid_end: int    # VA one past the covered subrange
-    seg_id: int
 
 
 class SegmentCache:
@@ -66,7 +65,7 @@ class SegmentCache:
         return va + entry.offset
 
     def fill(self, asid: int, va: int, seg_vbase: int, seg_vlimit: int,
-             offset: int, seg_id: int) -> None:
+             offset: int) -> None:
         """Install the region containing ``va``, clipped to its segment."""
         key = self._region_of(asid, va)
         region_start = key[1] << self.config.segment_cache_grain_shift
@@ -75,7 +74,6 @@ class SegmentCache:
             offset=offset,
             valid_start=max(region_start, seg_vbase),
             valid_end=min(region_end, seg_vlimit),
-            seg_id=seg_id,
         )
         if key in self._entries:
             del self._entries[key]
@@ -85,14 +83,6 @@ class SegmentCache:
             self._counts["evictions"] += 1
         self._entries[key] = entry
         self._counts["fills"] += 1
-
-    def invalidate_segment(self, seg_id: int) -> int:
-        """Drop every region cached from one segment (OS remap)."""
-        stale = [k for k, e in self._entries.items() if e.seg_id == seg_id]
-        for k in stale:
-            del self._entries[k]
-        self.stats.add("invalidations", len(stale))
-        return len(stale)
 
     def flush(self) -> None:
         self._entries.clear()

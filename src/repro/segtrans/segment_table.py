@@ -62,10 +62,5 @@ class HwSegmentTable:
             counts["cold_fills"] += 1
         return segment, cycles
 
-    def invalidate(self, seg_id: int) -> None:
-        """OS removed or changed a segment; drop the HW copy."""
-        self._loaded.discard(seg_id)
-        self.stats.add("invalidations")
-
     def flush(self) -> None:
         self._loaded.clear()

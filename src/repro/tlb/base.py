@@ -20,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.address import PAGE_SHIFT, VA_BITS
+from repro.common.address import PAGE_SHIFT
 from repro.common.params import TlbConfig
 from repro.common.stats import StatGroup
-
-#: VPN width inside a packed page key (48-bit VA, 4 KB pages): the ASID
-#: sits above it (see :func:`repro.common.address.virtual_page_key`).
-VPN_BITS = VA_BITS - PAGE_SHIFT
 
 PERM_READ = 0x1
 PERM_WRITE = 0x2
@@ -118,23 +114,6 @@ class SetAssociativeTlb:
             self.stats.add("invalidations")
             return True
         return False
-
-    def flush_asid(self, asid: int) -> int:
-        """Drop every entry belonging to ``asid``; returns the count dropped."""
-        dropped = 0
-        for tlb_set in self._sets:
-            stale = [k for k in tlb_set if (k >> VPN_BITS) == asid]
-            for k in stale:
-                del tlb_set[k]
-                dropped += 1
-        self.stats.add("invalidations", dropped)
-        return dropped
-
-    def flush_all(self) -> None:
-        """Drop every entry."""
-        for tlb_set in self._sets:
-            tlb_set.clear()
-        self.stats.add("full_flushes")
 
     def occupancy(self) -> int:
         """Number of resident entries."""

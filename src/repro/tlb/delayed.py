@@ -63,10 +63,6 @@ class DelayedTlb:
         """OS-directed invalidation of one page mapping."""
         self._tlb.invalidate(page_key)
 
-    def flush_asid(self, asid: int) -> int:
-        """Invalidate every mapping of a dying/remapped address space."""
-        return self._tlb.flush_asid(asid)
-
     def accesses(self) -> int:
         return self.stats["lookups"]
 

@@ -72,14 +72,6 @@ class TlbHierarchy:
         self.l1.invalidate(page_key)
         self.l2.invalidate(page_key)
 
-    def flush_asid(self, asid: int) -> int:
-        """Shootdown every page of one address space from both levels."""
-        return self.l1.flush_asid(asid) + self.l2.flush_asid(asid)
-
-    def flush_all(self) -> None:
-        self.l1.flush_all()
-        self.l2.flush_all()
-
     def accesses(self) -> int:
         """Total L1-TLB probes — the energy-relevant access count."""
         return self.l1.stats["lookups"]

@@ -91,7 +91,3 @@ class PageWalker:
         counts["walk_cycles"] += cycles
         self.cycles_hist.record(cycles)
         return cycles, pa, permissions, shared
-
-    def flush(self) -> None:
-        """Drop walk-cache contents (address-space teardown / remap storms)."""
-        self._walk_cache.clear()

@@ -157,8 +157,7 @@ class DelayedSegment2dEngine:
         gva_hi = min(guest_seg.vlimit,
                      host_segment.gpa_base + host_segment.length
                      - guest_seg.offset)
-        self.segment_cache.fill(global_asid, gva, gva_lo, gva_hi,
-                                ma - gva, guest_seg.seg_id)
+        self.segment_cache.fill(global_asid, gva, gva_lo, gva_hi, ma - gva)
         return ma, cycles, guest_seg.permissions
 
 

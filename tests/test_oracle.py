@@ -9,7 +9,9 @@ by side in the segment index tree: the case where a translation
 structure that ignores the ASID hands one process another's segment.
 
 After a remap, the TLB that held the page must answer with the new
-frame: every MMU's shootdown reaches every TLB it keeps.
+frame: every MMU's shootdown reaches every TLB it keeps.  After a
+process is destroyed, nothing it left in a translation structure or a
+cache may answer for a later process, even one placed at its VA.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from tests.test_golden import SEED, VIRT_MMUS, virt_system
 
 WORKLOADS = ("ferret", "specjbb", "firefox", "apache")
 ACCESSES = 600
+KB = 1024
+MB = 1024 * KB
 
 
 def _system(workload: str, mmu: str):
@@ -74,3 +78,26 @@ def test_remap_reaches_the_tlb_that_holds_the_page(mmu, page):
     kernel.share_readonly([(a, va)], kernel.frames.alloc_frame() << PAGE_SHIFT)
     after = AccessOutcome._make(system.access(0, a.asid, block, False))
     assert after.translated_pa == oracle(a.asid, block) != before
+
+
+@pytest.mark.parametrize("mmu", MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS)
+def test_retired_address_space_leaves_nothing_readable(mmu):
+    """A reads a page and is destroyed; B takes A's frames; C is placed
+    at A's VA.  C's reads must translate as the kernel says and miss
+    the line A left: no structure may answer C with A's state."""
+    _laid_out, system, oracle = _system(WORKLOADS[0], mmu)
+    kernel = system.kernel  # the guest's under virtualization
+    a = kernel.create_process("a")
+    vma_a = kernel.mmap(a, 4 * MB, policy="eager")
+    system.access(0, a.asid, vma_a.vbase + 8 * KB + 0x40, False)
+    b = kernel.create_process("b")
+    kernel.destroy_process(a)
+    kernel.mmap(b, 4 * MB, policy="eager")
+    c = kernel.create_process("c", va_base=vma_a.vbase)
+    vma_c = kernel.mmap(c, 4 * MB, policy="eager")
+    assert vma_c.vbase == vma_a.vbase
+    for offset in (0x80, 0x40):
+        va = vma_c.vbase + 8 * KB + offset
+        outcome = AccessOutcome._make(system.access(0, c.asid, va, False))
+        assert outcome.translated_pa == oracle(c.asid, va)
+    assert outcome.hit_level == "memory"

@@ -45,15 +45,6 @@ class TestHwSegmentTable:
         seg, _cycles = hw.read(seg_id)
         assert seg is None
 
-    def test_invalidate_forces_refill(self):
-        table = make_table()
-        hw = HwSegmentTable(table)
-        seg_id = table.segments_sorted()[0].seg_id
-        hw.read(seg_id)
-        hw.invalidate(seg_id)
-        _seg, cycles = hw.read(seg_id)
-        assert cycles > hw.latency
-
     def test_overflow_names_the_configured_size(self):
         table = make_table(n=3)
         hw = HwSegmentTable(table,
@@ -107,12 +98,12 @@ class TestSegmentCache:
     def test_hit_translates(self):
         sc = self._sc()
         sc.fill(asid=1, va=0x20_0000, seg_vbase=0, seg_vlimit=0x4000_0000,
-                offset=0x1000_0000, seg_id=9)
+                offset=0x1000_0000)
         assert sc.lookup(1, 0x20_1234) == 0x20_1234 + 0x1000_0000
 
     def test_region_boundary_misses(self):
         sc = self._sc()
-        sc.fill(1, 0x20_0000, 0, 0x4000_0000, 0x1000_0000, 9)
+        sc.fill(1, 0x20_0000, 0, 0x4000_0000, 0x1000_0000)
         assert sc.lookup(1, 0x20_0000 + (2 << 20)) is None  # next 2MB region
 
     def test_segment_boundary_clipping(self):
@@ -120,28 +111,20 @@ class TestSegmentCache:
         sc = self._sc()
         region = 0x40_0000  # 2 MB aligned
         seg_end = region + 0x8_0000  # segment covers only 512 KB of region
-        sc.fill(1, region, 0, seg_end, 0x1000, 3)
+        sc.fill(1, region, 0, seg_end, 0x1000)
         assert sc.lookup(1, region + 0x7_FFFF) == region + 0x7_FFFF + 0x1000
         assert sc.lookup(1, seg_end + 0x10) is None
 
     def test_lru_capacity(self):
         sc = self._sc()
         for i in range(5):
-            sc.fill(1, i << 21, 0, 1 << 40, 0, i)
+            sc.fill(1, i << 21, 0, 1 << 40, 0)
         assert sc.lookup(1, 0) is None  # oldest evicted
         assert sc.lookup(1, 4 << 21) is not None
 
-    def test_invalidate_segment(self):
-        sc = self._sc()
-        sc.fill(1, 0, 0, 1 << 30, 0, seg_id=5)
-        sc.fill(1, 1 << 21, 0, 1 << 30, 0, seg_id=6)
-        assert sc.invalidate_segment(5) == 1
-        assert sc.lookup(1, 0) is None
-        assert sc.lookup(1, 1 << 21) is not None
-
     def test_asid_isolation(self):
         sc = self._sc()
-        sc.fill(1, 0, 0, 1 << 30, 0x1000, 5)
+        sc.fill(1, 0, 0, 1 << 30, 0x1000)
         assert sc.lookup(2, 0) is None
 
 
@@ -225,14 +208,6 @@ class TestRangeTlb:
         rt = RangeTlb(table)
         with pytest.raises(SegmentFault):
             rt.lookup(1, 0x7000_0000_0000)
-
-    def test_invalidate_and_flush(self):
-        table = make_table()
-        rt = RangeTlb(table)
-        seg = table.segments_sorted()[0]
-        rt.lookup(1, seg.vbase)
-        rt.flush()
-        assert not rt.lookup(1, seg.vbase)[2]
 
 
 class TestDirectSegment:

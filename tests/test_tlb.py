@@ -66,20 +66,6 @@ class TestSetAssociativeTlb:
         assert not tlb.invalidate(e.page_key)
         assert tlb.lookup(e.page_key) is None
 
-    def test_flush_asid_only_hits_that_asid(self):
-        tlb = self._tlb(entries=16, ways=4)
-        tlb.fill(entry(1, 3))
-        tlb.fill(entry(2, 3))
-        dropped = tlb.flush_asid(1)
-        assert dropped == 1
-        assert tlb.probe(entry(2, 3).page_key) is not None
-
-    def test_flush_all(self):
-        tlb = self._tlb()
-        tlb.fill(entry(1, 1))
-        tlb.flush_all()
-        assert tlb.occupancy() == 0
-
     def test_probe_no_side_effects(self):
         tlb = self._tlb()
         e = entry(1, 1)
@@ -146,14 +132,6 @@ class TestTlbHierarchy:
         assert h.l1.probe(e.page_key) is None
         assert h.l2.probe(e.page_key) is None
 
-    def test_flush_asid(self):
-        h = self._hier()
-        h.fill(entry(1, 1))
-        h.fill(entry(2, 1))
-        h.flush_asid(1)
-        assert h.l2.probe(entry(2, 1).page_key) is not None
-        assert h.l2.probe(entry(1, 1).page_key) is None
-
 
 class TestDelayedTlb:
     def test_basic_flow(self):
@@ -214,12 +192,6 @@ class TestPageWalker:
         w.walk(1, 2 << 21)  # evicts region 0
         _cycles, _reads, hit = self._walk(w, 1, 0)
         assert not hit
-
-    def test_flush(self):
-        w = self._walker()
-        w.walk(1, 0x1000)
-        w.flush()
-        assert not self._walk(w, 1, 0x1000)[2]
 
     def test_stats(self):
         w = self._walker()
