@@ -179,16 +179,29 @@ class Hypervisor:
         self._vms: List[VirtualMachine] = []
 
     def create_vm(self, name: str) -> VirtualMachine:
-        """Create a VM with eagerly backed guest-physical memory."""
-        vm = VirtualMachine(len(self._vms) + 1, name, self.guest_config,
-                            self.machine_frames)
+        """Create a VM with eagerly backed guest-physical memory.
+
+        A VMID is the top 6 bits of a global ASID (:meth:`global_asid`),
+        so a 64th VM is refused rather than aliasing another VM's ASIDs.
+        """
+        vmid = len(self._vms) + 1
+        if vmid > 63:
+            raise RuntimeError("VMID space exhausted (63 VMs)")
+        vm = VirtualMachine(vmid, name, self.guest_config, self.machine_frames)
         self._vms.append(vm)
         self.stats.add("vms_created")
         return vm
 
     def global_asid(self, vm: VirtualMachine, guest_asid: int) -> int:
-        """VMID-extended ASID (Section V: the ASID must include the VMID)."""
-        return ((vm.vmid << 10) | (guest_asid & 0x3FF)) & 0xFFFF
+        """VMID-extended ASID (Section V: the ASID must include the VMID).
+
+        The guest ASID fills the low 10 bits.  A larger one would alias
+        another guest process's global ASID, so it raises ``ValueError``.
+        """
+        if guest_asid > 0x3FF:
+            raise ValueError(f"guest ASID {guest_asid:#x} does not fit the "
+                             "10 bits of a VMID-extended ASID")
+        return (vm.vmid << 10) | guest_asid
 
     # ------------------------------------------------------------------ #
     # Content-based sharing (Section III-D / V-A)

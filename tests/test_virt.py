@@ -1,5 +1,7 @@
 """Tests for virtualization: hypervisor, 2-D walks, virtualized MMUs."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.address import PAGE_SIZE, page_base, virtual_page_key
@@ -64,6 +66,22 @@ class TestVirtualMachine:
     def test_vmid_extended_asids_unique(self, hv):
         vm1, vm2 = hv.create_vm("a"), hv.create_vm("b")
         assert hv.global_asid(vm1, 1) != hv.global_asid(vm2, 1)
+
+    def test_guest_asid_past_ten_bits_refused(self, hv, vm):
+        """Guest ASIDs 1 and 0x401 would share one global ASID."""
+        assert hv.global_asid(vm, 0x3FF) == (vm.vmid << 10) | 0x3FF
+        with pytest.raises(ValueError, match="guest ASID 0x401"):
+            hv.global_asid(vm, 0x401)
+
+    def test_vmid_past_six_bits_refused(self):
+        """VM 65's global ASIDs would be VM 1's: a 64th VM is refused."""
+        hv = Hypervisor(dataclasses.replace(SystemConfig(),
+                                            physical_memory_bytes=16 * MB))
+        vms = [hv.create_vm(f"vm{i}") for i in range(63)]
+        assert len({hv.global_asid(vm, 0x3FF) for vm in vms}) == 63
+        assert max(hv.global_asid(vm, 0x3FF) for vm in vms) == 0xFFFF
+        with pytest.raises(RuntimeError, match="VMID space exhausted"):
+            hv.create_vm("one-too-many")
 
 
 class TestContentSharing:
