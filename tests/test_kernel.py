@@ -111,6 +111,31 @@ class TestMmapPolicies:
         assert kernel.segment_table.get(vma3.segments[0].seg_id) is not None
         kernel.munmap(p, vma3)
 
+    def test_unmapped_va_never_placed_again(self, kernel):
+        """No address space places a VA twice.
+
+        Nothing invalidates what translation hardware caches for a
+        removed segment or a retired ASID (segment-cache and range-TLB
+        entries, direct-segment registers, ASID+VA lines).  That is safe
+        only because no live (ASID, VA) pair can name such state again:
+        ASIDs are never reused, and within an address space every
+        placement after an munmap starts at or above the end of the
+        unmapped range, in the heap and in the mmap area alike.
+        """
+        p, q = kernel.create_process("p"), kernel.create_process("q")
+        demand = kernel.mmap(p, 1 * MB, policy=POLICY_DEMAND)
+        eager = kernel.mmap(p, 2 * MB, policy=POLICY_EAGER)
+        shared = kernel.mmap_shared([p, q], 16 * PAGE_SIZE)[p.asid]
+        for vma in (demand, eager, shared):
+            kernel.translate(p.asid, vma.vbase)
+            kernel.munmap(p, vma)
+        heap_end = max(demand.vlimit, eager.vlimit)
+        assert kernel.mmap(p, 1 * MB, policy=POLICY_DEMAND).vbase >= heap_end
+        assert kernel.mmap(p, 2 * MB, policy=POLICY_EAGER).vbase >= heap_end
+        assert p.segment_allocator.reserve(2 * MB)[0] >= heap_end
+        later = kernel.mmap_shared([p, q], 16 * PAGE_SIZE)[p.asid]
+        assert later.vbase >= shared.vlimit
+
 
 class TestSharedMappings:
     def test_synonyms_share_physical(self, kernel):
